@@ -12,6 +12,7 @@ import io
 import json
 import os
 import sys
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 
@@ -22,6 +23,7 @@ from .metric import MetricConfig, phm_score
 
 CONFIG_ENV_VAR = "PHM_CONFIG"
 _REPORT_COLUMNS = ("d_h", "d_l_o", "d_l_i", "d_l", "omega", "score")
+_CONFIG_TYPES = {f.name: type(getattr(MetricConfig(), f.name)) for f in fields(MetricConfig)}
 
 
 def _load_config(path: str | None) -> MetricConfig:
@@ -76,7 +78,6 @@ def _convert_override(name: str, raw: str, kind: type):
 
 def _read_manifest(path: str):
     """Rows of (pair_id, ref, dist, overrides); extra columns must be config keys."""
-    field_types = {f.name: type(getattr(MetricConfig(), f.name)) for f in fields(MetricConfig)}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         cols = reader.fieldnames or []
@@ -84,7 +85,7 @@ def _read_manifest(path: str):
         if missing:
             raise ParseError(f"manifest lacks columns {missing}")
         extras = [c for c in cols if c not in ("pair_id", "ref_path", "dist_path")]
-        bad = [c for c in extras if c not in field_types]
+        bad = [c for c in extras if c not in _CONFIG_TYPES]
         if bad:
             raise ParseError(f"manifest has unknown config columns {bad}")
         rows = []
@@ -97,18 +98,19 @@ def _read_manifest(path: str):
             if pid in seen:
                 raise ParseError(f"duplicate pair_id {pid!r}")
             seen.add(pid)
-            overrides = {}
-            for c in extras:
-                raw = (row.get(c) or "").strip()
-                if raw:
-                    overrides[c] = _convert_override(c, raw, field_types[c])
+            # Raw strings: a bad value fails its own row in _batch_row, not the batch.
+            overrides = {c: raw for c in extras if (raw := (row.get(c) or "").strip())}
             rows.append((pid, ref, dist, overrides))
     return rows
 
 
 def _batch_row(pair_id, ref, dist, base_cfg, overrides):
+    """(pair_id, report or None, error cell); never raises, so one row cannot stop a batch."""
     try:
-        cfg = MetricConfig.from_dict({**base_cfg.to_dict(), **overrides}) if overrides else base_cfg
+        cfg = base_cfg
+        if overrides:
+            typed = {k: _convert_override(k, raw, _CONFIG_TYPES[k]) for k, raw in overrides.items()}
+            cfg = MetricConfig.from_dict({**base_cfg.to_dict(), **typed})
         report = _score_pair(ref, dist, cfg)
         if report.status != "ok":
             return pair_id, None, report.status
@@ -116,6 +118,9 @@ def _batch_row(pair_id, ref, dist, base_cfg, overrides):
     except FileNotFoundError as e:
         return pair_id, None, f"missing file: {e.filename}"
     except (PhmError, OSError) as e:
+        return pair_id, None, f"{type(e).__name__}: {e}"
+    except Exception as e:  # a defect, not bad input: keep the traceback visible
+        sys.stderr.write(f"pair {pair_id!r} failed:\n{traceback.format_exc()}")
         return pair_id, None, f"{type(e).__name__}: {e}"
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import ColorMissing, EmptyCloud, ParseError, TooManySeeds
+from .errors import ColorMissing, DomainError, EmptyCloud, ParseError, TooManySeeds
 
 # ITU-R BT.709 luma weights for 8-bit RGB.
 LUMA_R, LUMA_G, LUMA_B = 0.2126, 0.7152, 0.0722
@@ -50,6 +50,8 @@ class PointCloud:
             raise EmptyCloud("point cloud has no points")
         if self.colors.shape != (n, 3) or self.luminance.shape != (n,):
             raise ValueError("positions, colors and luminance lengths differ")
+        if not np.isfinite(self.positions).all():
+            raise DomainError("point positions must be finite (no NaN or inf)")
         for a in (self.positions, self.colors, self.luminance):
             _readonly(a)
 
@@ -184,13 +186,23 @@ def farthest_point_sample(cloud: PointCloud, num_seeds: int, start: int = 0) -> 
         raise TooManySeeds(f"requested {num_seeds} seeds from {n} points")
     if not 0 <= start < n:
         raise ValueError("start index out of range")
+    # Contiguous columns and reused buffers; (dx^2 + dy^2) + dz^2 is the
+    # same sum in the same order as _sq_dists, so the seeds are unchanged.
+    x, y, z = (np.ascontiguousarray(pos[:, ax]) for ax in range(3))
+    min_d2 = np.full(n, np.inf)
+    d2, tmp = np.empty(n), np.empty(n)
     seeds = np.empty(num_seeds, dtype=np.intp)
-    seeds[0] = start
-    min_d2 = _sq_dists(pos, pos[start])
-    for s in range(1, num_seeds):
-        nxt = int(np.argmax(min_d2))  # argmax returns the first (lowest) index on ties
+    nxt = start
+    for s in range(num_seeds):
         seeds[s] = nxt
-        np.minimum(min_d2, _sq_dists(pos, pos[nxt]), out=min_d2)
+        np.subtract(x, x[nxt], out=d2)
+        np.multiply(d2, d2, out=d2)
+        for col in (y, z):
+            np.subtract(col, col[nxt], out=tmp)
+            np.multiply(tmp, tmp, out=tmp)
+            np.add(d2, tmp, out=d2)
+        np.minimum(min_d2, d2, out=min_d2)
+        nxt = int(np.argmax(min_d2))  # argmax returns the first (lowest) index on ties
     return seeds
 
 
@@ -314,25 +326,26 @@ def load_ply(path) -> PointCloud:
             if any(p[0] == "list" for p in props):
                 raise ParseError(f"cannot skip list-typed element {name!r} before vertices")
             cursor += count
-        need = len(vprops)
-        pos = np.empty((nverts, 3), dtype=np.float64)
-        col = np.empty((nverts, 3), dtype=np.uint8)
-        for i in range(nverts):
-            if cursor + i >= len(rows):
-                raise ParseError("ascii payload truncated")
-            tokens = rows[cursor + i].split()
-            if len(tokens) != need:
-                raise ParseError(f"vertex line {i} has {len(tokens)} values, expected {need}")
-            try:
-                for ax, axis in enumerate(("x", "y", "z")):
-                    pos[i, ax] = float(tokens[layout[axis][0]])
-                for ch, chan in enumerate(("red", "green", "blue")):
-                    v = int(tokens[layout[chan][0]])
-                    if not 0 <= v <= 255:
-                        raise ValueError
-                    col[i, ch] = v
-            except ValueError:
-                raise ParseError(f"unparseable vertex line {i}") from None
+        lines = rows[cursor:cursor + nverts]
+        if len(lines) < nverts:
+            raise ParseError("ascii payload truncated")
+        # One column per declared property: xyz parse as float, RGB as uint8
+        # (out-of-range or non-integer tokens fail), the rest are unchecked.
+        kinds = ["U1"] * len(vprops)
+        for axis in ("x", "y", "z"):
+            kinds[layout[axis][0]] = "f8"
+        for chan in ("red", "green", "blue"):
+            kinds[layout[chan][0]] = "u1"
+        dt = np.dtype([(f"c{i}", kind) for i, kind in enumerate(kinds)])
+        try:
+            # loadtxt skips blank lines; the row count check below catches them.
+            rec = np.loadtxt(lines, dtype=dt, comments=None, ndmin=1)
+        except ValueError as e:
+            raise ParseError(f"unparseable ascii vertex block: {e}") from None
+        if len(rec) != nverts:
+            raise ParseError(f"ascii vertex block has {len(rec)} non-blank lines, expected {nverts}")
+        pos = np.stack([rec[f"c{layout[a][0]}"] for a in ("x", "y", "z")], axis=1)
+        col = np.stack([rec[f"c{layout[c][0]}"] for c in ("red", "green", "blue")], axis=1)
     else:
         offset = body_start
         for name, count, props in elements[:vidx]:

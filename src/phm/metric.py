@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import time
 from dataclasses import asdict, dataclass, field, fields
 
@@ -37,21 +39,30 @@ class MetricConfig:
     continuous_tail: bool = True  # 4/lam^2 band-pass tail (continuous at 2)
 
     def __post_init__(self):
+        for name, least in (("k1", 1), ("k2", 1), ("patch_divisor", 1),
+                            ("num_bandpass", 1), ("nb_bins", 2)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise TypeError(f"{name} must be an int, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}")
         for name in ("alpha", "mu", "stabilizer"):
-            if getattr(self, name) <= 0 and name != "alpha":
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise TypeError(f"{name} must be a number, got {value!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
         if self.alpha < 0:
             raise ValueError("alpha must be >= 0")
-        for name in ("k1", "k2", "patch_divisor"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
-        if self.num_bandpass < 1:
-            raise ValueError("num_bandpass must be >= 1")
-        if self.nb_bins < 2:
-            raise ValueError("nb_bins must be >= 2")
+        if self.mu <= 0:
+            raise ValueError("mu must be positive")
+        if self.stabilizer <= 0:
+            raise ValueError("stabilizer must be positive")
         for name in ("inner_fusion", "outer_fusion"):
             if getattr(self, name) not in _FUSION_MODES:
                 raise ValueError(f"{name} must be one of {_FUSION_MODES}")
+        if not isinstance(self.continuous_tail, bool):
+            raise TypeError(f"continuous_tail must be a bool, got {self.continuous_tail!r}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "MetricConfig":

@@ -44,17 +44,6 @@ def _take(cloud: PointCloud, idx: np.ndarray) -> SubCloud:
     return SubCloud(idx, cloud.positions[idx], cloud.luminance[idx])
 
 
-def _nearest_seed(points: np.ndarray, seed_positions: np.ndarray, chunk: int = 8192) -> np.ndarray:
-    """Cell id of the nearest seed per point; ties go to the lower seed id."""
-    out = np.empty(len(points), dtype=np.intp)
-    for lo in range(0, len(points), chunk):
-        block = points[lo:lo + chunk]
-        d = block[:, None, :] - seed_positions[None, :, :]
-        d2 = (d * d).sum(axis=-1)
-        out[lo:lo + chunk] = d2.argmin(axis=1)  # argmin: first minimum = lowest id
-    return out
-
-
 def partition_into_patch_pairs(
     ref: PointCloud,
     dist: PointCloud,
@@ -68,15 +57,16 @@ def partition_into_patch_pairs(
     n = len(ref)
     cells = num_cells if num_cells is not None else max(1, n // DEFAULT_PATCH_DIVISOR)
     seeds = farthest_point_sample(ref, cells, start=0)
-    seed_pos = ref.positions[seeds]
-    ref_cell = _nearest_seed(ref.positions, seed_pos)
-    dist_cell = _nearest_seed(dist.positions, seed_pos)
-    pairs = []
-    for cell in range(cells):
-        ridx = np.nonzero(ref_cell == cell)[0]
-        didx = np.nonzero(dist_cell == cell)[0]
-        pairs.append(PatchPair(cell, _take(ref, ridx), _take(dist, didx)))
-    return pairs
+    # query_bulk re-ranks by exact squared distance with ties to the lower
+    # index, so a point on a cell boundary goes to the lower seed id.
+    seed_index = SpatialIndex(ref.positions[seeds])
+    sides = []
+    for cloud in (ref, dist):
+        cell_of = seed_index.query_bulk(cloud.positions, 1)[:, 0]
+        members = np.argsort(cell_of, kind="stable")  # ascending point index per cell
+        bounds = np.searchsorted(cell_of[members], np.arange(cells + 1))
+        sides.append([_take(cloud, members[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])])
+    return [PatchPair(cell, r, d) for cell, (r, d) in enumerate(zip(*sides))]
 
 
 @dataclass(frozen=True)

@@ -72,6 +72,17 @@ def test_score_precondition_exits_2(capsys, tmp_path):
     assert json.loads(err)["error"] == "CloudTooSmall"
 
 
+def test_score_non_finite_coordinates_exits_2(ply_pair, capsys, tmp_path):
+    ref, _ = ply_pair
+    bad = tmp_path / "nan.ply"
+    text = open(ref, "rb").read()
+    head, body = text.split(b"end_header\n")
+    bad.write_bytes(head + b"end_header\nnan" + body[body.index(b" "):])
+    code, out, err = run_cli(capsys, "score", "--ref", ref, "--dist", str(bad))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "DomainError"
+
+
 def test_score_no_valid_patches_exits_3(capsys, tmp_path):
     # distorted cloud collapses to one coincident blob: no patch graph possible
     ref = synthetic_cloud(200, seed=9)
@@ -162,6 +173,45 @@ def test_batch_deterministic_across_jobs(ply_pair, capsys, tmp_path):
     assert run_cli(capsys, "batch", "--manifest", str(manifest), "--jobs", "1", "--out", str(out1))[0] == 0
     assert run_cli(capsys, "batch", "--manifest", str(manifest), "--jobs", "8", "--out", str(out8))[0] == 0
     assert out1.read_bytes() == out8.read_bytes()
+
+
+def test_batch_bad_rows_do_not_stop_the_batch(ply_pair, capsys, tmp_path):
+    ref, dist = ply_pair
+    nan_ply = tmp_path / "nan.ply"
+    head, body = open(ref, "rb").read().split(b"end_header\n")
+    nan_ply.write_bytes(head + b"end_header\nnan" + body[body.index(b" "):])
+    manifest = tmp_path / "m.csv"
+    write_manifest(manifest, [
+        ["ok1", ref, dist, ""],
+        ["nan", ref, str(nan_ply), ""],
+        ["k1", ref, dist, "2.5"],
+        ["ok2", ref, ref, ""],
+    ], extra_cols=("k1",))
+    out1, out2 = tmp_path / "o1.csv", tmp_path / "o2.csv"
+    assert run_cli(capsys, "batch", "--manifest", str(manifest), "--jobs", "1", "--out", str(out1))[0] == 0
+    assert run_cli(capsys, "batch", "--manifest", str(manifest), "--jobs", "2", "--out", str(out2))[0] == 0
+    assert out1.read_bytes() == out2.read_bytes()
+    rows = {r["pair_id"]: r for r in csv.DictReader(out1.open())}
+    assert rows["nan"]["error"].startswith("DomainError") and rows["nan"]["score"] == ""
+    assert rows["k1"]["error"].startswith("ParseError") and rows["k1"]["score"] == ""
+    assert rows["ok1"]["error"] == "" and float(rows["ok2"]["score"]) == 1.0
+
+
+def test_batch_unexpected_exception_fills_error_cell(ply_pair, capsys, tmp_path, monkeypatch):
+    import phm.cli
+
+    def broken(ref, dist, cfg):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setattr(phm.cli, "phm_score", broken)
+    ref, _ = ply_pair
+    manifest = tmp_path / "m.csv"
+    write_manifest(manifest, [["a", ref, ref]])
+    code, out, err = run_cli(capsys, "batch", "--manifest", str(manifest))
+    assert code == 0
+    rows = list(csv.DictReader(out.splitlines()))
+    assert rows[0]["error"] == "ZeroDivisionError: boom"
+    assert "Traceback" in err
 
 
 def test_batch_per_row_config_override(ply_pair, capsys, tmp_path):

@@ -15,7 +15,7 @@ from phm.cloud import (
     rgb_to_luminance,
     save_ply,
 )
-from phm.errors import ColorMissing, EmptyCloud, ParseError, TooManySeeds
+from phm.errors import ColorMissing, DomainError, EmptyCloud, ParseError, TooManySeeds
 
 from conftest import random_cloud
 
@@ -236,7 +236,7 @@ def test_load_ascii_ply_echoes_contents(tmp_path):
 
 
 def test_binary_matches_ascii_roundtrip(tmp_path):
-    cloud = random_cloud(64, seed=2)
+    cloud = random_cloud(10_000, seed=2)
     pa, pb = tmp_path / "a.ply", tmp_path / "b.ply"
     save_ply(cloud, pa, binary=False)
     save_ply(cloud, pb, binary=True)
@@ -259,6 +259,55 @@ def test_ply_truncated_payload_raises(tmp_path):
     p = tmp_path / "short.ply"
     p.write_bytes(ASCII_3V.replace(b"element vertex 3", b"element vertex 9"))
     with pytest.raises(ParseError):
+        load_ply(p)
+
+
+VERTEX_HEADER = (
+    b"property float x\nproperty float y\nproperty float z\n"
+    b"property uchar red\nproperty uchar green\nproperty uchar blue\n")
+
+
+@pytest.mark.parametrize("body", [
+    pytest.param(ASCII_3V.replace(b"1.5 0.0 0.0 0 255 0", b"1.5 0.0 0.0 0 255"), id="short-line"),
+    pytest.param(ASCII_3V.replace(b"1.5 0.0 0.0 0 255 0", b"1.5 0.0 0.0 0 255 0 7"), id="extra-token"),
+    pytest.param(ASCII_3V.replace(b"0 255 0\n", b"0 1.5 0\n"), id="color-1.5"),
+    pytest.param(ASCII_3V.replace(b"0 255 0\n", b"0 256 0\n"), id="color-256"),
+    pytest.param(ASCII_3V.replace(b"0 255 0\n", b"0 -1 0\n"), id="color-minus-1"),
+    pytest.param(ASCII_3V.replace(b"1.5 0.0", b"1.5x 0.0"), id="bad-float"),
+    pytest.param(ASCII_3V.replace(b"element vertex 3", b"element vertex 4"), id="truncated"),
+    pytest.param(ASCII_3V.replace(b"1.5 0.0 0.0 0 255 0\n", b"\n1.5 0.0 0.0 0 255 0\n"),
+                 id="blank-line-in-block"),
+    pytest.param(b"ply\nformat ascii 1.0\nelement info 2\nproperty float value\n"
+                 b"element vertex 2\n" + VERTEX_HEADER + b"end_header\n"
+                 b"1.0\n2.0\n4 5 6 7 8 9\n4 5 6 7 8\n", id="element-before-vertex"),
+    pytest.param(b"ply\nformat ascii 1.0\nelement vertex 2\n" + VERTEX_HEADER
+                 + b"element info 1\nproperty float value\nend_header\n"
+                 b"4 5 6 7 8 9\n1.0\n", id="element-after-vertex"),
+])
+def test_malformed_ascii_payload_raises(tmp_path, body):
+    p = tmp_path / "bad.ply"
+    p.write_bytes(body)
+    with pytest.raises(ParseError):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            load_ply(p)
+
+
+@pytest.mark.parametrize("token", [b"nan", b"inf", b"-inf"])
+def test_ascii_ply_non_finite_position_raises(tmp_path, token):
+    p = tmp_path / "nonfinite.ply"
+    p.write_bytes(ASCII_3V.replace(b"0.0 2.5 1.0", b"0.0 " + token + b" 1.0"))
+    with pytest.raises(DomainError):
+        load_ply(p)
+
+
+def test_binary_ply_non_finite_position_raises(tmp_path):
+    p = tmp_path / "nonfinite.ply"
+    save_ply(random_cloud(5, seed=3), p, binary=True)
+    data = bytearray(p.read_bytes())
+    data[-15:-11] = np.float32(np.nan).tobytes()  # x of the last vertex
+    p.write_bytes(bytes(data))
+    with pytest.raises(DomainError):
         load_ply(p)
 
 
@@ -379,6 +428,14 @@ def test_binary_ply_double_positions(tmp_path):
     cloud = load_ply(p)
     np.testing.assert_array_equal(cloud.positions[:, 0], [0.125, -3.75])
     np.testing.assert_array_equal(cloud.colors[:, 0], [7, 9])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_pointcloud_rejects_non_finite_positions(bad):
+    pos = np.zeros((4, 3))
+    pos[2, 1] = bad
+    with pytest.raises(DomainError):
+        PointCloud.from_arrays(pos, np.zeros((4, 3), dtype=np.uint8))
 
 
 def test_pointcloud_rejects_empty():

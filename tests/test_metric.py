@@ -87,6 +87,18 @@ def test_config_rejects_bad_values():
         MetricConfig.from_dict({"mu": -1})
 
 
+@pytest.mark.parametrize("bad", [
+    {"k1": 2.5}, {"k1": True}, {"k2": "10"}, {"patch_divisor": 80.0},
+    {"num_bandpass": None}, {"nb_bins": False}, {"nb_bins": 1},
+    {"alpha": -0.5}, {"alpha": math.inf}, {"mu": math.nan}, {"mu": True},
+    {"stabilizer": "1e-6"}, {"stabilizer": 0.0},
+    {"continuous_tail": "no"}, {"continuous_tail": 1}, {"outer_fusion": None},
+], ids=repr)
+def test_config_rejects_ill_typed_values(bad):
+    with pytest.raises(ParseError):
+        MetricConfig.from_dict(bad)
+
+
 def test_config_file_roundtrip(tmp_path):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"mu": 3.0, "nb_bins": 20}))
