@@ -4,72 +4,23 @@ Two measurement regimes, one score: a masking-compensated luminance PSNR
 for high-quality content (visible difference), and spectral-graph
 smoothness plus wavelet co-occurrence statistics for low-quality content
 (appearance degradation), fused with a quality-adaptive exponent.
+
+The stage functions live in the submodules: ``phm.cloud``, ``phm.visible``,
+``phm.patches``, ``phm.appearance`` and ``phm.evaluation``.
 """
 
-from .appearance import (
-    FilterBank,
-    WCM,
-    WaveletSubbands,
-    build_wcm,
-    fuse_appearance,
-    geometry_degradation,
-    graph_smoothness,
-    make_filter_bank,
-    prepare_pairs,
-    sgwt_decompose,
-    texture_degradation,
-)
-from .cloud import (
-    PointCloud,
-    SpatialIndex,
-    farthest_point_sample,
-    knn_indices,
-    load_ply,
-    rgb_to_luminance,
-    save_ply,
-)
-from .errors import (
-    CloudTooSmall,
-    ColorMissing,
-    CorrelationUndefined,
-    DegeneratePatch,
-    DomainError,
-    EmptyCloud,
-    EmptyWCM,
-    FitError,
-    NoValidPatches,
-    ParseError,
-    PhmError,
-    ShapeError,
-    SpectralError,
-    TestUndefined,
-    TooManySeeds,
-)
-from .evaluation import (
-    EvalRecord,
-    FitParams,
-    correlation_suite,
-    f_test_left,
-    fit_logistic,
-    logistic_map,
-)
-from .metric import MetricConfig, QualityReport, combine_adaptive, phm_score
-from .patches import (
-    PatchGraph,
-    PatchPair,
-    Spectrum,
-    SubCloud,
-    build_patch_graph,
-    eigendecompose,
-    graph_fourier,
-    partition_into_patch_pairs,
-)
-from .visible import (
-    ARSolution,
-    VisibleDifference,
-    ar_texture_complexity,
-    symmetric_luminance_psnr,
-    visible_difference,
-)
+from .cloud import PointCloud, load_ply, save_ply
+from .errors import PhmError
+from .metric import MetricConfig, QualityReport, phm_score
+
+__all__ = [
+    "MetricConfig",
+    "QualityReport",
+    "phm_score",
+    "PointCloud",
+    "load_ply",
+    "save_ply",
+    "PhmError",
+]
 
 __version__ = "0.1.0"

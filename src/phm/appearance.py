@@ -19,7 +19,6 @@ from .patches import (
     PatchPair,
     Spectrum,
     SubCloud,
-    PATCH_POINT_CAP,
     build_patch_graph,
     cap_subcloud,
     eigendecompose,
@@ -51,8 +50,8 @@ class PreparedSide:
     capped: bool
 
 
-def _prepare_side(sub: SubCloud, k2: int, cap: int) -> PreparedSide | None:
-    capped_sub, capped = cap_subcloud(sub, cap)
+def _prepare_side(sub: SubCloud, k2: int) -> PreparedSide | None:
+    capped_sub, capped = cap_subcloud(sub)
     try:
         graph = build_patch_graph(capped_sub.positions, k2)
     except DegeneratePatch:
@@ -63,11 +62,10 @@ def _prepare_side(sub: SubCloud, k2: int, cap: int) -> PreparedSide | None:
 def prepare_pairs(
     pairs: list[PatchPair],
     k2: int,
-    cap: int = PATCH_POINT_CAP,
 ) -> list[tuple[PreparedSide | None, PreparedSide | None]]:
     """Build both graphs per pair; a side that cannot support one is None."""
     return [
-        (_prepare_side(p.ref_points, k2, cap), _prepare_side(p.dist_points, k2, cap))
+        (_prepare_side(p.ref_points, k2), _prepare_side(p.dist_points, k2))
         for p in pairs
     ]
 
@@ -77,10 +75,8 @@ def _smoothness_similarity(sx: float, sy: float, t: float) -> float:
 
 
 def geometry_degradation(
-    pairs: list[PatchPair],
-    k2: int = 10,
+    prepared: list[tuple[PreparedSide | None, PreparedSide | None]],
     stabilizer: float = DEFAULT_STABILIZER,
-    prepared: list[tuple[PreparedSide | None, PreparedSide | None]] | None = None,
 ) -> tuple[list[tuple[float, float, float] | None], float]:
     """Per-patch smoothness similarity over x/y/z and its global mean.
 
@@ -89,8 +85,6 @@ def geometry_degradation(
     degenerate side are excluded from the mean (None in the per-patch
     list). Raises NoValidPatches when nothing survives.
     """
-    if prepared is None:
-        prepared = prepare_pairs(pairs, k2)
     per_patch: list[tuple[float, float, float] | None] = []
     values: list[float] = []
     for px, py in prepared:
@@ -161,19 +155,12 @@ def make_filter_bank(
     return FilterBank(scales, float(gamma), lambda_min, lambda_max, num_bandpass, continuous_tail)
 
 
-@dataclass(frozen=True)
-class WaveletSubbands:
-    """Row 0: scaling (low-pass) band; rows 1..C: band-pass bands."""
+def sgwt_decompose(spectrum: Spectrum, signal: np.ndarray, bank: FilterBank) -> np.ndarray:
+    """Filter the signal through the bank in the spectral domain.
 
-    coeffs: np.ndarray  # (C + 1, n)
-
-    @property
-    def num_bands(self) -> int:
-        return len(self.coeffs)
-
-
-def sgwt_decompose(spectrum: Spectrum, signal: np.ndarray, bank: FilterBank) -> WaveletSubbands:
-    """Filter the signal through the bank in the spectral domain."""
+    Returns a (C + 1, n) array: row 0 is the scaling (low-pass) band, rows
+    1..C the band-pass bands.
+    """
     u = np.asarray(signal, dtype=np.float64)
     if u.shape != (spectrum.n,):
         raise ShapeError(f"signal length {u.shape} does not match n={spectrum.n}")
@@ -184,14 +171,7 @@ def sgwt_decompose(spectrum: Spectrum, signal: np.ndarray, bank: FilterBank) -> 
     out[0] = vec @ (bank.h(lam) * uhat)
     for c, t in enumerate(bank.scales, start=1):
         out[c] = vec @ (bank.g(t * lam) * uhat)
-    return WaveletSubbands(out)
-
-
-@dataclass(frozen=True)
-class WCM:
-    """Normalized weighted co-occurrence matrix (symmetric, unit mass)."""
-
-    matrix: np.ndarray  # (Nb, Nb)
+    return out
 
 
 def build_wcm(
@@ -199,8 +179,8 @@ def build_wcm(
     band: np.ndarray,
     partner_band: np.ndarray,
     num_bins: int = DEFAULT_NUM_BINS,
-) -> tuple[WCM, np.ndarray]:
-    """WCM of ``band`` on ``graph``, quantized over the shared range.
+) -> np.ndarray:
+    """Normalized (Nb, Nb) WCM of ``band`` on ``graph``, quantized over the shared range.
 
     The bin range covers the concatenation of band and partner_band so the
     two sides of a pair are histogrammed identically. Each undirected edge
@@ -226,8 +206,7 @@ def build_wcm(
     off = m != n
     acc += np.bincount(n[off] * num_bins + m[off], weights=graph.weights[off], minlength=size)
     mat = acc.reshape(num_bins, num_bins)
-    mat = mat / mat.sum()
-    return WCM(mat), np.linspace(lo, hi, num_bins + 1)
+    return mat / mat.sum()
 
 
 def _pearson(a: np.ndarray, b: np.ndarray) -> float:
@@ -250,7 +229,6 @@ def _pearson(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def texture_degradation(
-    pairs: list[PatchPair],
     prepared: list[tuple[PreparedSide | None, PreparedSide | None]],
     num_bandpass: int = DEFAULT_NUM_BANDPASS,
     num_bins: int = DEFAULT_NUM_BINS,
@@ -278,12 +256,12 @@ def texture_degradation(
         row: list[float | None] = []
         for c in range(num_bandpass + 1):
             try:
-                wcm_x, _ = build_wcm(px.graph, sub_x.coeffs[c], sub_y.coeffs[c], num_bins)
-                wcm_y, _ = build_wcm(py.graph, sub_y.coeffs[c], sub_x.coeffs[c], num_bins)
+                wcm_x = build_wcm(px.graph, sub_x[c], sub_y[c], num_bins)
+                wcm_y = build_wcm(py.graph, sub_y[c], sub_x[c], num_bins)
             except EmptyWCM:
                 row.append(None)
                 continue
-            fw = _pearson(wcm_x.matrix, wcm_y.matrix)
+            fw = _pearson(wcm_x, wcm_y)
             row.append(fw)
             values.append(fw)
         per_patch.append(row)

@@ -18,7 +18,6 @@ from dataclasses import fields
 
 from .cloud import load_ply
 from .errors import ParseError, PhmError
-from .evaluation import correlation_suite, fit_logistic, read_records_csv
 from .metric import MetricConfig, phm_score
 
 CONFIG_ENV_VAR = "PHM_CONFIG"
@@ -91,6 +90,9 @@ def _read_manifest(path: str):
         rows = []
         seen = set()
         for i, row in enumerate(reader):
+            if None in row:  # DictReader's key for cells beyond the header
+                raise ParseError(f"manifest row {i} ({row['pair_id']!r}) has more cells than the "
+                                 f"header, extra {row[None]!r}; quote a path that holds a comma")
             pid = (row["pair_id"] or "").strip()
             ref, dist = (row["ref_path"] or "").strip(), (row["dist_path"] or "").strip()
             if not pid or not ref or not dist:
@@ -125,10 +127,11 @@ def _batch_row(pair_id, ref, dist, base_cfg, overrides):
 
 
 def cmd_batch(args) -> int:
+    if args.jobs < 1:
+        raise ParseError(f"--jobs must be >= 1, got {args.jobs}")
     cfg = _load_config(args.config)
     rows = _read_manifest(args.manifest)
-    jobs = max(1, args.jobs)
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         futures = [pool.submit(_batch_row, pid, ref, dist, cfg, ov)
                    for pid, ref, dist, ov in rows]
         results = [f.result() for f in futures]  # manifest order, not completion order
@@ -151,6 +154,9 @@ def cmd_batch(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    # Imported here: scipy.stats and scipy.optimize cost score and batch start-up.
+    from .evaluation import correlation_suite, fit_logistic, read_records_csv
+
     records = read_records_csv(args.predictions)
     params = fit_logistic(records)
     plcc, srocc, rmse = correlation_suite(records, params)

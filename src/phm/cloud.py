@@ -92,10 +92,6 @@ class SpatialIndex:
     def n(self) -> int:
         return len(self._positions)
 
-    @property
-    def positions(self) -> np.ndarray:
-        return self._positions
-
     def query(self, point, k: int, exclude_self: bool = False) -> np.ndarray:
         """Indices of the min(k, N_effective) nearest points to ``point``.
 
@@ -164,11 +160,6 @@ class SpatialIndex:
             for r in bad:
                 out[r] = self.query(pts[r], kr, exclude_self=exclude_self)
         return out
-
-
-def knn_indices(index: SpatialIndex, query, k: int, exclude_self: bool = False) -> np.ndarray:
-    """Exact k-nearest-neighbor indices, nondecreasing distance, ties by lower index."""
-    return index.query(query, k, exclude_self=exclude_self)
 
 
 def farthest_point_sample(cloud: PointCloud, num_seeds: int, start: int = 0) -> np.ndarray:
@@ -255,11 +246,13 @@ def _parse_ply_header(data: bytes):
                 count = int(tokens[2])
             except ValueError:
                 raise ParseError(f"bad element count: {raw!r}") from None
+            if count < 0:
+                raise ParseError(f"negative element count: {raw!r}")
             elements.append((tokens[1], count, []))
         elif tokens[0] == "property":
             if not elements:
                 raise ParseError("property before any element")
-            if tokens[1] == "list":
+            if tokens[1:2] == ["list"]:
                 elements[-1][2].append(("list",) + tuple(tokens[2:]))
             elif len(tokens) == 3 and tokens[1] in _PLY_SCALAR:
                 elements[-1][2].append((tokens[1], tokens[2]))
@@ -344,8 +337,6 @@ def load_ply(path) -> PointCloud:
             raise ParseError(f"unparseable ascii vertex block: {e}") from None
         if len(rec) != nverts:
             raise ParseError(f"ascii vertex block has {len(rec)} non-blank lines, expected {nverts}")
-        pos = np.stack([rec[f"c{layout[a][0]}"] for a in ("x", "y", "z")], axis=1)
-        col = np.stack([rec[f"c{layout[c][0]}"] for c in ("red", "green", "blue")], axis=1)
     else:
         offset = body_start
         for name, count, props in elements[:vidx]:
@@ -353,15 +344,13 @@ def load_ply(path) -> PointCloud:
                 raise ParseError(f"cannot skip list-typed element {name!r} before vertices")
             stride = sum(np.dtype(_PLY_SCALAR[p[0]]).itemsize for p in props)
             offset += count * stride
-        dt = np.dtype([(p[1], _PLY_SCALAR[p[0]]) for p in vprops])
+        # Positional field names: a property name may repeat in the header.
+        dt = np.dtype([(f"c{i}", _PLY_SCALAR[p[0]]) for i, p in enumerate(vprops)])
         if offset + nverts * dt.itemsize > len(data):
             raise ParseError("binary payload truncated")
         rec = np.frombuffer(data, dtype=dt, count=nverts, offset=offset)
-        pos = np.stack(
-            [rec["x"].astype(np.float64), rec["y"].astype(np.float64), rec["z"].astype(np.float64)],
-            axis=1,
-        )
-        col = np.stack([rec["red"], rec["green"], rec["blue"]], axis=1).astype(np.uint8)
+    pos = np.stack([rec[f"c{layout[a][0]}"] for a in ("x", "y", "z")], axis=1)
+    col = np.stack([rec[f"c{layout[c][0]}"] for c in ("red", "green", "blue")], axis=1)
     return PointCloud.from_arrays(pos, col)
 
 

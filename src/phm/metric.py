@@ -72,7 +72,7 @@ class MetricConfig:
             raise ParseError(f"unknown config keys: {unknown}")
         try:
             return cls(**data)
-        except (TypeError, ValueError) as e:
+        except (TypeError, ValueError, OverflowError) as e:  # Overflow: an int beyond float range
             raise ParseError(f"bad config value: {e}") from None
 
     @classmethod
@@ -130,16 +130,7 @@ class QualityReport:
     diagnostics: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "d_h": self.d_h,
-            "d_l_o": self.d_l_o,
-            "d_l_i": self.d_l_i,
-            "d_l": self.d_l,
-            "omega": self.omega,
-            "score": self.score,
-            "status": self.status,
-            "diagnostics": self.diagnostics,
-        }
+        return asdict(self)
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)
@@ -197,11 +188,11 @@ def phm_score(ref: PointCloud, dist: PointCloud, config: MetricConfig | None = N
 
     t0 = time.perf_counter()
     try:
-        fs_rows, d_l_o = geometry_degradation(pairs, cfg.k2, cfg.stabilizer, prepared)
+        fs_rows, d_l_o = geometry_degradation(prepared, cfg.stabilizer)
         timing["geometry_degradation"] = time.perf_counter() - t0
         t0 = time.perf_counter()
         fw_rows, d_l_i = texture_degradation(
-            pairs, prepared, cfg.num_bandpass, cfg.nb_bins, cfg.continuous_tail)
+            prepared, cfg.num_bandpass, cfg.nb_bins, cfg.continuous_tail)
         timing["texture_degradation"] = time.perf_counter() - t0
     except NoValidPatches:
         return QualityReport(

@@ -1,4 +1,4 @@
-"""Voronoi patch pairing, per-patch weighted graphs, spectra and the GFT.
+"""Voronoi patch pairing, per-patch weighted graphs and their spectra.
 
 The reference cloud is split by farthest-point-sampled seeds; both clouds
 are partitioned by nearest seed so each cell yields a reference/distorted
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloud import PointCloud, SpatialIndex, farthest_point_sample
-from .errors import DegeneratePatch, ShapeError, SpectralError
+from .errors import DegeneratePatch, SpectralError
 
 DEFAULT_PATCH_DIVISOR = 1000
 DEFAULT_GRAPH_KNN = 10
@@ -77,7 +77,6 @@ class PatchGraph:
     edges_i: np.ndarray  # (E,) with edges_i < edges_j
     edges_j: np.ndarray
     weights: np.ndarray  # (E,) in (0, 1]
-    degree: np.ndarray  # (n,)
     laplacian: np.ndarray  # (n, n) symmetric, zero row sums
     sigma2: float  # mean squared edge length
 
@@ -114,9 +113,8 @@ def build_patch_graph(points: np.ndarray, k2: int = DEFAULT_GRAPH_KNN) -> PatchG
     adj = np.zeros((n, n))
     adj[ei, ej] = w
     adj[ej, ei] = w
-    degree = adj.sum(axis=1)
-    lap = np.diag(degree) - adj
-    return PatchGraph(n, ei, ej, w, degree, lap, sigma2)
+    lap = np.diag(adj.sum(axis=1)) - adj
+    return PatchGraph(n, ei, ej, w, lap, sigma2)
 
 
 @dataclass(frozen=True)
@@ -150,18 +148,6 @@ def eigendecompose(graph: PatchGraph) -> Spectrum:
     signs = np.sign(vec[anchor, np.arange(vec.shape[1])])
     signs[signs == 0] = 1.0
     return Spectrum(lam, vec * signs)
-
-
-def graph_fourier(spectrum: Spectrum, signal: np.ndarray, direction: str = "forward") -> np.ndarray:
-    """GFT (V^T u) or inverse GFT (V u) of a length-n signal."""
-    u = np.asarray(signal, dtype=np.float64)
-    if u.shape != (spectrum.n,):
-        raise ShapeError(f"signal length {u.shape} does not match n={spectrum.n}")
-    if direction == "forward":
-        return spectrum.eigenvectors.T @ u
-    if direction == "inverse":
-        return spectrum.eigenvectors @ u
-    raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
 
 
 def cap_subcloud(sub: SubCloud, cap: int = PATCH_POINT_CAP) -> tuple[SubCloud, bool]:

@@ -45,22 +45,15 @@ def _directed_mse(src: PointCloud, dst: PointCloud, dst_index: SpatialIndex) -> 
     return float(np.mean(diff * diff))
 
 
-def symmetric_mse(ref: PointCloud, dist: PointCloud) -> float:
+def symmetric_mse(ref: PointCloud, dist: PointCloud, ref_index: SpatialIndex) -> float:
     """max of the two directed mean squared luminance errors under exact NN matching."""
-    ref_idx = SpatialIndex(ref.positions)
     dist_idx = SpatialIndex(dist.positions)
-    return max(_directed_mse(ref, dist, dist_idx), _directed_mse(dist, ref, ref_idx))
+    return max(_directed_mse(ref, dist, dist_idx), _directed_mse(dist, ref, ref_index))
 
 
-def symmetric_luminance_psnr(ref: PointCloud, dist: PointCloud) -> tuple[float | None, bool]:
-    """(PSNR_Y in dB, perfect flag); PSNR is None when MSE < 1 (perfect)."""
-    d = symmetric_mse(ref, dist)
-    if d < 1.0:
-        return None, True
-    return 10.0 * math.log10(PEAK * PEAK / d), False
-
-
-def ar_texture_complexity(ref: PointCloud, k1: int = DEFAULT_AR_ORDER) -> tuple[ARSolution, float]:
+def ar_texture_complexity(
+    ref: PointCloud, ref_index: SpatialIndex, k1: int = DEFAULT_AR_ORDER,
+) -> tuple[ARSolution, float]:
     """Fit one global AR model of luminance on the K1-NN neighborhood.
 
     Design matrix row i holds the luminances of the K1 nearest neighbors of
@@ -70,8 +63,7 @@ def ar_texture_complexity(ref: PointCloud, k1: int = DEFAULT_AR_ORDER) -> tuple[
     n = len(ref)
     if n <= k1:
         raise CloudTooSmall(f"AR of order {k1} needs more than {k1} points, got {n}")
-    index = SpatialIndex(ref.positions)
-    nbrs = index.query_bulk(ref.positions, k1, exclude_self=True)
+    nbrs = ref_index.query_bulk(ref.positions, k1, exclude_self=True)
     design = ref.luminance[nbrs]
     theta, *_ = np.linalg.lstsq(design, ref.luminance, rcond=None)
     residuals = ref.luminance - design @ theta
@@ -97,8 +89,9 @@ def visible_difference(
     """
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
-    d = symmetric_mse(ref, dist)
-    _, complexity = ar_texture_complexity(ref, k1)
+    ref_index = SpatialIndex(ref.positions)
+    d = symmetric_mse(ref, dist, ref_index)
+    _, complexity = ar_texture_complexity(ref, ref_index, k1)
     perfect = d < 1.0
     if perfect:
         return VisibleDifference(None, True, d, complexity, 1.0)

@@ -21,7 +21,7 @@ from phm.appearance import (
     sgwt_decompose,
 )
 from phm.cli import main as cli_main
-from phm.cloud import PointCloud, save_ply
+from phm.cloud import PointCloud, SpatialIndex, save_ply
 from phm.evaluation import (
     EvalRecord,
     FitParams,
@@ -125,8 +125,8 @@ def test_criterion_4_sgwt_constants():
         bank = make_filter_bank(spec.lambda_max)
         c = float(rng.uniform(-100, 100))
         sub = sgwt_decompose(spec, np.full(g.n, c), bank)
-        assert np.abs(sub.coeffs[1:]).max() <= 1e-9
-        assert np.abs(sub.coeffs[0] - bank.gamma * c).max() <= 1e-9
+        assert np.abs(sub[1:]).max() <= 1e-9
+        assert np.abs(sub[0] - bank.gamma * c).max() <= 1e-9
     bank = make_filter_bank(2.0)
     cubic_at_2 = ((2.0 - 6.0) * 2.0 + 11.0) * 2.0 - 5.0
     assert abs(cubic_at_2 - 4.0 / 2.0 ** 2) <= 1e-12
@@ -139,14 +139,14 @@ def test_criterion_5_wcm_conservation():
         g = random_connected_graph(rng)
         band = rng.normal(size=g.n)
         partner = rng.normal(size=g.n)
-        wcm, _ = build_wcm(g, band, partner, num_bins=int(rng.integers(2, 60)))
-        assert np.array_equal(wcm.matrix, wcm.matrix.T)
-        assert abs(wcm.matrix.sum() - 1.0) <= 1e-12
+        wcm = build_wcm(g, band, partner, num_bins=int(rng.integers(2, 60)))
+        assert np.array_equal(wcm, wcm.T)
+        assert abs(wcm.sum() - 1.0) <= 1e-12
     w = math.exp(-1)
     g = make_graph([(0, 1), (1, 2)], 3, weights=[w, w])
-    wcm, _ = build_wcm(g, np.array([0.0, 0.1, 1.0]), np.array([0.0, 0.1, 1.0]), num_bins=2)
+    wcm = build_wcm(g, np.array([0.0, 0.1, 1.0]), np.array([0.0, 0.1, 1.0]), num_bins=2)
     raw = np.array([[w, w], [w, 0.0]])
-    assert np.array_equal(wcm.matrix, raw / raw.sum())
+    assert np.array_equal(wcm, raw / raw.sum())
 
 
 @criterion(6, "constant cloud has ~zero AR complexity; LS residual beats 100 random thetas")
@@ -155,12 +155,11 @@ def test_criterion_6_ar_sanity():
     pos = rng.uniform(0, 10, size=(200, 3))
     col = np.full((200, 3), 99, dtype=np.uint8)
     flat = PointCloud.from_arrays(pos, col)
-    _, c = ar_texture_complexity(flat, k1=20)
+    _, c = ar_texture_complexity(flat, SpatialIndex(flat.positions), k1=20)
     assert c <= 1e-9
 
     cloud = random_cloud(200, seed=61)
-    sol, _ = ar_texture_complexity(cloud, k1=20)
-    from phm.cloud import SpatialIndex
+    sol, _ = ar_texture_complexity(cloud, SpatialIndex(cloud.positions), k1=20)
     nbrs = SpatialIndex(cloud.positions).query_bulk(cloud.positions, 20, exclude_self=True)
     design = cloud.luminance[nbrs]
     best = float(np.linalg.norm(sol.residuals))

@@ -83,7 +83,7 @@ def test_smoothness_translation_invariant():
 def test_identical_sides_give_unit_geometry_score():
     ref = random_cloud(300, seed=10)
     pairs = partition_into_patch_pairs(ref, ref, 3)
-    per_patch, d_l_o = geometry_degradation(pairs, k2=6)
+    per_patch, d_l_o = geometry_degradation(prepare_pairs(pairs, k2=6))
     assert d_l_o == 1.0
     for fs in per_patch:
         assert fs == (1.0, 1.0, 1.0)
@@ -107,7 +107,7 @@ def test_degenerate_pairs_are_excluded():
     pairs = partition_into_patch_pairs(ref, dist, 6)
     empties = [p for p in pairs if len(p.dist_points) < 2]
     assert empties, "fixture should produce at least one starved cell"
-    per_patch, d_l_o = geometry_degradation(pairs, k2=5)
+    per_patch, d_l_o = geometry_degradation(prepare_pairs(pairs, k2=5))
     for p, fs in zip(pairs, per_patch):
         if len(p.dist_points) < 2:
             assert fs is None
@@ -121,7 +121,7 @@ def test_all_degenerate_raises():
     pairs = partition_into_patch_pairs(ref, dist, 1)
     prepared = prepare_pairs(pairs, k2=5)
     with pytest.raises(NoValidPatches):
-        geometry_degradation(pairs, k2=5, prepared=prepared)
+        geometry_degradation(prepared)
 
 
 @given(st.floats(1e-9, 1e3), st.floats(1e-9, 1e3))
@@ -142,8 +142,8 @@ def test_geometry_score_translation_invariant():
     shift = np.array([123.0, -45.0, 8.0])
     ref_t = PointCloud.from_arrays(ref.positions + shift, ref.colors.copy())
     dist_t = PointCloud.from_arrays(dist.positions + shift, dist.colors.copy())
-    _, base = geometry_degradation(partition_into_patch_pairs(ref, dist, 2), k2=6)
-    _, moved = geometry_degradation(partition_into_patch_pairs(ref_t, dist_t, 2), k2=6)
+    _, base = geometry_degradation(prepare_pairs(partition_into_patch_pairs(ref, dist, 2), 6))
+    _, moved = geometry_degradation(prepare_pairs(partition_into_patch_pairs(ref_t, dist_t, 2), 6))
     assert moved == pytest.approx(base, rel=1e-9)
 
 
@@ -200,8 +200,8 @@ def test_constant_signal_annihilated_by_bandpass():
     bank = make_filter_bank(spec.lambda_max)
     c = -7.5
     sub = sgwt_decompose(spec, np.full(g.n, c), bank)
-    np.testing.assert_allclose(sub.coeffs[0], bank.gamma * c, atol=1e-9)
-    assert np.abs(sub.coeffs[1:]).max() <= 1e-9
+    np.testing.assert_allclose(sub[0], bank.gamma * c, atol=1e-9)
+    assert np.abs(sub[1:]).max() <= 1e-9
 
 
 def test_two_node_closed_form():
@@ -214,11 +214,11 @@ def test_two_node_closed_form():
     for c, t in enumerate(bank.scales, start=1):
         gain = bank.g(np.array([t * 2 * w]))[0]
         expect = gain * (a - b) / 2 * np.array([1.0, -1.0])
-        np.testing.assert_allclose(sub.coeffs[c], expect, atol=1e-12)
+        np.testing.assert_allclose(sub[c], expect, atol=1e-12)
     mean_term = bank.h(np.array([0.0]))[0] * (a + b) / 2
     high_term = bank.h(np.array([2 * w]))[0] * (a - b) / 2
     np.testing.assert_allclose(
-        sub.coeffs[0], [mean_term + high_term, mean_term - high_term], atol=1e-12)
+        sub[0], [mean_term + high_term, mean_term - high_term], atol=1e-12)
 
 
 def test_operator_form_equivalence():
@@ -231,9 +231,9 @@ def test_operator_form_equivalence():
     v = spec.eigenvectors
     for c, t in enumerate(bank.scales, start=1):
         op = v @ np.diag(bank.g(t * spec.eigenvalues)) @ v.T
-        np.testing.assert_allclose(sub.coeffs[c], op @ u, atol=1e-9)
+        np.testing.assert_allclose(sub[c], op @ u, atol=1e-9)
     op0 = v @ np.diag(bank.h(spec.eigenvalues)) @ v.T
-    np.testing.assert_allclose(sub.coeffs[0], op0 @ u, atol=1e-9)
+    np.testing.assert_allclose(sub[0], op0 @ u, atol=1e-9)
 
 
 @given(st.integers(0, 999))
@@ -244,8 +244,8 @@ def test_sgwt_linearity(seed):
     rng = np.random.default_rng(seed)
     u, v = rng.normal(size=g.n), rng.normal(size=g.n)
     a, b = rng.uniform(-3, 3, size=2)
-    left = sgwt_decompose(spec, a * u + b * v, bank).coeffs
-    right = a * sgwt_decompose(spec, u, bank).coeffs + b * sgwt_decompose(spec, v, bank).coeffs
+    left = sgwt_decompose(spec, a * u + b * v, bank)
+    right = a * sgwt_decompose(spec, u, bank) + b * sgwt_decompose(spec, v, bank)
     np.testing.assert_allclose(left, right, atol=1e-9)
 
 
@@ -255,11 +255,15 @@ def test_wcm_hand_worked_path3():
     w = math.exp(-1)
     g = make_graph([(0, 1), (1, 2)], 3, weights=[w, w])
     band = np.array([0.0, 0.1, 1.0])  # bins (0, 0, 1) with 2 bins over [0, 1]
-    wcm, edges = build_wcm(g, band, band, num_bins=2)
+    wcm = build_wcm(g, band, band, num_bins=2)
     raw = np.array([[w, w], [w, 0.0]])
-    np.testing.assert_array_equal(wcm.matrix, raw / raw.sum())
-    np.testing.assert_allclose(wcm.matrix, [[1 / 3, 1 / 3], [1 / 3, 0]], rtol=1e-12)
-    np.testing.assert_allclose(edges, [0.0, 0.5, 1.0])
+    np.testing.assert_array_equal(wcm, raw / raw.sum())
+    np.testing.assert_allclose(wcm, [[1 / 3, 1 / 3], [1 / 3, 0]], rtol=1e-12)
+    # bin edges over [0, 1] are 0, 0.5, 1: a value just below 0.5 stays in bin 0
+    low = build_wcm(g, np.array([0.0, 0.499, 1.0]), band, num_bins=2)
+    np.testing.assert_array_equal(low, wcm)
+    high = build_wcm(g, np.array([0.0, 0.5, 1.0]), band, num_bins=2)
+    np.testing.assert_allclose(high, [[0, 1 / 3], [1 / 3, 1 / 3]], rtol=1e-12)
 
 
 def test_wcm_symmetry_and_mass():
@@ -268,26 +272,29 @@ def test_wcm_symmetry_and_mass():
         g = random_connected_graph(seed)
         band = rng.normal(size=g.n)
         partner = rng.normal(size=g.n)
-        wcm, _ = build_wcm(g, band, partner, num_bins=8)
-        np.testing.assert_array_equal(wcm.matrix, wcm.matrix.T)
-        assert abs(wcm.matrix.sum() - 1.0) <= 1e-12
-        assert np.all(wcm.matrix >= 0)
+        wcm = build_wcm(g, band, partner, num_bins=8)
+        np.testing.assert_array_equal(wcm, wcm.T)
+        assert abs(wcm.sum() - 1.0) <= 1e-12
+        assert np.all(wcm >= 0)
 
 
 def test_wcm_constant_band_degenerates_to_origin():
     g = random_connected_graph(6)
     band = np.full(g.n, 2.5)
-    wcm, _ = build_wcm(g, band, band, num_bins=4)
-    assert wcm.matrix[0, 0] == 1.0
-    assert wcm.matrix.sum() == 1.0
+    wcm = build_wcm(g, band, band, num_bins=4)
+    assert wcm[0, 0] == 1.0
+    assert wcm.sum() == 1.0
 
 
 def test_wcm_range_covers_both_bands():
     g = make_graph([(0, 1)], 2, weights=[0.5])
     band = np.array([0.0, 1.0])
     partner = np.array([-1.0, 3.0])
-    _, edges = build_wcm(g, band, partner, num_bins=4)
-    assert edges[0] == -1.0 and edges[-1] == 3.0
+    # bins over [-1, 3] are 1 wide: 0.0 falls in bin 1 and 1.0 in bin 2
+    wcm = build_wcm(g, band, partner, num_bins=4)
+    expect = np.zeros((4, 4))
+    expect[1, 2] = expect[2, 1] = 0.5
+    np.testing.assert_array_equal(wcm, expect)
 
 
 # --- Pearson guards and texture degradation ----------------------------------
@@ -320,7 +327,7 @@ def test_identical_sides_give_unit_texture_score():
     ref = random_cloud(300, seed=33)
     pairs = partition_into_patch_pairs(ref, ref, 3)
     prepared = prepare_pairs(pairs, k2=6)
-    per_patch, d_l_i = texture_degradation(pairs, prepared)
+    per_patch, d_l_i = texture_degradation(prepared)
     assert d_l_i == 1.0
     for row in per_patch:
         assert row == [1.0, 1.0, 1.0, 1.0]
@@ -332,7 +339,7 @@ def test_texture_score_drops_under_color_noise():
     dist = with_luminance_noise(ref, 40.0, seed=4)
     pairs = partition_into_patch_pairs(ref, dist, 2)
     prepared = prepare_pairs(pairs, k2=8)
-    _, d_l_i = texture_degradation(pairs, prepared)
+    _, d_l_i = texture_degradation(prepared)
     assert d_l_i < 1.0
 
 
@@ -345,9 +352,9 @@ def test_disconnected_patch_is_legal_downstream():
     assert spec.eigenvalues[1] <= 1e-8  # disconnected: second eigenvalue ~0
     bank = make_filter_bank(spec.lambda_max)
     sub = sgwt_decompose(spec, rng.normal(size=24), bank)
-    assert sub.coeffs.shape == (4, 24)
-    wcm, _ = build_wcm(g, sub.coeffs[1], sub.coeffs[1], num_bins=10)
-    assert abs(wcm.matrix.sum() - 1.0) <= 1e-12
+    assert sub.shape == (4, 24)
+    wcm = build_wcm(g, sub[1], sub[1], num_bins=10)
+    assert abs(wcm.sum() - 1.0) <= 1e-12
     assert graph_smoothness(g, pts[:, 0]) >= 0.0
 
 

@@ -247,6 +247,28 @@ def test_batch_duplicate_pair_id_exits_1(ply_pair, capsys, tmp_path):
     assert code == 1
 
 
+def test_batch_row_with_extra_cells_exits_1(ply_pair, capsys, tmp_path):
+    # an unquoted comma in a path splits it across two cells
+    ref, _ = ply_pair
+    manifest = tmp_path / "m.csv"
+    manifest.write_text(f"pair_id,ref_path,dist_path\nok,{ref},{ref}\np1,/data/a,b.ply,/data/d.ply\n")
+    code, out, err = run_cli(capsys, "batch", "--manifest", str(manifest))
+    assert code == 1 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "ParseError"
+    assert "row 1 ('p1')" in doc["message"] and "/data/d.ply" in doc["message"]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_batch_jobs_below_one_exits_1(ply_pair, capsys, tmp_path, jobs):
+    ref, _ = ply_pair
+    manifest = tmp_path / "m.csv"
+    write_manifest(manifest, [["a", ref, ref]])
+    code, out, err = run_cli(capsys, "batch", "--manifest", str(manifest), "--jobs", jobs)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "ParseError"
+
+
 # --- eval --------------------------------------------------------------------
 
 def write_predictions(path, preds, mos):

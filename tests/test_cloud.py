@@ -10,7 +10,6 @@ from phm.cloud import (
     PointCloud,
     SpatialIndex,
     farthest_point_sample,
-    knn_indices,
     load_ply,
     rgb_to_luminance,
     save_ply,
@@ -76,14 +75,14 @@ def test_luminance_stays_in_range(r, g, b):
 def test_knn_collinear_ordering():
     pts = np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0], [3, 0, 0]], dtype=float)
     idx = SpatialIndex(pts)
-    got = knn_indices(idx, (0, 0, 0), k=2, exclude_self=True)
+    got = idx.query((0, 0, 0), k=2, exclude_self=True)
     assert list(got) == [1, 2]
 
 
 def test_knn_tie_breaks_to_lower_index():
     pts = np.array([[1, 0, 0], [-1, 0, 0], [5, 5, 5]], dtype=float)
     idx = SpatialIndex(pts)
-    got = knn_indices(idx, (0, 0, 0), k=2)
+    got = idx.query((0, 0, 0), k=2)
     assert list(got) == [0, 1]
 
 
@@ -93,21 +92,21 @@ def test_knn_matches_bruteforce_scan():
     rng = np.random.default_rng(17)
     for _ in range(20):
         q = rng.uniform(0, 10, size=3)
-        assert list(knn_indices(idx, q, k=10)) == knn_oracle(cloud.positions, q, 10)
+        assert list(idx.query(q, k=10)) == knn_oracle(cloud.positions, q, 10)
 
 
 def test_knn_exclude_self_drops_one_coincident_point():
     pts = np.array([[0, 0, 0], [0, 0, 0], [1, 0, 0]], dtype=float)
     idx = SpatialIndex(pts)
     # lowest-index zero-distance point is skipped; its duplicate stays
-    assert list(knn_indices(idx, (0, 0, 0), k=2, exclude_self=True)) == [1, 2]
+    assert list(idx.query((0, 0, 0), k=2, exclude_self=True)) == [1, 2]
 
 
 def test_knn_k_larger_than_cloud():
     pts = np.array([[0, 0, 0], [1, 0, 0]], dtype=float)
     idx = SpatialIndex(pts)
-    assert list(knn_indices(idx, (0, 0, 0), k=10)) == [0, 1]
-    assert list(knn_indices(idx, (0, 0, 0), k=10, exclude_self=True)) == [1]
+    assert list(idx.query((0, 0, 0), k=10)) == [0, 1]
+    assert list(idx.query((0, 0, 0), k=10, exclude_self=True)) == [1]
 
 
 def test_bulk_query_matches_single_queries():
@@ -138,8 +137,8 @@ def test_knn_exactness_property(n, k, seed):
         pts[3] = pts[2]
     idx = SpatialIndex(pts)
     q = rng.uniform(0, 5, size=3)
-    assert list(knn_indices(idx, q, k)) == knn_oracle(pts, q, k)
-    assert list(knn_indices(idx, pts[0], k, exclude_self=True)) == knn_oracle(
+    assert list(idx.query(q, k)) == knn_oracle(pts, q, k)
+    assert list(idx.query(pts[0], k, exclude_self=True)) == knn_oracle(
         pts, pts[0], k, exclude_self=True)
 
 
@@ -154,7 +153,7 @@ def test_knn_exact_at_500_points():
     rng = np.random.default_rng(56)
     for k in (1, 7, 50, 499, 500):
         q = rng.uniform(0, 10, size=3)
-        assert list(knn_indices(idx, q, k)) == knn_oracle(cloud.positions, q, k)
+        assert list(idx.query(q, k)) == knn_oracle(cloud.positions, q, k)
     bulk = idx.query_bulk(cloud.positions[:25], 12, exclude_self=True)
     for i in range(25):
         assert list(bulk[i]) == knn_oracle(cloud.positions, cloud.positions[i], 12, True)
@@ -267,6 +266,19 @@ VERTEX_HEADER = (
     b"property uchar red\nproperty uchar green\nproperty uchar blue\n")
 
 
+def _binary_3v() -> bytes:
+    """ASCII_3V's vertices as a binary_little_endian file."""
+    header = ASCII_3V[:ASCII_3V.index(b"end_header\n") + len(b"end_header\n")]
+    rec = np.zeros(3, dtype=[("x", "<f4"), ("y", "<f4"), ("z", "<f4"),
+                             ("red", "u1"), ("green", "u1"), ("blue", "u1")])
+    rec["x"], rec["y"], rec["z"] = [0.0, 1.5, 0.0], [0.0, 0.0, 2.5], [0.0, 0.0, 1.0]
+    rec["red"], rec["green"], rec["blue"] = [255, 0, 0], [0, 255, 0], [0, 0, 255]
+    return header.replace(b"format ascii", b"format binary_little_endian") + rec.tobytes()
+
+
+BINARY_3V = _binary_3v()
+
+
 @pytest.mark.parametrize("body", [
     pytest.param(ASCII_3V.replace(b"1.5 0.0 0.0 0 255 0", b"1.5 0.0 0.0 0 255"), id="short-line"),
     pytest.param(ASCII_3V.replace(b"1.5 0.0 0.0 0 255 0", b"1.5 0.0 0.0 0 255 0 7"), id="extra-token"),
@@ -283,6 +295,18 @@ VERTEX_HEADER = (
     pytest.param(b"ply\nformat ascii 1.0\nelement vertex 2\n" + VERTEX_HEADER
                  + b"element info 1\nproperty float value\nend_header\n"
                  b"4 5 6 7 8 9\n1.0\n", id="element-after-vertex"),
+    pytest.param(ASCII_3V.replace(b"property float z\n", b"property float z\nproperty\n"),
+                 id="bare-property-ascii"),
+    pytest.param(BINARY_3V.replace(b"property float z\n", b"property float z\nproperty\n"),
+                 id="bare-property-binary"),
+    pytest.param(ASCII_3V.replace(b"element vertex 3", b"element vertex -5"),
+                 id="negative-vertex-count-ascii"),
+    pytest.param(BINARY_3V.replace(b"element vertex 3", b"element vertex -5"),
+                 id="negative-vertex-count-binary"),
+    pytest.param(ASCII_3V.replace(b"element vertex 3", b"element info -1\nproperty float value\n"
+                                  b"element vertex 3"), id="negative-count-before-vertex-ascii"),
+    pytest.param(BINARY_3V.replace(b"element vertex 3", b"element info -1\nproperty float value\n"
+                                   b"element vertex 3"), id="negative-count-before-vertex-binary"),
 ])
 def test_malformed_ascii_payload_raises(tmp_path, body):
     p = tmp_path / "bad.ply"

@@ -2,17 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from phm.cloud import PointCloud
-from phm.errors import DegeneratePatch, ShapeError
+from phm.errors import DegeneratePatch
 from phm.patches import (
     PatchGraph,
     build_patch_graph,
     cap_subcloud,
     eigendecompose,
-    graph_fourier,
     partition_into_patch_pairs,
 )
 
@@ -27,8 +24,7 @@ def make_graph(edges, n, weights=None):
     adj = np.zeros((n, n))
     adj[ei, ej] = w
     adj[ej, ei] = w
-    deg = adj.sum(axis=1)
-    return PatchGraph(n, ei, ej, w, deg, np.diag(deg) - adj, sigma2=1.0)
+    return PatchGraph(n, ei, ej, w, np.diag(adj.sum(axis=1)) - adj, sigma2=1.0)
 
 
 def edge_set_oracle(points, k2):
@@ -184,44 +180,6 @@ def test_spectrum_orthonormal_and_reconstructs():
     np.testing.assert_allclose(recon, g.laplacian, atol=1e-6)
     assert np.all(np.diff(spec.eigenvalues) >= -1e-12)
     assert np.all(spec.eigenvalues >= -1e-9)
-
-
-# --- graph Fourier transform -------------------------------------------------
-
-def test_gft_roundtrip():
-    cloud = random_cloud(20, seed=8)
-    spec = eigendecompose(build_patch_graph(cloud.positions, k2=4))
-    rng = np.random.default_rng(3)
-    u = rng.normal(size=20)
-    back = graph_fourier(spec, graph_fourier(spec, u, "forward"), "inverse")
-    np.testing.assert_allclose(back, u, atol=1e-9)
-
-
-def test_gft_constant_hits_first_coefficient():
-    cloud = random_cloud(16, seed=14)
-    spec = eigendecompose(build_patch_graph(cloud.positions, k2=5))
-    assert spec.eigenvalues[1] > 1e-8  # need a connected patch for this case
-    c = 3.25
-    uhat = graph_fourier(spec, np.full(16, c), "forward")
-    assert uhat[0] == pytest.approx(c * math.sqrt(16), rel=1e-12)
-    np.testing.assert_allclose(uhat[1:], 0.0, atol=1e-9)
-
-
-@given(st.integers(0, 9999))
-def test_gft_parseval(seed):
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(0, 5, size=(10, 3))
-    spec = eigendecompose(build_patch_graph(pts, k2=3))
-    u = rng.normal(size=10)
-    uhat = graph_fourier(spec, u, "forward")
-    assert np.linalg.norm(u) == pytest.approx(np.linalg.norm(uhat), abs=1e-9)
-
-
-def test_gft_shape_mismatch():
-    cloud = random_cloud(12, seed=2)
-    spec = eigendecompose(build_patch_graph(cloud.positions, k2=3))
-    with pytest.raises(ShapeError):
-        graph_fourier(spec, np.zeros(5))
 
 
 # --- patch cap ---------------------------------------------------------------

@@ -5,15 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from phm.cloud import PointCloud
+from phm.cloud import PointCloud, SpatialIndex
 from phm.errors import CloudTooSmall
-from phm.visible import (
-    ar_texture_complexity,
-    symmetric_luminance_psnr,
-    symmetric_mse,
-    upsilon,
-    visible_difference,
-)
+from phm.visible import ar_texture_complexity, symmetric_mse, upsilon, visible_difference
 
 from conftest import random_cloud
 
@@ -36,20 +30,25 @@ def mse_oracle(ref, dist):
     return max(directed(ref, dist), directed(dist, ref))
 
 
+def ar_complexity(cloud, k1):
+    """AR fit over a fresh reference index, as visible_difference builds it."""
+    return ar_texture_complexity(cloud, SpatialIndex(cloud.positions), k1)
+
+
 # --- symmetric PSNR ----------------------------------------------------------
 
 def test_identical_clouds_are_perfect(small_cloud):
-    psnr, perfect = symmetric_luminance_psnr(small_cloud, small_cloud)
-    assert perfect and psnr is None
+    vd = visible_difference(small_cloud, small_cloud)
+    assert vd.perfect and vd.psnr_y is None
 
 
 def test_psnr_colocated_hand_case():
     pos = [[0, 0, 0], [5, 5, 5]]
     ref = cloud_with_luminance(pos, [100, 200])
     dist = cloud_with_luminance(pos, [105, 195])
-    psnr, perfect = symmetric_luminance_psnr(ref, dist)
-    assert not perfect
-    assert psnr == pytest.approx(10 * math.log10(255**2 / 25), abs=1e-9)  # ~34.15 dB
+    vd = visible_difference(ref, dist, k1=1)
+    assert not vd.perfect
+    assert vd.psnr_y == pytest.approx(10 * math.log10(255**2 / 25), abs=1e-9)  # ~34.15 dB
 
 
 def test_psnr_asymmetric_takes_worse_direction():
@@ -59,15 +58,16 @@ def test_psnr_asymmetric_takes_worse_direction():
     d_fwd = 25.0  # both ref points match their co-located partner
     d_rev = (25.0 + 25.0 + 225.0) / 3.0
     assert mse_oracle(ref, dist) == pytest.approx(max(d_fwd, d_rev))
-    psnr, perfect = symmetric_luminance_psnr(ref, dist)
-    assert not perfect
-    assert psnr == pytest.approx(10 * math.log10(255**2 / d_rev), abs=1e-9)
+    vd = visible_difference(ref, dist, k1=1)
+    assert not vd.perfect
+    assert vd.psnr_y == pytest.approx(10 * math.log10(255**2 / d_rev), abs=1e-9)
 
 
 def test_symmetric_mse_matches_oracle():
     ref = random_cloud(40, seed=4)
     dist = random_cloud(35, seed=8)
-    assert symmetric_mse(ref, dist) == pytest.approx(mse_oracle(ref, dist), rel=1e-12)
+    got = symmetric_mse(ref, dist, SpatialIndex(ref.positions))
+    assert got == pytest.approx(mse_oracle(ref, dist), rel=1e-12)
 
 
 # --- AR texture complexity ---------------------------------------------------
@@ -76,7 +76,7 @@ def test_constant_luminance_has_zero_complexity():
     rng = np.random.default_rng(0)
     pos = rng.uniform(0, 10, size=(40, 3))
     cloud = cloud_with_luminance(pos, np.full(40, 77.0))
-    _, c = ar_texture_complexity(cloud, k1=5)
+    _, c = ar_complexity(cloud, k1=5)
     assert c <= 1e-9
 
 
@@ -91,7 +91,7 @@ def test_ar_matches_normal_equations_oracle():
     x = np.sort(rng.uniform(0, 200, size=30))
     pos = np.stack([x, np.zeros(30), np.zeros(30)], axis=1)
     cloud = cloud_with_luminance(pos, np.clip(x, 0, 255))
-    sol, c = ar_texture_complexity(cloud, k1=2)
+    sol, c = ar_complexity(cloud, k1=2)
 
     # oracle: explicit design matrix from brute-force neighbors + pseudo-inverse
     lum = cloud.luminance
@@ -112,14 +112,13 @@ def test_ar_matches_normal_equations_oracle():
 def test_ar_requires_enough_points():
     cloud = random_cloud(10, seed=3)
     with pytest.raises(CloudTooSmall):
-        ar_texture_complexity(cloud, k1=10)
+        ar_complexity(cloud, k1=10)
 
 
 def test_residual_norm_beats_random_thetas(textured_cloud):
-    sol, _ = ar_texture_complexity(textured_cloud, k1=8)
+    sol, _ = ar_complexity(textured_cloud, k1=8)
     best = float(np.linalg.norm(sol.residuals))
     rng = np.random.default_rng(99)
-    from phm.cloud import SpatialIndex
     nbrs = SpatialIndex(textured_cloud.positions).query_bulk(
         textured_cloud.positions, 8, exclude_self=True)
     design = textured_cloud.luminance[nbrs]
@@ -133,15 +132,15 @@ def test_textured_scores_higher_than_flat():
     pos = rng.uniform(0, 10, size=(120, 3))
     flat = cloud_with_luminance(pos, np.full(120, 128.0))
     busy = cloud_with_luminance(pos, rng.uniform(0, 255, size=120))
-    _, c_flat = ar_texture_complexity(flat, k1=10)
-    _, c_busy = ar_texture_complexity(busy, k1=10)
+    _, c_flat = ar_complexity(flat, k1=10)
+    _, c_busy = ar_complexity(busy, k1=10)
     assert c_busy > c_flat
 
 
 @given(st.integers(0, 9999))
 def test_complexity_nonnegative(seed):
     cloud = random_cloud(30, seed=seed)
-    _, c = ar_texture_complexity(cloud, k1=4)
+    _, c = ar_complexity(cloud, k1=4)
     assert c >= 0.0
 
 
