@@ -159,8 +159,9 @@ def test_criterion_6_ar_sanity():
     assert c <= 1e-9
 
     cloud = random_cloud(200, seed=61)
-    sol, _ = ar_texture_complexity(cloud, SpatialIndex(cloud.positions), k1=20)
-    nbrs = SpatialIndex(cloud.positions).query_bulk(cloud.positions, 20, exclude_self=True)
+    index = SpatialIndex(cloud.positions)
+    sol, _ = ar_texture_complexity(cloud, index, k1=20)
+    nbrs = index.query_bulk(cloud.positions, 20, exclude_self=True)
     design = cloud.luminance[nbrs]
     best = float(np.linalg.norm(sol.residuals))
     for _ in range(100):
