@@ -13,16 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneratePatch, EmptyWCM, NoValidPatches, ShapeError
-from .patches import (
-    PatchGraph,
-    PatchPair,
-    Spectrum,
-    SubCloud,
-    build_patch_graph,
-    cap_subcloud,
-    eigendecompose,
-)
+from .cloud import PointCloud
+from .errors import DegeneratePatch, NoValidPatches, ShapeError
+from .patches import PatchGraph, build_patch_graph, cap_indices, eigendecompose
 
 DEFAULT_STABILIZER = 1e-6
 DEFAULT_NUM_BANDPASS = 3
@@ -50,24 +43,24 @@ class PreparedSide:
     capped: bool
 
 
-def _prepare_side(sub: SubCloud, k2: int) -> PreparedSide | None:
-    capped_sub, capped = cap_subcloud(sub)
+def _prepare_side(cloud: PointCloud, idx: np.ndarray, k2: int) -> PreparedSide | None:
+    idx, capped = cap_indices(idx)
+    positions = cloud.positions[idx]
     try:
-        graph = build_patch_graph(capped_sub.positions, k2)
+        graph = build_patch_graph(positions, k2)
     except DegeneratePatch:
         return None
-    return PreparedSide(graph, capped_sub.positions, capped_sub.luminance, capped)
+    return PreparedSide(graph, positions, cloud.luminance[idx], capped)
 
 
 def prepare_pairs(
-    pairs: list[PatchPair],
+    ref: PointCloud,
+    dist: PointCloud,
+    pairs: list[tuple[np.ndarray, np.ndarray]],
     k2: int,
 ) -> list[tuple[PreparedSide | None, PreparedSide | None]]:
-    """Build both graphs per pair; a side that cannot support one is None."""
-    return [
-        (_prepare_side(p.ref_points, k2), _prepare_side(p.dist_points, k2))
-        for p in pairs
-    ]
+    """Cap, gather and graph both sides of each cell; a side that cannot support a graph is None."""
+    return [(_prepare_side(ref, ri, k2), _prepare_side(dist, di, k2)) for ri, di in pairs]
 
 
 def _smoothness_similarity(sx: float, sy: float, t: float) -> float:
@@ -114,9 +107,9 @@ class FilterBank:
     num_bandpass: int
     continuous_tail: bool = True
 
-    def g(self, lam: np.ndarray | float) -> np.ndarray | float:
+    def g(self, lam: np.ndarray) -> np.ndarray:
         """Band-pass kernel: lam^2 below 1, cubic on [1, 2], decaying tail."""
-        arr = np.atleast_1d(np.asarray(lam, dtype=np.float64))
+        arr = np.asarray(lam, dtype=np.float64)
         tail_scale = 4.0 if self.continuous_tail else 1.0
         out = np.empty_like(arr)
         low = arr < 1.0
@@ -126,13 +119,12 @@ class FilterBank:
         lm = arr[mid]
         out[mid] = ((lm - 6.0) * lm + 11.0) * lm - 5.0
         out[high] = tail_scale / (arr[high] ** 2)
-        return float(out[0]) if np.isscalar(lam) or np.ndim(lam) == 0 else out
+        return out
 
-    def h(self, lam: np.ndarray | float) -> np.ndarray | float:
+    def h(self, lam: np.ndarray) -> np.ndarray:
         """Low-pass kernel gamma * exp(-(lam / (0.6 lambda_min))^4)."""
         arr = np.asarray(lam, dtype=np.float64)
-        out = self.gamma * np.exp(-((arr / (0.6 * self.lambda_min)) ** 4))
-        return float(out) if out.ndim == 0 else out
+        return self.gamma * np.exp(-((arr / (0.6 * self.lambda_min)) ** 4))
 
 
 # The cubic's maximum sits at the root of 3 lam^2 - 12 lam + 11 inside [1, 2].
@@ -155,19 +147,23 @@ def make_filter_bank(
     return FilterBank(scales, float(gamma), lambda_min, lambda_max, num_bandpass, continuous_tail)
 
 
-def sgwt_decompose(spectrum: Spectrum, signal: np.ndarray, bank: FilterBank) -> np.ndarray:
+def sgwt_decompose(
+    spectrum: tuple[np.ndarray, np.ndarray],
+    signal: np.ndarray,
+    bank: FilterBank,
+) -> np.ndarray:
     """Filter the signal through the bank in the spectral domain.
 
+    ``spectrum`` is (eigenvalues, eigenvectors) from ``eigendecompose``.
     Returns a (C + 1, n) array: row 0 is the scaling (low-pass) band, rows
     1..C the band-pass bands.
     """
+    lam, vec = spectrum
     u = np.asarray(signal, dtype=np.float64)
-    if u.shape != (spectrum.n,):
-        raise ShapeError(f"signal length {u.shape} does not match n={spectrum.n}")
-    vec = spectrum.eigenvectors
-    lam = spectrum.eigenvalues
+    if u.shape != lam.shape:
+        raise ShapeError(f"signal length {u.shape} does not match n={len(lam)}")
     uhat = vec.T @ u
-    out = np.empty((bank.num_bandpass + 1, spectrum.n))
+    out = np.empty((bank.num_bandpass + 1, len(lam)))
     out[0] = vec @ (bank.h(lam) * uhat)
     for c, t in enumerate(bank.scales, start=1):
         out[c] = vec @ (bank.g(t * lam) * uhat)
@@ -189,8 +185,6 @@ def build_wcm(
     """
     if num_bins < 2:
         raise ValueError("num_bins must be >= 2")
-    if graph.num_edges == 0:
-        raise EmptyWCM("graph has no edges to accumulate")
     band = np.asarray(band, dtype=np.float64)
     if band.shape != (graph.n,):
         raise ShapeError(f"band length {band.shape} does not match n={graph.n}")
@@ -233,15 +227,14 @@ def texture_degradation(
     num_bandpass: int = DEFAULT_NUM_BANDPASS,
     num_bins: int = DEFAULT_NUM_BINS,
     continuous_tail: bool = True,
-) -> tuple[list[list[float | None] | None], float]:
+) -> tuple[list[list[float] | None], float]:
     """Per-(patch, band) WCM correlation of luminance sub-bands and its mean.
 
     Luminance is decomposed on each side's own spectrum with its own filter
     bank; each band pair shares one quantization range. Degenerate pairs
-    contribute None rows; cells whose WCM cannot be built are None and are
-    left out of the mean.
+    contribute None rows and are left out of the mean.
     """
-    per_patch: list[list[float | None] | None] = []
+    per_patch: list[list[float] | None] = []
     values: list[float] = []
     for (px, py) in prepared:
         if px is None or py is None:
@@ -249,24 +242,20 @@ def texture_degradation(
             continue
         spec_x = eigendecompose(px.graph)
         spec_y = eigendecompose(py.graph)
-        bank_x = make_filter_bank(spec_x.lambda_max, num_bandpass, continuous_tail)
-        bank_y = make_filter_bank(spec_y.lambda_max, num_bandpass, continuous_tail)
+        # Eigenvalues ascend, so the last one is lambda_max.
+        bank_x = make_filter_bank(float(spec_x[0][-1]), num_bandpass, continuous_tail)
+        bank_y = make_filter_bank(float(spec_y[0][-1]), num_bandpass, continuous_tail)
         sub_x = sgwt_decompose(spec_x, px.luminance, bank_x)
         sub_y = sgwt_decompose(spec_y, py.luminance, bank_y)
-        row: list[float | None] = []
-        for c in range(num_bandpass + 1):
-            try:
-                wcm_x = build_wcm(px.graph, sub_x[c], sub_y[c], num_bins)
-                wcm_y = build_wcm(py.graph, sub_y[c], sub_x[c], num_bins)
-            except EmptyWCM:
-                row.append(None)
-                continue
-            fw = _pearson(wcm_x, wcm_y)
-            row.append(fw)
-            values.append(fw)
+        row = [
+            _pearson(build_wcm(px.graph, sub_x[c], sub_y[c], num_bins),
+                     build_wcm(py.graph, sub_y[c], sub_x[c], num_bins))
+            for c in range(num_bandpass + 1)
+        ]
         per_patch.append(row)
+        values.extend(row)
     if not values:
-        raise NoValidPatches("no (patch, band) cell produced a co-occurrence pair")
+        raise NoValidPatches("every patch pair was degenerate")
     return per_patch, float(np.mean(values))
 
 

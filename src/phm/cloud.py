@@ -57,8 +57,9 @@ class PointCloud:
 
     @classmethod
     def from_arrays(cls, positions, colors) -> "PointCloud":
-        pos = np.ascontiguousarray(positions, dtype=np.float64)
-        col = np.ascontiguousarray(colors, dtype=np.uint8)
+        # Copies: the cloud makes its arrays read-only, the caller's stay writeable.
+        pos = np.array(positions, dtype=np.float64, order="C")
+        col = np.array(colors, dtype=np.uint8, order="C")
         lum = np.asarray(rgb_to_luminance(col), dtype=np.float64)
         return cls(pos, col, lum)
 

@@ -64,12 +64,6 @@ class SpectralError(PhmError):
     exit_code = 3
 
 
-class EmptyWCM(PhmError):
-    """Co-occurrence accumulation over a graph without edges."""
-
-    exit_code = 3
-
-
 class NoValidPatches(PhmError):
     """Every patch pair was degenerate; appearance stage has no data."""
 

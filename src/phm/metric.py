@@ -156,20 +156,20 @@ def phm_score(ref: PointCloud, dist: PointCloud, config: MetricConfig | None = N
     t0 = time.perf_counter()
     cells = max(1, len(ref) // cfg.patch_divisor)
     pairs = partition_into_patch_pairs(ref, dist, cells)
-    prepared = prepare_pairs(pairs, cfg.k2)
+    prepared = prepare_pairs(ref, dist, pairs, cfg.k2)
     timing["partition_and_graphs"] = time.perf_counter() - t0
 
     per_patch = [
         {
-            "cell_id": pair.cell_id,
-            "n_ref": len(pair.ref_points),
-            "n_dist": len(pair.dist_points),
+            "cell_id": cell,
+            "n_ref": len(ref_idx),
+            "n_dist": len(dist_idx),
             "degenerate": px is None or py is None,
             "capped": bool((px is not None and px.capped) or (py is not None and py.capped)),
             "f_s": None,
             "f_w": None,
         }
-        for pair, (px, py) in zip(pairs, prepared)
+        for cell, ((ref_idx, dist_idx), (px, py)) in enumerate(zip(pairs, prepared))
     ]
     diagnostics = {
         "n_ref": len(ref),

@@ -1,9 +1,10 @@
 """Voronoi patch pairing, per-patch weighted graphs and their spectra.
 
 The reference cloud is split by farthest-point-sampled seeds; both clouds
-are partitioned by nearest seed so each cell yields a reference/distorted
-patch pair. Every patch gets a Gaussian-weighted KNN graph whose Laplacian
-spectrum supports smoothness and wavelet analysis downstream.
+are partitioned by nearest seed so each cell yields a pair of reference and
+distorted point-index arrays. Every patch gets a Gaussian-weighted KNN graph,
+held as its edge list; the dense Laplacian exists only inside
+``eigendecompose``, whose spectrum supports the wavelet analysis downstream.
 """
 
 from __future__ import annotations
@@ -21,38 +22,17 @@ DEFAULT_GRAPH_KNN = 10
 PATCH_POINT_CAP = 3000
 
 
-@dataclass(frozen=True)
-class SubCloud:
-    """Materialized view of one patch: parent indices, positions, luminance."""
-
-    indices: np.ndarray  # (n,) indices into the parent cloud
-    positions: np.ndarray  # (n, 3)
-    luminance: np.ndarray  # (n,)
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-
-@dataclass(frozen=True)
-class PatchPair:
-    cell_id: int
-    ref_points: SubCloud
-    dist_points: SubCloud
-
-
-def _take(cloud: PointCloud, idx: np.ndarray) -> SubCloud:
-    return SubCloud(idx, cloud.positions[idx], cloud.luminance[idx])
-
-
 def partition_into_patch_pairs(
     ref: PointCloud,
     dist: PointCloud,
     num_cells: int | None = None,
-) -> list[PatchPair]:
+) -> list[tuple[np.ndarray, np.ndarray]]:
     """Split both clouds into Voronoi cells of FPS seeds drawn from ref.
 
-    Defaults to max(1, N // 1000) cells. The partition is exhaustive and
-    disjoint on both sides; cells may be empty on the distorted side.
+    Returns one (ref_idx, dist_idx) pair of ascending point indices per cell,
+    with the cell id as the list position. Defaults to max(1, N // 1000)
+    cells. The partition is exhaustive and disjoint on both sides; cells may
+    be empty on the distorted side.
     """
     n = len(ref)
     cells = num_cells if num_cells is not None else max(1, n // DEFAULT_PATCH_DIVISOR)
@@ -65,30 +45,26 @@ def partition_into_patch_pairs(
         cell_of = seed_index.query_bulk(cloud.positions, 1)[:, 0]
         members = np.argsort(cell_of, kind="stable")  # ascending point index per cell
         bounds = np.searchsorted(cell_of[members], np.arange(cells + 1))
-        sides.append([_take(cloud, members[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])])
-    return [PatchPair(cell, r, d) for cell, (r, d) in enumerate(zip(*sides))]
+        sides.append([members[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])])
+    return list(zip(*sides))
 
 
 @dataclass(frozen=True)
 class PatchGraph:
-    """Undirected Gaussian-weighted KNN graph with its dense Laplacian."""
+    """Undirected Gaussian-weighted KNN graph as an edge list."""
 
     n: int
-    edges_i: np.ndarray  # (E,) with edges_i < edges_j
+    edges_i: np.ndarray  # (E,) with edges_i < edges_j, E >= 1 once built
     edges_j: np.ndarray
     weights: np.ndarray  # (E,) in (0, 1]
-    laplacian: np.ndarray  # (n, n) symmetric, zero row sums
     sigma2: float  # mean squared edge length
-
-    @property
-    def num_edges(self) -> int:
-        return len(self.weights)
 
 
 def build_patch_graph(points: np.ndarray, k2: int = DEFAULT_GRAPH_KNN) -> PatchGraph:
     """KNN graph (union-symmetrized) with weights exp(-||d||^2 / sigma^2).
 
-    sigma^2 is the mean squared length over the undirected edge set. Raises
+    sigma^2 is the mean squared length over the undirected edge set, which
+    holds no self-pairs, so a built graph has at least one edge. Raises
     DegeneratePatch for n < 2 or when every selected edge has zero length.
     """
     pos = np.asarray(points, dtype=np.float64)
@@ -102,58 +78,40 @@ def build_patch_graph(points: np.ndarray, k2: int = DEFAULT_GRAPH_KNN) -> PatchG
     dst = nbrs.ravel()
     lo = np.minimum(src, dst)
     hi = np.maximum(src, dst)
-    und = np.unique(np.stack([lo, hi], axis=1), axis=0)
-    ei, ej = und[:, 0], und[:, 1]
+    # A point with a lower-index duplicate can list itself as a neighbor.
+    keep = lo != hi
+    ei, ej = np.divmod(np.unique(lo[keep] * n + hi[keep]), n)  # (lo, hi) ascending
     d = pos[ei] - pos[ej]
     d2 = (d * d).sum(axis=1)
     sigma2 = float(d2.mean())
     if sigma2 == 0.0:
         raise DegeneratePatch("all selected neighbor pairs are coincident")
-    w = np.exp(-d2 / sigma2)
-    adj = np.zeros((n, n))
-    adj[ei, ej] = w
-    adj[ej, ei] = w
-    lap = np.diag(adj.sum(axis=1)) - adj
-    return PatchGraph(n, ei, ej, w, lap, sigma2)
+    return PatchGraph(n, ei, ej, np.exp(-d2 / sigma2), sigma2)
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Ascending eigenpairs of a patch Laplacian (orthonormal columns)."""
-
-    eigenvalues: np.ndarray  # (n,) nondecreasing, first ~0
-    eigenvectors: np.ndarray  # (n, n), column i pairs with eigenvalues[i]
-
-    @property
-    def n(self) -> int:
-        return len(self.eigenvalues)
-
-    @property
-    def lambda_max(self) -> float:
-        return float(self.eigenvalues[-1])
+def laplacian(graph: PatchGraph) -> np.ndarray:
+    """Dense (n, n) Laplacian D - W: symmetric, zero row sums."""
+    adj = np.zeros((graph.n, graph.n))
+    adj[graph.edges_i, graph.edges_j] = graph.weights
+    adj[graph.edges_j, graph.edges_i] = graph.weights
+    return np.diag(adj.sum(axis=1)) - adj
 
 
-def eigendecompose(graph: PatchGraph) -> Spectrum:
-    """Full symmetric eigendecomposition with a fixed sign convention.
+def eigendecompose(graph: PatchGraph) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues, eigenvectors) of the dense Laplacian, as ``eigh`` returns them.
 
-    Each eigenvector is flipped so its largest-magnitude entry (first such
-    entry on ties) is positive; downstream operators are sign-invariant but
-    this keeps reports reproducible.
+    Eigenvalues ascend; column i of the orthonormal eigenvectors pairs with
+    eigenvalue i. Column signs are LAPACK's: every consumer is sign-invariant.
     """
     try:
-        lam, vec = np.linalg.eigh(graph.laplacian)
+        return np.linalg.eigh(laplacian(graph))
     except np.linalg.LinAlgError as e:
         raise SpectralError(f"eigendecomposition failed: {e}") from None
-    anchor = np.abs(vec).argmax(axis=0)
-    signs = np.sign(vec[anchor, np.arange(vec.shape[1])])
-    signs[signs == 0] = 1.0
-    return Spectrum(lam, vec * signs)
 
 
-def cap_subcloud(sub: SubCloud, cap: int = PATCH_POINT_CAP) -> tuple[SubCloud, bool]:
-    """Uniformly subsample oversized patches (deterministic stride selection)."""
-    n = len(sub)
+def cap_indices(idx: np.ndarray, cap: int = PATCH_POINT_CAP) -> tuple[np.ndarray, bool]:
+    """Uniformly subsample an oversized patch's indices (deterministic stride selection)."""
+    n = len(idx)
     if n <= cap:
-        return sub, False
-    sel = (np.arange(cap) * n) // cap
-    return SubCloud(sub.indices[sel], sub.positions[sel], sub.luminance[sel]), True
+        return idx, False
+    return idx[(np.arange(cap) * n) // cap], True

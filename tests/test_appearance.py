@@ -17,7 +17,7 @@ from phm.appearance import (
     texture_degradation,
 )
 from phm.errors import NoValidPatches, ShapeError
-from phm.patches import build_patch_graph, eigendecompose, partition_into_patch_pairs
+from phm.patches import build_patch_graph, eigendecompose, laplacian, partition_into_patch_pairs
 
 from conftest import random_cloud
 from test_patches import make_graph
@@ -30,7 +30,7 @@ def random_connected_graph(seed, n_max=50):
         n = int(rng.integers(5, n_max + 1))
         pts = rng.uniform(0, 5, size=(n, 3))
         g = build_patch_graph(pts, k2=int(rng.integers(2, 6)))
-        lam = np.linalg.eigvalsh(g.laplacian)
+        lam = np.linalg.eigvalsh(laplacian(g))
         if lam[1] > 1e-8:
             return g
 
@@ -56,10 +56,10 @@ def test_smoothness_triple_identity():
         g = random_connected_graph(seed)
         f = rng.normal(size=g.n)
         edge_sum = graph_smoothness(g, f)
-        quad = float(f @ g.laplacian @ f)
-        spec = eigendecompose(g)
-        fhat = spec.eigenvectors.T @ f
-        spectral = float(spec.eigenvalues @ (fhat * fhat))
+        quad = float(f @ laplacian(g) @ f)
+        lam, vec = eigendecompose(g)
+        fhat = vec.T @ f
+        spectral = float(lam @ (fhat * fhat))
         scale = max(abs(edge_sum), 1e-12)
         assert abs(edge_sum - quad) / scale <= 1e-8
         assert abs(edge_sum - spectral) / scale <= 1e-8
@@ -83,7 +83,7 @@ def test_smoothness_translation_invariant():
 def test_identical_sides_give_unit_geometry_score():
     ref = random_cloud(300, seed=10)
     pairs = partition_into_patch_pairs(ref, ref, 3)
-    per_patch, d_l_o = geometry_degradation(prepare_pairs(pairs, k2=6))
+    per_patch, d_l_o = geometry_degradation(prepare_pairs(ref, ref, pairs, k2=6))
     assert d_l_o == 1.0
     for fs in per_patch:
         assert fs == (1.0, 1.0, 1.0)
@@ -105,11 +105,11 @@ def test_degenerate_pairs_are_excluded():
     pos = rng.uniform(0, 1.5, size=(40, 3))  # clustered in one corner
     dist = PointCloud.from_arrays(pos, rng.integers(0, 256, (40, 3), dtype=np.uint8))
     pairs = partition_into_patch_pairs(ref, dist, 6)
-    empties = [p for p in pairs if len(p.dist_points) < 2]
+    empties = [di for _, di in pairs if len(di) < 2]
     assert empties, "fixture should produce at least one starved cell"
-    per_patch, d_l_o = geometry_degradation(prepare_pairs(pairs, k2=5))
-    for p, fs in zip(pairs, per_patch):
-        if len(p.dist_points) < 2:
+    per_patch, d_l_o = geometry_degradation(prepare_pairs(ref, dist, pairs, k2=5))
+    for (_, di), fs in zip(pairs, per_patch):
+        if len(di) < 2:
             assert fs is None
     assert 0.0 < d_l_o <= 1.0
 
@@ -119,7 +119,7 @@ def test_all_degenerate_raises():
     ref = random_cloud(30, seed=2)
     dist = PointCloud.from_arrays(np.zeros((5, 3)), np.zeros((5, 3), dtype=np.uint8))
     pairs = partition_into_patch_pairs(ref, dist, 1)
-    prepared = prepare_pairs(pairs, k2=5)
+    prepared = prepare_pairs(ref, dist, pairs, k2=5)
     with pytest.raises(NoValidPatches):
         geometry_degradation(prepared)
 
@@ -142,8 +142,10 @@ def test_geometry_score_translation_invariant():
     shift = np.array([123.0, -45.0, 8.0])
     ref_t = PointCloud.from_arrays(ref.positions + shift, ref.colors.copy())
     dist_t = PointCloud.from_arrays(dist.positions + shift, dist.colors.copy())
-    _, base = geometry_degradation(prepare_pairs(partition_into_patch_pairs(ref, dist, 2), 6))
-    _, moved = geometry_degradation(prepare_pairs(partition_into_patch_pairs(ref_t, dist_t, 2), 6))
+    _, base = geometry_degradation(
+        prepare_pairs(ref, dist, partition_into_patch_pairs(ref, dist, 2), 6))
+    _, moved = geometry_degradation(
+        prepare_pairs(ref_t, dist_t, partition_into_patch_pairs(ref_t, dist_t, 2), 6))
     assert moved == pytest.approx(base, rel=1e-9)
 
 
@@ -196,10 +198,10 @@ def test_scales_log_equispaced():
 
 def test_constant_signal_annihilated_by_bandpass():
     g = random_connected_graph(31)
-    spec = eigendecompose(g)
-    bank = make_filter_bank(spec.lambda_max)
+    lam, vec = eigendecompose(g)
+    bank = make_filter_bank(lam[-1])
     c = -7.5
-    sub = sgwt_decompose(spec, np.full(g.n, c), bank)
+    sub = sgwt_decompose((lam, vec), np.full(g.n, c), bank)
     np.testing.assert_allclose(sub[0], bank.gamma * c, atol=1e-9)
     assert np.abs(sub[1:]).max() <= 1e-9
 
@@ -207,10 +209,10 @@ def test_constant_signal_annihilated_by_bandpass():
 def test_two_node_closed_form():
     w = 0.6
     g = make_graph([(0, 1)], 2, weights=[w])
-    spec = eigendecompose(g)
-    bank = make_filter_bank(spec.lambda_max)
+    lam, vec = eigendecompose(g)
+    bank = make_filter_bank(lam[-1])
     a, b = 3.0, -1.0
-    sub = sgwt_decompose(spec, np.array([a, b]), bank)
+    sub = sgwt_decompose((lam, vec), np.array([a, b]), bank)
     for c, t in enumerate(bank.scales, start=1):
         gain = bank.g(np.array([t * 2 * w]))[0]
         expect = gain * (a - b) / 2 * np.array([1.0, -1.0])
@@ -223,29 +225,28 @@ def test_two_node_closed_form():
 
 def test_operator_form_equivalence():
     g = random_connected_graph(8)
-    spec = eigendecompose(g)
-    bank = make_filter_bank(spec.lambda_max)
+    lam, vec = eigendecompose(g)
+    bank = make_filter_bank(lam[-1])
     rng = np.random.default_rng(2)
     u = rng.normal(size=g.n)
-    sub = sgwt_decompose(spec, u, bank)
-    v = spec.eigenvectors
+    sub = sgwt_decompose((lam, vec), u, bank)
     for c, t in enumerate(bank.scales, start=1):
-        op = v @ np.diag(bank.g(t * spec.eigenvalues)) @ v.T
+        op = vec @ np.diag(bank.g(t * lam)) @ vec.T
         np.testing.assert_allclose(sub[c], op @ u, atol=1e-9)
-    op0 = v @ np.diag(bank.h(spec.eigenvalues)) @ v.T
+    op0 = vec @ np.diag(bank.h(lam)) @ vec.T
     np.testing.assert_allclose(sub[0], op0 @ u, atol=1e-9)
 
 
 @given(st.integers(0, 999))
 def test_sgwt_linearity(seed):
     g = random_connected_graph(seed % 7)
-    spec = eigendecompose(g)
-    bank = make_filter_bank(spec.lambda_max)
+    lam, vec = eigendecompose(g)
+    bank = make_filter_bank(lam[-1])
     rng = np.random.default_rng(seed)
     u, v = rng.normal(size=g.n), rng.normal(size=g.n)
     a, b = rng.uniform(-3, 3, size=2)
-    left = sgwt_decompose(spec, a * u + b * v, bank)
-    right = a * sgwt_decompose(spec, u, bank) + b * sgwt_decompose(spec, v, bank)
+    left = sgwt_decompose((lam, vec), a * u + b * v, bank)
+    right = a * sgwt_decompose((lam, vec), u, bank) + b * sgwt_decompose((lam, vec), v, bank)
     np.testing.assert_allclose(left, right, atol=1e-9)
 
 
@@ -326,7 +327,7 @@ def test_pearson_zero_variance_guards():
 def test_identical_sides_give_unit_texture_score():
     ref = random_cloud(300, seed=33)
     pairs = partition_into_patch_pairs(ref, ref, 3)
-    prepared = prepare_pairs(pairs, k2=6)
+    prepared = prepare_pairs(ref, ref, pairs, k2=6)
     per_patch, d_l_i = texture_degradation(prepared)
     assert d_l_i == 1.0
     for row in per_patch:
@@ -338,7 +339,7 @@ def test_texture_score_drops_under_color_noise():
     ref = synthetic_cloud(500, seed=3)
     dist = with_luminance_noise(ref, 40.0, seed=4)
     pairs = partition_into_patch_pairs(ref, dist, 2)
-    prepared = prepare_pairs(pairs, k2=8)
+    prepared = prepare_pairs(ref, dist, pairs, k2=8)
     _, d_l_i = texture_degradation(prepared)
     assert d_l_i < 1.0
 
@@ -348,10 +349,10 @@ def test_disconnected_patch_is_legal_downstream():
     rng = np.random.default_rng(44)
     pts = np.vstack([rng.uniform(0, 1, (12, 3)), rng.uniform(100, 101, (12, 3))])
     g = build_patch_graph(pts, k2=3)
-    spec = eigendecompose(g)
-    assert spec.eigenvalues[1] <= 1e-8  # disconnected: second eigenvalue ~0
-    bank = make_filter_bank(spec.lambda_max)
-    sub = sgwt_decompose(spec, rng.normal(size=24), bank)
+    lam, vec = eigendecompose(g)
+    assert lam[1] <= 1e-8  # disconnected: second eigenvalue ~0
+    bank = make_filter_bank(lam[-1])
+    sub = sgwt_decompose((lam, vec), rng.normal(size=24), bank)
     assert sub.shape == (4, 24)
     wcm = build_wcm(g, sub[1], sub[1], num_bins=10)
     assert abs(wcm.sum() - 1.0) <= 1e-12

@@ -467,6 +467,17 @@ def test_pointcloud_rejects_empty():
         PointCloud.from_arrays(np.empty((0, 3)), np.empty((0, 3), dtype=np.uint8))
 
 
+def test_from_arrays_leaves_caller_arrays_writeable():
+    pos = np.arange(12, dtype=np.float64).reshape(4, 3)
+    col = np.full((4, 3), 7, dtype=np.uint8)
+    cloud = PointCloud.from_arrays(pos, col)
+    assert not np.shares_memory(cloud.positions, pos)
+    assert not np.shares_memory(cloud.colors, col)
+    pos[0, 0] = -1.0
+    col[0, 0] = 9
+    assert cloud.positions[0, 0] == 0.0 and cloud.colors[0, 0] == 7
+
+
 def test_pointcloud_is_immutable(small_cloud):
     with pytest.raises(ValueError):
         small_cloud.positions[0, 0] = 99.0

@@ -8,8 +8,9 @@ from phm.errors import DegeneratePatch
 from phm.patches import (
     PatchGraph,
     build_patch_graph,
-    cap_subcloud,
+    cap_indices,
     eigendecompose,
+    laplacian,
     partition_into_patch_pairs,
 )
 
@@ -21,10 +22,7 @@ def make_graph(edges, n, weights=None):
     ei = np.array([e[0] for e in edges], dtype=np.intp)
     ej = np.array([e[1] for e in edges], dtype=np.intp)
     w = np.ones(len(edges)) if weights is None else np.asarray(weights, dtype=float)
-    adj = np.zeros((n, n))
-    adj[ei, ej] = w
-    adj[ej, ei] = w
-    return PatchGraph(n, ei, ej, w, np.diag(adj.sum(axis=1)) - adj, sigma2=1.0)
+    return PatchGraph(n, ei, ej, w, sigma2=1.0)
 
 
 def edge_set_oracle(points, k2):
@@ -47,8 +45,9 @@ def edge_set_oracle(points, k2):
 def test_single_cell_holds_everything(small_cloud):
     pairs = partition_into_patch_pairs(small_cloud, small_cloud, 1)
     assert len(pairs) == 1
-    assert len(pairs[0].ref_points) == len(small_cloud)
-    assert len(pairs[0].dist_points) == len(small_cloud)
+    ref_idx, dist_idx = pairs[0]
+    np.testing.assert_array_equal(ref_idx, np.arange(len(small_cloud)))
+    np.testing.assert_array_equal(dist_idx, np.arange(len(small_cloud)))
 
 
 def test_points_go_to_nearer_seed():
@@ -57,9 +56,9 @@ def test_points_go_to_nearer_seed():
     pairs = partition_into_patch_pairs(cloud, cloud, 2)
     # FPS from index 0 picks the far end (index 1) as the second seed
     cell_of = {}
-    for p in pairs:
-        for i in p.ref_points.indices:
-            cell_of[int(i)] = p.cell_id
+    for cell, (ref_idx, _) in enumerate(pairs):
+        for i in ref_idx:
+            cell_of[int(i)] = cell
     assert cell_of[2] == cell_of[0]
     assert cell_of[3] == cell_of[1]
 
@@ -81,12 +80,12 @@ def test_partition_matches_bruteforce_assignment():
     ref_cells = assign(ref.positions)
     dist_cells = assign(dist.positions)
     seen_ref, seen_dist = set(), set()
-    for pair in pairs:
-        for i in pair.ref_points.indices:
-            assert ref_cells[int(i)] == pair.cell_id
+    for cell, (ref_idx, dist_idx) in enumerate(pairs):
+        for i in ref_idx:
+            assert ref_cells[int(i)] == cell
             seen_ref.add(int(i))
-        for i in pair.dist_points.indices:
-            assert dist_cells[int(i)] == pair.cell_id
+        for i in dist_idx:
+            assert dist_cells[int(i)] == cell
             seen_dist.add(int(i))
     assert seen_ref == set(range(len(ref)))
     assert seen_dist == set(range(len(dist)))
@@ -103,7 +102,7 @@ def test_partition_default_cell_count():
 def test_three_collinear_points_k1():
     pts = np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0]], dtype=float)
     g = build_patch_graph(pts, k2=1)
-    assert g.num_edges == 2
+    assert len(g.weights) == 2
     assert g.sigma2 == pytest.approx(1.0)
     np.testing.assert_allclose(g.weights, math.exp(-1), rtol=1e-15)
 
@@ -111,18 +110,21 @@ def test_three_collinear_points_k1():
 def test_two_point_graph():
     pts = np.array([[0, 0, 0], [0, 3, 0]], dtype=float)
     g = build_patch_graph(pts, k2=10)
-    assert g.num_edges == 1
+    assert len(g.weights) == 1
     assert g.sigma2 == pytest.approx(9.0)
     assert g.weights[0] == pytest.approx(math.exp(-1), rel=1e-15)
 
 
 def test_graph_edges_match_bruteforce_union():
-    cloud = random_cloud(40, seed=77)
-    g = build_patch_graph(cloud.positions, k2=10)
-    got = set(zip(g.edges_i.tolist(), g.edges_j.tolist()))
-    assert got == edge_set_oracle(cloud.positions, 10)
-    np.testing.assert_allclose(g.laplacian.sum(axis=1), 0.0, atol=1e-10)
-    assert np.all(g.weights > 0) and np.all(g.weights <= 1.0)
+    pos = random_cloud(40, seed=77).positions
+    # Coincident points: 10 positions twice, 3 of them three times, shuffled.
+    dup = np.vstack([pos, pos[:10], pos[:3]])[np.random.default_rng(78).permutation(53)]
+    for points in (pos, dup):
+        g = build_patch_graph(points, k2=10)
+        got = set(zip(g.edges_i.tolist(), g.edges_j.tolist()))
+        assert got == edge_set_oracle(points, 10)
+        np.testing.assert_allclose(laplacian(g).sum(axis=1), 0.0, atol=1e-10)
+        assert np.all(g.weights > 0) and np.all(g.weights <= 1.0)
 
 
 def test_degenerate_patches_raise():
@@ -145,55 +147,52 @@ def test_weight_formula_against_oracle():
 
 def test_two_node_spectrum_closed_form():
     g = make_graph([(0, 1)], 2, weights=[0.7])
-    spec = eigendecompose(g)
-    np.testing.assert_allclose(spec.eigenvalues, [0.0, 1.4], atol=1e-12)
+    lam, vec = eigendecompose(g)
+    np.testing.assert_allclose(lam, [0.0, 1.4], atol=1e-12)
     s = 1 / math.sqrt(2)
-    np.testing.assert_allclose(np.abs(spec.eigenvectors), [[s, s], [s, s]], atol=1e-12)
-    # sign convention: largest-magnitude entry (first on ties) is positive
-    assert spec.eigenvectors[0, 0] > 0 and spec.eigenvectors[0, 1] > 0
+    np.testing.assert_allclose(np.abs(vec), [[s, s], [s, s]], atol=1e-12)
 
 
 def test_path3_eigenvalues():
     # characteristic polynomial of the unit-weight 3-path Laplacian: 0, 1, 3
     g = make_graph([(0, 1), (1, 2)], 3)
-    spec = eigendecompose(g)
-    np.testing.assert_allclose(spec.eigenvalues, [0.0, 1.0, 3.0], atol=1e-12)
+    lam, _ = eigendecompose(g)
+    np.testing.assert_allclose(lam, [0.0, 1.0, 3.0], atol=1e-12)
 
 
 def test_connected_graph_has_constant_nullvector():
     cloud = random_cloud(30, seed=5)
     g = build_patch_graph(cloud.positions, k2=5)
-    spec = eigendecompose(g)
-    assert abs(spec.eigenvalues[0]) <= 1e-8
-    v0 = spec.eigenvectors[:, 0]
-    if spec.eigenvalues[1] > 1e-8:  # connected
+    lam, vec = eigendecompose(g)
+    assert abs(lam[0]) <= 1e-8
+    v0 = vec[:, 0] * np.sign(vec[0, 0])  # eigh fixes no sign
+    if lam[1] > 1e-8:  # connected
         np.testing.assert_allclose(v0, np.full(30, 1 / math.sqrt(30)), atol=1e-8)
 
 
 def test_spectrum_orthonormal_and_reconstructs():
     cloud = random_cloud(35, seed=6)
     g = build_patch_graph(cloud.positions, k2=6)
-    spec = eigendecompose(g)
-    v = spec.eigenvectors
+    lam, v = eigendecompose(g)
     np.testing.assert_allclose(v.T @ v, np.eye(35), atol=1e-8)
-    recon = v @ np.diag(spec.eigenvalues) @ v.T
-    np.testing.assert_allclose(recon, g.laplacian, atol=1e-6)
-    assert np.all(np.diff(spec.eigenvalues) >= -1e-12)
-    assert np.all(spec.eigenvalues >= -1e-9)
+    recon = v @ np.diag(lam) @ v.T
+    np.testing.assert_allclose(recon, laplacian(g), atol=1e-6)
+    assert np.all(np.diff(lam) >= -1e-12)
+    assert np.all(lam >= -1e-9)
 
 
 # --- patch cap ---------------------------------------------------------------
 
-def test_cap_subcloud_noop_below_cap():
+def test_cap_indices_noop_below_cap():
     pairs = partition_into_patch_pairs(random_cloud(50, seed=1), random_cloud(50, seed=2), 1)
-    sub, capped = cap_subcloud(pairs[0].ref_points, cap=100)
-    assert not capped and len(sub) == 50
+    idx, capped = cap_indices(pairs[0][0], cap=100)
+    assert not capped and len(idx) == 50
 
 
-def test_cap_subcloud_uniform_and_deterministic():
+def test_cap_indices_uniform_and_deterministic():
     pairs = partition_into_patch_pairs(random_cloud(100, seed=1), random_cloud(100, seed=2), 1)
-    sub1, capped1 = cap_subcloud(pairs[0].ref_points, cap=30)
-    sub2, _ = cap_subcloud(pairs[0].ref_points, cap=30)
-    assert capped1 and len(sub1) == 30
-    assert len(np.unique(sub1.indices)) == 30
-    np.testing.assert_array_equal(sub1.indices, sub2.indices)
+    idx1, capped1 = cap_indices(pairs[0][0], cap=30)
+    idx2, _ = cap_indices(pairs[0][0], cap=30)
+    assert capped1 and len(idx1) == 30
+    assert len(np.unique(idx1)) == 30
+    np.testing.assert_array_equal(idx1, idx2)
