@@ -93,25 +93,25 @@ class SpatialIndex:
     def n(self) -> int:
         return len(self._positions)
 
-    def query(self, point, k: int, exclude_self: bool = False) -> np.ndarray:
+    def query(self, point, k: int, exclude: int | None = None) -> np.ndarray:
         """Indices of the min(k, N_effective) nearest points to ``point``.
 
-        With ``exclude_self``, one zero-distance point (the lowest-index
-        one, if any coincides with the query) is skipped.
+        ``exclude`` names one indexed point to leave out of the answer.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
         q = np.asarray(point, dtype=np.float64).reshape(3)
         n = self.n
-        kq = min(k + (2 if exclude_self else 1), n)
+        kq = min(k + (1 if exclude is None else 2), n)
         while True:
             _, cand = self._tree.query(q, k=kq)
             cand = np.atleast_1d(cand)
             d2 = _sq_dists(self._positions[cand], q)
             order = np.lexsort((cand, d2))
             cand, d2 = cand[order], d2[order]
-            if exclude_self and d2.size and d2[0] == 0.0:
-                cand, d2 = cand[1:], d2[1:]
+            if exclude is not None:
+                keep = cand != exclude
+                cand, d2 = cand[keep], d2[keep]
             kr = min(k, len(cand))
             # Complete iff the selection boundary lies strictly inside the
             # candidate set (otherwise unseen points could tie at it).
@@ -120,11 +120,12 @@ class SpatialIndex:
             kq = min(kq * 2, n)
 
     def query_bulk(self, points, k: int, exclude_self: bool = False) -> np.ndarray:
-        """Row-per-query KNN; exclude_self drops one zero-distance hit per row.
+        """Row-per-query KNN; with exclude_self, row i leaves out index i.
 
         Returns an (m, kr) index array with kr = min(k, N-1) when
-        exclude_self else min(k, N); intended for query sets where every
-        row coincides with an indexed point (or none does).
+        exclude_self else min(k, N). exclude_self needs the query points to
+        be the indexed points, in order; a duplicate of point i is a
+        neighbor of i like any other point.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
@@ -132,6 +133,8 @@ class SpatialIndex:
         if pts.ndim == 1:
             pts = pts[None, :]
         m, n = len(pts), self.n
+        if exclude_self and m != n:
+            raise ValueError("exclude_self needs the indexed points as queries")
         kr = min(k, n - 1) if exclude_self else min(k, n)
         if kr == 0:
             return np.empty((m, 0), dtype=np.intp)
@@ -144,11 +147,10 @@ class SpatialIndex:
         idx = np.take_along_axis(idx, order, axis=1)
         d2 = np.take_along_axis(d2, order, axis=1)
         if exclude_self:
-            iszero = d2 == 0.0
-            has0 = iszero.any(axis=1)
-            first0 = np.where(has0, iszero.argmax(axis=1), kq)
+            isself = idx == np.arange(m)[:, None]
+            at = np.where(isself.any(axis=1), isself.argmax(axis=1), kq)
             take = np.arange(kr)[None, :]
-            sel = take + (take >= first0[:, None])
+            sel = take + (take >= at[:, None])
             out = np.take_along_axis(idx, sel, axis=1)
             out_d2 = np.take_along_axis(d2, sel, axis=1)
         else:
@@ -159,7 +161,7 @@ class SpatialIndex:
             # exact per-query path (rare: exact distance ties at the rim).
             bad = np.nonzero(out_d2[:, -1] >= d2[:, -1])[0]
             for r in bad:
-                out[r] = self.query(pts[r], kr, exclude_self=exclude_self)
+                out[r] = self.query(pts[r], kr, exclude=r if exclude_self else None)
         return out
 
 

@@ -78,9 +78,7 @@ def build_patch_graph(points: np.ndarray, k2: int = DEFAULT_GRAPH_KNN) -> PatchG
     dst = nbrs.ravel()
     lo = np.minimum(src, dst)
     hi = np.maximum(src, dst)
-    # A point with a lower-index duplicate can list itself as a neighbor.
-    keep = lo != hi
-    ei, ej = np.divmod(np.unique(lo[keep] * n + hi[keep]), n)  # (lo, hi) ascending
+    ei, ej = np.divmod(np.unique(lo * n + hi), n)  # (lo, hi) ascending
     d = pos[ei] - pos[ej]
     d2 = (d * d).sum(axis=1)
     sigma2 = float(d2.mean())

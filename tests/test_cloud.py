@@ -21,17 +21,13 @@ from conftest import random_cloud
 
 # --- independent oracles -----------------------------------------------------
 
-def knn_oracle(positions, query, k, exclude_self=False):
-    """Exhaustive scan: sort all points by (distance, index), optional self skip."""
+def knn_oracle(positions, query, k, exclude=None):
+    """Exhaustive scan: sort all points by (distance, index), leaving out index ``exclude``."""
     q = np.asarray(query, dtype=np.float64)
     scored = sorted(
         (math.dist(p, q), i) for i, p in enumerate(np.asarray(positions, dtype=np.float64))
+        if i != exclude
     )
-    if exclude_self:
-        for j, (d, _) in enumerate(scored):
-            if d == 0.0:
-                del scored[j]
-                break
     return [i for _, i in scored[:k]]
 
 
@@ -75,7 +71,7 @@ def test_luminance_stays_in_range(r, g, b):
 def test_knn_collinear_ordering():
     pts = np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0], [3, 0, 0]], dtype=float)
     idx = SpatialIndex(pts)
-    got = idx.query((0, 0, 0), k=2, exclude_self=True)
+    got = idx.query((0, 0, 0), k=2, exclude=0)
     assert list(got) == [1, 2]
 
 
@@ -98,15 +94,17 @@ def test_knn_matches_bruteforce_scan():
 def test_knn_exclude_self_drops_one_coincident_point():
     pts = np.array([[0, 0, 0], [0, 0, 0], [1, 0, 0]], dtype=float)
     idx = SpatialIndex(pts)
-    # lowest-index zero-distance point is skipped; its duplicate stays
-    assert list(idx.query((0, 0, 0), k=2, exclude_self=True)) == [1, 2]
+    # only the excluded index is skipped; its duplicate stays, whichever is excluded
+    assert list(idx.query((0, 0, 0), k=2, exclude=0)) == [1, 2]
+    assert list(idx.query((0, 0, 0), k=2, exclude=1)) == [0, 2]
+    assert idx.query_bulk(pts, 2, exclude_self=True).tolist() == [[1, 2], [0, 2], [0, 1]]
 
 
 def test_knn_k_larger_than_cloud():
     pts = np.array([[0, 0, 0], [1, 0, 0]], dtype=float)
     idx = SpatialIndex(pts)
     assert list(idx.query((0, 0, 0), k=10)) == [0, 1]
-    assert list(idx.query((0, 0, 0), k=10, exclude_self=True)) == [1]
+    assert list(idx.query((0, 0, 0), k=10, exclude=0)) == [1]
 
 
 def test_bulk_query_matches_single_queries():
@@ -114,7 +112,7 @@ def test_bulk_query_matches_single_queries():
     idx = SpatialIndex(cloud.positions)
     bulk = idx.query_bulk(cloud.positions, 7, exclude_self=True)
     for i in range(len(cloud)):
-        assert list(bulk[i]) == knn_oracle(cloud.positions, cloud.positions[i], 7, True)
+        assert list(bulk[i]) == knn_oracle(cloud.positions, cloud.positions[i], 7, exclude=i)
 
 
 def test_bulk_query_on_grid_with_ties():
@@ -124,7 +122,7 @@ def test_bulk_query_on_grid_with_ties():
     idx = SpatialIndex(pts)
     bulk = idx.query_bulk(pts, 6, exclude_self=True)
     for i in range(len(pts)):
-        assert list(bulk[i]) == knn_oracle(pts, pts[i], 6, True)
+        assert list(bulk[i]) == knn_oracle(pts, pts[i], 6, exclude=i)
 
 
 @given(st.integers(2, 40), st.integers(1, 12), st.integers(0, 10_000))
@@ -138,8 +136,24 @@ def test_knn_exactness_property(n, k, seed):
     idx = SpatialIndex(pts)
     q = rng.uniform(0, 5, size=3)
     assert list(idx.query(q, k)) == knn_oracle(pts, q, k)
-    assert list(idx.query(pts[0], k, exclude_self=True)) == knn_oracle(
-        pts, pts[0], k, exclude_self=True)
+    assert list(idx.query(pts[0], k, exclude=0)) == knn_oracle(pts, pts[0], k, exclude=0)
+    bulk = idx.query_bulk(pts, k, exclude_self=True)
+    for i in range(n):
+        assert list(bulk[i]) == knn_oracle(pts, pts[i], k, exclude=i)
+
+
+def test_bulk_exclude_self_with_many_coincident_points():
+    # 12 copies of one position: each copy's own index sits anywhere among
+    # the zero-distance ties, beyond the first k + 2 candidates for most rows.
+    rng = np.random.default_rng(8)
+    pts = np.vstack([np.repeat(rng.uniform(0, 5, size=(1, 3)), 12, axis=0),
+                     rng.uniform(0, 5, size=(20, 3))])[rng.permutation(32)]
+    idx = SpatialIndex(pts)
+    bulk = idx.query_bulk(pts, 4, exclude_self=True)
+    for i in range(len(pts)):
+        assert list(bulk[i]) == knn_oracle(pts, pts[i], 4, exclude=i)
+    with pytest.raises(ValueError):
+        idx.query_bulk(pts[:5], 4, exclude_self=True)
 
 
 def test_empty_index_raises():
@@ -154,9 +168,9 @@ def test_knn_exact_at_500_points():
     for k in (1, 7, 50, 499, 500):
         q = rng.uniform(0, 10, size=3)
         assert list(idx.query(q, k)) == knn_oracle(cloud.positions, q, k)
-    bulk = idx.query_bulk(cloud.positions[:25], 12, exclude_self=True)
+    bulk = idx.query_bulk(cloud.positions, 12, exclude_self=True)
     for i in range(25):
-        assert list(bulk[i]) == knn_oracle(cloud.positions, cloud.positions[i], 12, True)
+        assert list(bulk[i]) == knn_oracle(cloud.positions, cloud.positions[i], 12, exclude=i)
 
 
 # --- farthest point sampling -------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from phm.cloud import PointCloud, SpatialIndex
 from phm.errors import CloudTooSmall
+from phm.synthetic import synthetic_cloud
 from phm.visible import ar_texture_complexity, symmetric_mse, upsilon, visible_difference
 
 from conftest import random_cloud
@@ -107,6 +108,34 @@ def test_ar_matches_normal_equations_oracle():
     np.testing.assert_allclose(sol.theta, theta, atol=1e-8)
     np.testing.assert_allclose(sol.residuals, resid, atol=1e-8)
     assert c == pytest.approx(math.log2(1 + np.mean(np.abs(resid))), abs=1e-10)
+
+
+def test_ar_excludes_own_index_among_duplicates():
+    # 300 of 3,000 positions repeat an earlier point with their own colours
+    # (shifted by up to +-40). Each row must drop exactly its own index, so
+    # a duplicate's partner is a neighbor and its own luminance never is.
+    base = synthetic_cloud(3000, seed=41)
+    rng = np.random.default_rng(42)
+    pos, col = base.positions.copy(), base.colors.astype(int)
+    src = rng.choice(2700, size=300, replace=False)
+    pos[2700:] = pos[src]
+    col[2700:] = np.clip(col[src] + rng.integers(-40, 41, size=(300, 1)), 0, 255)
+    cloud = PointCloud.from_arrays(pos, col.astype(np.uint8))
+    _, c = ar_complexity(cloud, k1=20)
+
+    # oracle: neighbors by (distance, index) with index i removed from row i
+    n, lum = len(cloud), cloud.luminance
+    nbrs = np.empty((n, 20), dtype=np.intp)
+    for i in range(n):
+        d2 = ((pos - pos[i]) ** 2).sum(axis=1)
+        order = np.lexsort((np.arange(n), d2))
+        nbrs[i] = order[order != i][:20]
+    design = lum[nbrs]
+    theta, *_ = np.linalg.lstsq(design, lum, rcond=None)
+    want = math.log2(1 + np.mean(np.abs(lum - design @ theta)))
+    got = SpatialIndex(pos).query_bulk(pos, 20, exclude_self=True)
+    np.testing.assert_array_equal(got, nbrs)
+    assert c == pytest.approx(want, abs=1e-10)
 
 
 def test_ar_requires_enough_points():
