@@ -148,25 +148,20 @@ def make_filter_bank(
 
 
 def sgwt_decompose(
-    spectrum: tuple[np.ndarray, np.ndarray],
-    signal: np.ndarray,
+    spectrum: tuple[np.ndarray, np.ndarray, np.ndarray],
     bank: FilterBank,
 ) -> np.ndarray:
-    """Filter the signal through the bank in the spectral domain.
+    """Filter a signal through the bank in the spectral domain.
 
-    ``spectrum`` is (eigenvalues, eigenvectors) from ``eigendecompose``.
-    Returns a (C + 1, n) array: row 0 is the scaling (low-pass) band, rows
-    1..C the band-pass bands.
+    ``spectrum`` is the signal's (eigenvalues, vectors, coefficients) from
+    ``eigendecompose``. Returns a (C + 1, n) array: row 0 is the scaling
+    (low-pass) band, rows 1..C the band-pass bands.
     """
-    lam, vec = spectrum
-    u = np.asarray(signal, dtype=np.float64)
-    if u.shape != lam.shape:
-        raise ShapeError(f"signal length {u.shape} does not match n={len(lam)}")
-    uhat = vec.T @ u
-    out = np.empty((bank.num_bandpass + 1, len(lam)))
-    out[0] = vec @ (bank.h(lam) * uhat)
+    lam, vec, coef = spectrum
+    out = np.empty((bank.num_bandpass + 1, len(vec)))
+    out[0] = vec @ (bank.h(lam) * coef)
     for c, t in enumerate(bank.scales, start=1):
-        out[c] = vec @ (bank.g(t * lam) * uhat)
+        out[c] = vec @ (bank.g(t * lam) * coef)
     return out
 
 
@@ -240,13 +235,12 @@ def texture_degradation(
         if px is None or py is None:
             per_patch.append(None)
             continue
-        spec_x = eigendecompose(px.graph)
-        spec_y = eigendecompose(py.graph)
-        # Eigenvalues ascend, so the last one is lambda_max.
+        spec_x = eigendecompose(px.graph, px.luminance)
+        spec_y = eigendecompose(py.graph, py.luminance)
         bank_x = make_filter_bank(float(spec_x[0][-1]), num_bandpass, continuous_tail)
         bank_y = make_filter_bank(float(spec_y[0][-1]), num_bandpass, continuous_tail)
-        sub_x = sgwt_decompose(spec_x, px.luminance, bank_x)
-        sub_y = sgwt_decompose(spec_y, py.luminance, bank_y)
+        sub_x = sgwt_decompose(spec_x, bank_x)
+        sub_y = sgwt_decompose(spec_y, bank_y)
         row = [
             _pearson(build_wcm(px.graph, sub_x[c], sub_y[c], num_bins),
                      build_wcm(py.graph, sub_y[c], sub_x[c], num_bins))

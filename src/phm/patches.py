@@ -3,8 +3,9 @@
 The reference cloud is split by farthest-point-sampled seeds; both clouds
 are partitioned by nearest seed so each cell yields a pair of reference and
 distorted point-index arrays. Every patch gets a Gaussian-weighted KNN graph,
-held as its edge list; the dense Laplacian exists only inside
-``eigendecompose``, whose spectrum supports the wavelet analysis downstream.
+held as its edge list. ``eigendecompose`` gives the spectrum of one signal on
+that graph, exact for small patches and from Lanczos iteration for larger
+ones, and the wavelet analysis downstream filters through it.
 """
 
 from __future__ import annotations
@@ -12,14 +13,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
+from scipy.sparse import csr_matrix
 
 from .cloud import PointCloud, SpatialIndex, farthest_point_sample
-from .errors import DegeneratePatch, SpectralError
+from .errors import DegeneratePatch, ShapeError, SpectralError
 
 DEFAULT_PATCH_DIVISOR = 1000
 DEFAULT_GRAPH_KNN = 10
-# Dense eigendecomposition is O(n^3); larger patches are subsampled first.
+# Larger patches are subsampled first. The cap dates from the dense O(n^3)
+# spectrum; it stays so that scores of cells above 3,000 points do not move.
 PATCH_POINT_CAP = 3000
+# Lanczos steps for a patch of more than KRYLOV_STEPS + 1 points; smaller
+# patches get the exact dense spectrum, which is no larger than the Krylov one.
+KRYLOV_STEPS = 200
 
 
 def partition_into_patch_pairs(
@@ -95,16 +102,90 @@ def laplacian(graph: PatchGraph) -> np.ndarray:
     return np.diag(adj.sum(axis=1)) - adj
 
 
-def eigendecompose(graph: PatchGraph) -> tuple[np.ndarray, np.ndarray]:
-    """(eigenvalues, eigenvectors) of the dense Laplacian, as ``eigh`` returns them.
+def eigendecompose(
+    graph: PatchGraph, signal: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Spectrum of ``signal`` on the graph: (eigenvalues, vectors, coefficients).
 
-    Eigenvalues ascend; column i of the orthonormal eigenvectors pairs with
-    eigenvalue i. Column signs are LAPACK's: every consumer is sign-invariant.
+    A spectral filter f applies as ``vectors @ (f(eigenvalues) * coefficients)``
+    and eigenvalues[-1] is lambda_max. Up to KRYLOV_STEPS + 1 points this is
+    the dense ``eigh`` (ascending eigenvalues, orthonormal eigenvector
+    columns with LAPACK's signs) and coefficients = vectors.T @ signal.
+    Larger patches use a Krylov basis instead; see ``_krylov_spectrum``.
     """
+    u = np.asarray(signal, dtype=np.float64)
+    if u.shape != (graph.n,):
+        raise ShapeError(f"signal length {u.shape} does not match n={graph.n}")
     try:
-        return np.linalg.eigh(laplacian(graph))
+        if graph.n > KRYLOV_STEPS + 1:
+            return _krylov_spectrum(graph, u)
+        lam, vec = np.linalg.eigh(laplacian(graph))
     except np.linalg.LinAlgError as e:
         raise SpectralError(f"eigendecomposition failed: {e}") from None
+    return lam, vec, vec.T @ u
+
+
+def _krylov_spectrum(graph: PatchGraph, u: np.ndarray):
+    """Lanczos spectrum of u on the sparse Laplacian (Susnjara et al., 2015).
+
+    u splits into its mean, which sits on the constant null vector with
+    eigenvalue 0, and a centred part r. KRYLOV_STEPS steps from r / ||r||
+    give the basis Q and the tridiagonal T = S diag(theta) S^T, so
+    f(L) r ~ ||r|| Q S (f(theta) * S[0]): vectors Q S, coefficients ||r|| S[0].
+    No reorthogonalisation (accurate for f(L) r, Musco et al., SODA 2018).
+    Theta ascends, so its top Ritz value is lambda_max. When the iteration
+    stops early (r spans an invariant subspace, or u is constant) the Ritz
+    values need not reach lambda_max: a second run from a fixed generic start
+    supplies it, appended with a zero vector and coefficient.
+    """
+    n = graph.n
+    idx = np.arange(n)
+    degree = np.bincount(graph.edges_i, graph.weights, n) + np.bincount(graph.edges_j, graph.weights, n)
+    lap = csr_matrix(
+        (np.concatenate([-graph.weights, -graph.weights, degree]),
+         (np.concatenate([graph.edges_i, graph.edges_j, idx]),
+          np.concatenate([graph.edges_j, graph.edges_i, idx]))),
+        shape=(n, n))
+    # ||L|| <= 2 max degree: a smaller residual means an invariant subspace.
+    tol = 1e-10 * degree.max()
+    mean = u.mean()
+    r = u - mean
+    norm = float(np.linalg.norm(r)) if u.max() > u.min() else 0.0
+    parts = [(np.zeros(1), np.full((n, 1), 1.0 / np.sqrt(n)), np.array([mean * np.sqrt(n)]))]
+    steps = 0
+    if norm > 0.0:
+        basis, alpha, beta = _lanczos(lap, r / norm, tol)
+        theta, s = eigh_tridiagonal(alpha, beta)
+        parts.append((theta, basis.T @ s, norm * s[0]))
+        steps = len(alpha)
+    if steps < KRYLOV_STEPS:
+        start = np.random.default_rng(0).standard_normal(n)
+        _, alpha, beta = _lanczos(lap, start / np.linalg.norm(start), tol)
+        top = max(eigh_tridiagonal(alpha, beta, eigvals_only=True)[-1], parts[-1][0][-1])
+        parts.append((np.array([top]), np.zeros((n, 1)), np.zeros(1)))
+    lam, vec, coef = zip(*parts)
+    return np.concatenate(lam), np.hstack(vec), np.concatenate(coef)
+
+
+def _lanczos(lap, q: np.ndarray, tol: float):
+    """Up to KRYLOV_STEPS Lanczos steps from unit q: (basis rows, alpha, beta)."""
+    basis = np.empty((KRYLOV_STEPS, len(q)))
+    alpha = np.empty(KRYLOV_STEPS)
+    beta = np.empty(KRYLOV_STEPS - 1)
+    prev, b = np.zeros_like(q), 0.0
+    for j in range(KRYLOV_STEPS):
+        basis[j] = q
+        w = lap @ q - b * prev
+        alpha[j] = q @ w
+        if j + 1 == KRYLOV_STEPS:
+            break
+        w -= alpha[j] * q
+        b = float(np.linalg.norm(w))
+        if b <= tol:
+            break
+        beta[j] = b
+        prev, q = q, w / b
+    return basis[:j + 1], alpha[:j + 1], beta[:j]
 
 
 def cap_indices(idx: np.ndarray, cap: int = PATCH_POINT_CAP) -> tuple[np.ndarray, bool]:

@@ -57,8 +57,7 @@ def test_smoothness_triple_identity():
         f = rng.normal(size=g.n)
         edge_sum = graph_smoothness(g, f)
         quad = float(f @ laplacian(g) @ f)
-        lam, vec = eigendecompose(g)
-        fhat = vec.T @ f
+        lam, vec, fhat = eigendecompose(g, f)
         spectral = float(lam @ (fhat * fhat))
         scale = max(abs(edge_sum), 1e-12)
         assert abs(edge_sum - quad) / scale <= 1e-8
@@ -198,10 +197,10 @@ def test_scales_log_equispaced():
 
 def test_constant_signal_annihilated_by_bandpass():
     g = random_connected_graph(31)
-    lam, vec = eigendecompose(g)
-    bank = make_filter_bank(lam[-1])
     c = -7.5
-    sub = sgwt_decompose((lam, vec), np.full(g.n, c), bank)
+    spectrum = eigendecompose(g, np.full(g.n, c))
+    bank = make_filter_bank(spectrum[0][-1])
+    sub = sgwt_decompose(spectrum, bank)
     np.testing.assert_allclose(sub[0], bank.gamma * c, atol=1e-9)
     assert np.abs(sub[1:]).max() <= 1e-9
 
@@ -209,10 +208,10 @@ def test_constant_signal_annihilated_by_bandpass():
 def test_two_node_closed_form():
     w = 0.6
     g = make_graph([(0, 1)], 2, weights=[w])
-    lam, vec = eigendecompose(g)
-    bank = make_filter_bank(lam[-1])
     a, b = 3.0, -1.0
-    sub = sgwt_decompose((lam, vec), np.array([a, b]), bank)
+    spectrum = eigendecompose(g, np.array([a, b]))
+    bank = make_filter_bank(spectrum[0][-1])
+    sub = sgwt_decompose(spectrum, bank)
     for c, t in enumerate(bank.scales, start=1):
         gain = bank.g(np.array([t * 2 * w]))[0]
         expect = gain * (a - b) / 2 * np.array([1.0, -1.0])
@@ -225,11 +224,12 @@ def test_two_node_closed_form():
 
 def test_operator_form_equivalence():
     g = random_connected_graph(8)
-    lam, vec = eigendecompose(g)
-    bank = make_filter_bank(lam[-1])
     rng = np.random.default_rng(2)
     u = rng.normal(size=g.n)
-    sub = sgwt_decompose((lam, vec), u, bank)
+    spectrum = eigendecompose(g, u)
+    lam, vec, _ = spectrum
+    bank = make_filter_bank(lam[-1])
+    sub = sgwt_decompose(spectrum, bank)
     for c, t in enumerate(bank.scales, start=1):
         op = vec @ np.diag(bank.g(t * lam)) @ vec.T
         np.testing.assert_allclose(sub[c], op @ u, atol=1e-9)
@@ -240,13 +240,16 @@ def test_operator_form_equivalence():
 @given(st.integers(0, 999))
 def test_sgwt_linearity(seed):
     g = random_connected_graph(seed % 7)
-    lam, vec = eigendecompose(g)
-    bank = make_filter_bank(lam[-1])
     rng = np.random.default_rng(seed)
     u, v = rng.normal(size=g.n), rng.normal(size=g.n)
     a, b = rng.uniform(-3, 3, size=2)
-    left = sgwt_decompose((lam, vec), a * u + b * v, bank)
-    right = a * sgwt_decompose((lam, vec), u, bank) + b * sgwt_decompose((lam, vec), v, bank)
+    bank = make_filter_bank(eigendecompose(g, u)[0][-1])
+
+    def bands(signal):
+        return sgwt_decompose(eigendecompose(g, signal), bank)
+
+    left = bands(a * u + b * v)
+    right = a * bands(u) + b * bands(v)
     np.testing.assert_allclose(left, right, atol=1e-9)
 
 
@@ -349,10 +352,10 @@ def test_disconnected_patch_is_legal_downstream():
     rng = np.random.default_rng(44)
     pts = np.vstack([rng.uniform(0, 1, (12, 3)), rng.uniform(100, 101, (12, 3))])
     g = build_patch_graph(pts, k2=3)
-    lam, vec = eigendecompose(g)
-    assert lam[1] <= 1e-8  # disconnected: second eigenvalue ~0
-    bank = make_filter_bank(lam[-1])
-    sub = sgwt_decompose((lam, vec), rng.normal(size=24), bank)
+    spectrum = eigendecompose(g, rng.normal(size=24))
+    assert spectrum[0][1] <= 1e-8  # disconnected: second eigenvalue ~0
+    bank = make_filter_bank(spectrum[0][-1])
+    sub = sgwt_decompose(spectrum, bank)
     assert sub.shape == (4, 24)
     wcm = build_wcm(g, sub[1], sub[1], num_bins=10)
     assert abs(wcm.sum() - 1.0) <= 1e-12
