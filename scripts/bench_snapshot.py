@@ -8,8 +8,10 @@ Runs the command of ``BENCHMARK.json`` (``perfbench/run.py``) with
 writes ``BENCH_<short-commit>.json`` into ``--out`` (default: the checkout
 root). The file holds, per workload, the run's provenance line and its final
 result object, so later changes can diff snapshots instead of prose. The
-commit named is HEAD; uncommitted edits are measured too. Exits 1 when any
-run fails or misses its correctness gate; the snapshot is written anyway.
+commit named is HEAD; uncommitted edits to tracked files are measured too,
+and then the file is ``BENCH_<short-commit>-dirty.json`` with ``"dirty":
+true``. Exits 1 when any run fails or misses its correctness gate; the
+snapshot is written anyway.
 """
 
 import argparse
@@ -28,16 +30,21 @@ def last_json_lines(stdout: str) -> tuple[dict, dict]:
     return provenance, docs[-1]
 
 
+def git(*args: str) -> str:
+    return subprocess.run(["git", "-C", str(ROOT), *args],
+                          capture_output=True, text=True, check=True).stdout.strip()
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--out", type=Path, default=ROOT)
     args = ap.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    commit = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--short", "HEAD"],
-                            capture_output=True, text=True, check=True).stdout.strip()
-    snapshot = {"commit": commit, "seed": args.seed, "seconds": spec["run_seconds"],
-                "workloads": {}}
+    commit = git("rev-parse", "--short", "HEAD")
+    dirty = git("status", "--porcelain", "--untracked-files=no") != ""
+    snapshot = {"commit": commit, "dirty": dirty, "seed": args.seed,
+                "seconds": spec["run_seconds"], "workloads": {}}
     ok = True
     for workload in (w["name"] for w in spec["workloads"]):
         cmd = [*spec["command"], "--workload", workload, "--seed", str(args.seed),
@@ -55,7 +62,7 @@ def main(argv=None) -> int:
         snapshot["workloads"][workload] = {"provenance": provenance, "result": result}
         metrics = ", ".join(f"{k} {v['value']:.4g}" for k, v in result["metrics"].items())
         print(f"{workload}: {metrics}", flush=True)
-    path = args.out / f"BENCH_{commit}.json"
+    path = args.out / f"BENCH_{commit}{'-dirty' if dirty else ''}.json"
     path.write_text(json.dumps(snapshot, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {path}")
     return 0 if ok else 1

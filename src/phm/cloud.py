@@ -67,11 +67,6 @@ class PointCloud:
         return len(self.positions)
 
 
-def _sq_dists(points: np.ndarray, q: np.ndarray) -> np.ndarray:
-    d = points - q
-    return (d * d).sum(axis=-1)
-
-
 class SpatialIndex:
     """Exact KNN queries over a fixed set of 3D points.
 
@@ -100,24 +95,9 @@ class SpatialIndex:
         """
         if k < 1:
             raise ValueError("k must be >= 1")
-        q = np.asarray(point, dtype=np.float64).reshape(3)
-        n = self.n
-        kq = min(k + (1 if exclude is None else 2), n)
-        while True:
-            _, cand = self._tree.query(q, k=kq)
-            cand = np.atleast_1d(cand)
-            d2 = _sq_dists(self._positions[cand], q)
-            order = np.lexsort((cand, d2))
-            cand, d2 = cand[order], d2[order]
-            if exclude is not None:
-                keep = cand != exclude
-                cand, d2 = cand[keep], d2[keep]
-            kr = min(k, len(cand))
-            # Complete iff the selection boundary lies strictly inside the
-            # candidate set (otherwise unseen points could tie at it).
-            if kq == n or (kr > 0 and d2[kr - 1] < d2[-1]) or kr == 0:
-                return cand[:kr].copy()
-            kq = min(kq * 2, n)
+        q = np.asarray(point, dtype=np.float64).reshape(1, 3)
+        own = None if exclude is None or not 0 <= exclude < self.n else np.array([exclude])
+        return self._knn(q, k, own)[0]
 
     def query_bulk(self, points, k: int, exclude_self: bool = False) -> np.ndarray:
         """Row-per-query KNN; with exclude_self, row i leaves out index i.
@@ -132,36 +112,40 @@ class SpatialIndex:
         pts = np.ascontiguousarray(points, dtype=np.float64)
         if pts.ndim == 1:
             pts = pts[None, :]
-        m, n = len(pts), self.n
-        if exclude_self and m != n:
+        if exclude_self and len(pts) != self.n:
             raise ValueError("exclude_self needs the indexed points as queries")
-        kr = min(k, n - 1) if exclude_self else min(k, n)
+        return self._knn(pts, k, np.arange(self.n) if exclude_self else None)
+
+    def _knn(self, pts: np.ndarray, k: int, own: np.ndarray | None) -> np.ndarray:
+        """(m, kr) nearest indices per query row; row i leaves out own[i] if given.
+
+        Each round tree-queries kq candidates for the open rows and ranks
+        them by (exact squared distance, index). A row is final once its
+        kr-th distance lies below the rim, the farthest candidate before
+        masking, since no unseen point is closer than that; the rows that
+        tie the rim go to the next round together, with kq doubled.
+        """
+        m, n = len(pts), self.n
+        kr = min(k, n - 1) if own is not None else min(k, n)
+        out = np.empty((m, kr), dtype=np.intp)
         if kr == 0:
-            return np.empty((m, 0), dtype=np.intp)
-        kq = min(kr + (2 if exclude_self else 1), n)
-        _, idx = self._tree.query(pts, k=kq)
-        idx = idx.reshape(m, kq)
-        diff = self._positions[idx] - pts[:, None, :]
-        d2 = (diff * diff).sum(axis=-1)
-        order = np.lexsort((idx, d2), axis=1)
-        idx = np.take_along_axis(idx, order, axis=1)
-        d2 = np.take_along_axis(d2, order, axis=1)
-        if exclude_self:
-            isself = idx == np.arange(m)[:, None]
-            at = np.where(isself.any(axis=1), isself.argmax(axis=1), kq)
-            take = np.arange(kr)[None, :]
-            sel = take + (take >= at[:, None])
-            out = np.take_along_axis(idx, sel, axis=1)
-            out_d2 = np.take_along_axis(d2, sel, axis=1)
-        else:
-            out = idx[:, :kr].copy()
-            out_d2 = d2[:, :kr]
-        if kq < n:
-            # Rows whose k-th distance ties the candidate boundary need the
-            # exact per-query path (rare: exact distance ties at the rim).
-            bad = np.nonzero(out_d2[:, -1] >= d2[:, -1])[0]
-            for r in bad:
-                out[r] = self.query(pts[r], kr, exclude=r if exclude_self else None)
+            return out
+        rows = np.arange(m)
+        kq = min(kr + (1 if own is None else 2), n)
+        while len(rows):
+            _, idx = self._tree.query(pts[rows], k=kq)
+            idx = idx.reshape(len(rows), kq)
+            diff = self._positions[idx] - pts[rows, None, :]
+            d2 = (diff * diff).sum(axis=-1)
+            rim = d2.max(axis=1)
+            if own is not None:
+                d2[idx == own[rows, None]] = np.inf
+            order = np.lexsort((idx, d2), axis=1)[:, :kr]
+            out[rows] = np.take_along_axis(idx, order, axis=1)
+            if kq == n:
+                break
+            rows = rows[np.take_along_axis(d2, order[:, -1:], axis=1)[:, 0] >= rim]
+            kq = min(kq * 2, n)
         return out
 
 
@@ -180,8 +164,8 @@ def farthest_point_sample(cloud: PointCloud, num_seeds: int, start: int = 0) -> 
         raise TooManySeeds(f"requested {num_seeds} seeds from {n} points")
     if not 0 <= start < n:
         raise ValueError("start index out of range")
-    # Contiguous columns and reused buffers; (dx^2 + dy^2) + dz^2 is the
-    # same sum in the same order as _sq_dists, so the seeds are unchanged.
+    # Contiguous columns and reused buffers; (dx^2 + dy^2) + dz^2 sums in the
+    # same order as SpatialIndex's ranking, so both see the same distance ties.
     x, y, z = (np.ascontiguousarray(pos[:, ax]) for ax in range(3))
     min_d2 = np.full(n, np.inf)
     d2, tmp = np.empty(n), np.empty(n)

@@ -112,6 +112,9 @@ def eigendecompose(
     the dense ``eigh`` (ascending eigenvalues, orthonormal eigenvector
     columns with LAPACK's signs) and coefficients = vectors.T @ signal.
     Larger patches use a Krylov basis instead; see ``_krylov_spectrum``.
+    A constant signal gets the same exact pass-through on both paths:
+    eigenvalues [0, lambda_max], vectors [1/sqrt(n), 0] and coefficients
+    [mean * sqrt(n), 0], so its band-pass rows are exactly zero.
     """
     u = np.asarray(signal, dtype=np.float64)
     if u.shape != (graph.n,):
@@ -122,7 +125,22 @@ def eigendecompose(
         lam, vec = np.linalg.eigh(laplacian(graph))
     except np.linalg.LinAlgError as e:
         raise SpectralError(f"eigendecomposition failed: {e}") from None
-    return lam, vec, vec.T @ u
+    if u.max() > u.min():
+        return lam, vec, vec.T @ u
+    return _assemble(u, [], lam[-1])
+
+
+def _assemble(u: np.ndarray, parts: list, top: float | None):
+    """Spectrum of u: its mean on the constant null vector, then ``parts``.
+
+    Unless ``top`` is None, lambda_max = top comes last with a zero vector
+    and coefficient: it sets the filter bank's range and adds nothing.
+    """
+    n = len(u)
+    head = (np.zeros(1), np.full((n, 1), 1.0 / np.sqrt(n)), np.array([u.mean() * np.sqrt(n)]))
+    tail = [] if top is None else [(np.array([top]), np.zeros((n, 1)), np.zeros(1))]
+    lam, vec, coef = zip(head, *parts, *tail)
+    return np.concatenate(lam), np.hstack(vec), np.concatenate(coef)
 
 
 def _krylov_spectrum(graph: PatchGraph, u: np.ndarray):
@@ -148,23 +166,18 @@ def _krylov_spectrum(graph: PatchGraph, u: np.ndarray):
         shape=(n, n))
     # ||L|| <= 2 max degree: a smaller residual means an invariant subspace.
     tol = 1e-10 * degree.max()
-    mean = u.mean()
-    r = u - mean
+    r = u - u.mean()
     norm = float(np.linalg.norm(r)) if u.max() > u.min() else 0.0
-    parts = [(np.zeros(1), np.full((n, 1), 1.0 / np.sqrt(n)), np.array([mean * np.sqrt(n)]))]
-    steps = 0
+    theta, parts, top = np.zeros(1), [], None  # theta: the null vector's 0 until Lanczos runs
     if norm > 0.0:
         basis, alpha, beta = _lanczos(lap, r / norm, tol)
         theta, s = eigh_tridiagonal(alpha, beta)
         parts.append((theta, basis.T @ s, norm * s[0]))
-        steps = len(alpha)
-    if steps < KRYLOV_STEPS:
+    if len(theta) < KRYLOV_STEPS:
         start = np.random.default_rng(0).standard_normal(n)
         _, alpha, beta = _lanczos(lap, start / np.linalg.norm(start), tol)
-        top = max(eigh_tridiagonal(alpha, beta, eigvals_only=True)[-1], parts[-1][0][-1])
-        parts.append((np.array([top]), np.zeros((n, 1)), np.zeros(1)))
-    lam, vec, coef = zip(*parts)
-    return np.concatenate(lam), np.hstack(vec), np.concatenate(coef)
+        top = max(eigh_tridiagonal(alpha, beta, eigvals_only=True)[-1], theta[-1])
+    return _assemble(u, parts, top)
 
 
 def _lanczos(lap, q: np.ndarray, tol: float):

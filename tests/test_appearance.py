@@ -16,6 +16,7 @@ from phm.appearance import (
     sgwt_decompose,
     texture_degradation,
 )
+from phm.cloud import PointCloud
 from phm.errors import NoValidPatches, ShapeError
 from phm.patches import build_patch_graph, eigendecompose, laplacian, partition_into_patch_pairs
 
@@ -345,6 +346,22 @@ def test_texture_score_drops_under_color_noise():
     prepared = prepare_pairs(ref, dist, pairs, k2=8)
     _, d_l_i = texture_degradation(prepared)
     assert d_l_i < 1.0
+
+
+@pytest.mark.parametrize("n", [150, 600])  # dense spectrum, Krylov spectrum
+def test_flat_patch_against_jitters_of_itself_scores_one(n):
+    # A flat colour has no texture to lose: every band must read 1.0 on both
+    # sides of the 201-point cutoff, not correlations of roundoff noise.
+    rng = np.random.default_rng(12)
+    pos = rng.uniform(0, 5, size=(n, 3))
+    colors = np.full((n, 3), 120)
+    ref = PointCloud.from_arrays(pos, colors)
+    whole = [(np.arange(n), np.arange(n))]
+    for _ in range(4):
+        dist = PointCloud.from_arrays(pos + rng.uniform(-0.05, 0.05, size=(n, 3)), colors)
+        per_patch, d_l_i = texture_degradation(prepare_pairs(ref, dist, whole, k2=10))
+        assert per_patch == [[1.0, 1.0, 1.0, 1.0]]
+        assert d_l_i == 1.0
 
 
 def test_disconnected_patch_is_legal_downstream():

@@ -142,16 +142,38 @@ def test_knn_exactness_property(n, k, seed):
         assert list(bulk[i]) == knn_oracle(pts, pts[i], k, exclude=i)
 
 
-def test_bulk_exclude_self_with_many_coincident_points():
-    # 12 copies of one position: each copy's own index sits anywhere among
-    # the zero-distance ties, beyond the first k + 2 candidates for most rows.
+def lattice_shell(radius):
+    """Integer points within half a unit of a sphere: rows full of distance ties."""
+    g = np.arange(-radius, radius + 1)
+    pts = np.array([[x, y, z] for x in g for y in g for z in g], dtype=float)
+    return pts[np.abs(np.linalg.norm(pts, axis=1) - radius) < 0.5]
+
+
+def coincident_cloud(copies):
+    # copies of one position: each copy's own index sits anywhere among the
+    # zero-distance ties, beyond the first k + 2 candidates for most rows. At
+    # k = 4 with exclude_self, 12 copies take two doublings of the candidate
+    # count and 40 copies three.
     rng = np.random.default_rng(8)
-    pts = np.vstack([np.repeat(rng.uniform(0, 5, size=(1, 3)), 12, axis=0),
-                     rng.uniform(0, 5, size=(20, 3))])[rng.permutation(32)]
+    pts = np.vstack([np.repeat(rng.uniform(0, 5, size=(1, 3)), copies, axis=0),
+                     rng.uniform(0, 5, size=(20, 3))])
+    return pts[rng.permutation(len(pts))]
+
+
+@pytest.mark.parametrize("pts", [coincident_cloud(12), coincident_cloud(40), lattice_shell(4)],
+                         ids=["12-copies", "40-copies", "lattice-shell"])
+@pytest.mark.parametrize("exclude_self", [False, True])
+def test_bulk_exclude_self_with_many_coincident_points(monkeypatch, pts, exclude_self):
     idx = SpatialIndex(pts)
-    bulk = idx.query_bulk(pts, 4, exclude_self=True)
-    for i in range(len(pts)):
-        assert list(bulk[i]) == knn_oracle(pts, pts[i], 4, exclude=i)
+
+    def no_per_row_query(*args, **kwargs):
+        raise AssertionError("query_bulk fell back to one query per row")
+
+    monkeypatch.setattr(SpatialIndex, "query", no_per_row_query)
+    for k in (4, 20):
+        bulk = idx.query_bulk(pts, k, exclude_self=exclude_self)
+        for i in range(len(pts)):
+            assert list(bulk[i]) == knn_oracle(pts, pts[i], k, exclude=i if exclude_self else None)
     with pytest.raises(ValueError):
         idx.query_bulk(pts[:5], 4, exclude_self=True)
 

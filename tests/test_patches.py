@@ -157,14 +157,14 @@ def test_two_node_spectrum_closed_form():
 def test_path3_eigenvalues():
     # characteristic polynomial of the unit-weight 3-path Laplacian: 0, 1, 3
     g = make_graph([(0, 1), (1, 2)], 3)
-    lam, _, _ = eigendecompose(g, np.zeros(3))
+    lam, _, _ = eigendecompose(g, np.array([1.0, 0.0, 2.0]))
     np.testing.assert_allclose(lam, [0.0, 1.0, 3.0], atol=1e-12)
 
 
 def test_connected_graph_has_constant_nullvector():
     cloud = random_cloud(30, seed=5)
     g = build_patch_graph(cloud.positions, k2=5)
-    lam, vec, _ = eigendecompose(g, np.zeros(30))
+    lam, vec, _ = eigendecompose(g, cloud.luminance)
     assert abs(lam[0]) <= 1e-8
     v0 = vec[:, 0] * np.sign(vec[0, 0])  # eigh fixes no sign
     if lam[1] > 1e-8:  # connected
@@ -174,7 +174,7 @@ def test_connected_graph_has_constant_nullvector():
 def test_spectrum_orthonormal_and_reconstructs():
     cloud = random_cloud(35, seed=6)
     g = build_patch_graph(cloud.positions, k2=6)
-    lam, v, _ = eigendecompose(g, np.zeros(35))
+    lam, v, _ = eigendecompose(g, cloud.luminance)
     np.testing.assert_allclose(v.T @ v, np.eye(35), atol=1e-8)
     recon = v @ np.diag(lam) @ v.T
     np.testing.assert_allclose(recon, laplacian(g), atol=1e-6)
