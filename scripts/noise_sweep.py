@@ -8,7 +8,7 @@ adaptive weight shifts between the two regimes.
 
 import argparse
 
-from phm.metric import MetricConfig, phm_score
+from phm.metric import MetricConfig, phm_score, prepare_reference
 from phm.synthetic import (
     mean_nn_spacing,
     synthetic_cloud,
@@ -35,19 +35,20 @@ def main():
     cfg = MetricConfig()
     ref = synthetic_cloud(args.points, seed=args.seed)
     spacing = mean_nn_spacing(ref)
+    prepared = prepare_reference(ref, cfg)  # the reference-only work, once for every copy
     print(f"reference: {args.points} points, mean NN spacing {spacing:.3f}")
 
     print("\nluminance noise (sigma, 8-bit units)")
     print(HEADER)
     for sigma in args.noise:
-        report = phm_score(ref, with_luminance_noise(ref, sigma, seed=args.seed + 1), cfg)
+        report = phm_score(prepared, with_luminance_noise(ref, sigma, seed=args.seed + 1), cfg)
         print(row(f"{sigma:g}", report))
 
     print("\ngeometric jitter (sigma, units of mean NN spacing)")
     print(HEADER)
     for sigma in args.jitter:
         dist = with_geometry_jitter(ref, sigma, seed=args.seed + 2, spacing=spacing)
-        print(row(f"{sigma:g}", phm_score(ref, dist, cfg)))
+        print(row(f"{sigma:g}", phm_score(prepared, dist, cfg)))
 
 
 if __name__ == "__main__":

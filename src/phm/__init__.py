@@ -11,12 +11,13 @@ The stage functions live in the submodules: ``phm.cloud``, ``phm.visible``,
 
 from .cloud import PointCloud, load_ply, save_ply
 from .errors import PhmError
-from .metric import MetricConfig, QualityReport, phm_score
+from .metric import MetricConfig, QualityReport, phm_score, prepare_reference
 
 __all__ = [
     "MetricConfig",
     "QualityReport",
     "phm_score",
+    "prepare_reference",
     "PointCloud",
     "load_ply",
     "save_ply",

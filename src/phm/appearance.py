@@ -9,7 +9,7 @@ Each side keeps its own graph, spectrum and filter bank.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,12 +35,18 @@ def graph_smoothness(graph: PatchGraph, signal: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class PreparedSide:
-    """One side of a patch pair, capped and with its graph built."""
+    """One side of a patch pair, capped and with its graph built.
+
+    A reference side also carries its (C + 1, n) SGWT sub-bands of
+    luminance: they depend on that side alone, so they are computed once
+    per reference (``prepare_reference_sides``).
+    """
 
     graph: PatchGraph
     positions: np.ndarray
     luminance: np.ndarray
     capped: bool
+    bands: np.ndarray | None = None
 
 
 def _prepare_side(cloud: PointCloud, idx: np.ndarray, k2: int) -> PreparedSide | None:
@@ -53,14 +59,36 @@ def _prepare_side(cloud: PointCloud, idx: np.ndarray, k2: int) -> PreparedSide |
     return PreparedSide(graph, positions, cloud.luminance[idx], capped)
 
 
-def prepare_pairs(
+def prepare_reference_sides(
     ref: PointCloud,
+    cells: list[np.ndarray],
+    k2: int,
+    num_bandpass: int = DEFAULT_NUM_BANDPASS,
+    continuous_tail: bool = True,
+) -> list[PreparedSide | None]:
+    """Cap, gather, graph and filter each reference cell.
+
+    A cell that cannot support a graph is None. The sub-bands are those
+    ``texture_degradation`` would compute for the side.
+    """
+    sides = [_prepare_side(ref, idx, k2) for idx in cells]
+    return [None if side is None
+            else replace(side, bands=_sub_bands(side, num_bandpass, continuous_tail))
+            for side in sides]
+
+
+def prepare_pairs(
+    ref_sides: list[PreparedSide | None],
     dist: PointCloud,
     pairs: list[tuple[np.ndarray, np.ndarray]],
     k2: int,
 ) -> list[tuple[PreparedSide | None, PreparedSide | None]]:
-    """Cap, gather and graph both sides of each cell; a side that cannot support a graph is None."""
-    return [(_prepare_side(ref, ri, k2), _prepare_side(dist, di, k2)) for ri, di in pairs]
+    """Pair each prepared reference side with its distorted side, capped, gathered and graphed here.
+
+    ``pairs`` comes from ``partition_into_patch_pairs`` over the cells that
+    ``ref_sides`` was prepared from. A side that cannot support a graph is None.
+    """
+    return [(rs, _prepare_side(dist, di, k2)) for rs, (_, di) in zip(ref_sides, pairs)]
 
 
 def _smoothness_similarity(sx: float, sy: float, t: float) -> float:
@@ -217,6 +245,13 @@ def _pearson(a: np.ndarray, b: np.ndarray) -> float:
     return float((ac @ bc) / np.sqrt(na * nb))
 
 
+def _sub_bands(side: PreparedSide, num_bandpass: int, continuous_tail: bool) -> np.ndarray:
+    """(C + 1, n) sub-bands of the side's luminance on its own spectrum and filter bank."""
+    spectrum = eigendecompose(side.graph, side.luminance)
+    bank = make_filter_bank(float(spectrum[0][-1]), num_bandpass, continuous_tail)
+    return sgwt_decompose(spectrum, bank)
+
+
 def texture_degradation(
     prepared: list[tuple[PreparedSide | None, PreparedSide | None]],
     num_bandpass: int = DEFAULT_NUM_BANDPASS,
@@ -226,8 +261,11 @@ def texture_degradation(
     """Per-(patch, band) WCM correlation of luminance sub-bands and its mean.
 
     Luminance is decomposed on each side's own spectrum with its own filter
-    bank; each band pair shares one quantization range. Degenerate pairs
-    contribute None rows and are left out of the mean.
+    bank; each band pair shares one quantization range. The reference sides
+    bring their sub-bands from ``prepare_reference_sides``, which must have
+    used the same ``num_bandpass`` and ``continuous_tail``; the distorted
+    sides are filtered here. Degenerate pairs contribute None rows and are
+    left out of the mean.
     """
     per_patch: list[list[float] | None] = []
     values: list[float] = []
@@ -235,12 +273,8 @@ def texture_degradation(
         if px is None or py is None:
             per_patch.append(None)
             continue
-        spec_x = eigendecompose(px.graph, px.luminance)
-        spec_y = eigendecompose(py.graph, py.luminance)
-        bank_x = make_filter_bank(float(spec_x[0][-1]), num_bandpass, continuous_tail)
-        bank_y = make_filter_bank(float(spec_y[0][-1]), num_bandpass, continuous_tail)
-        sub_x = sgwt_decompose(spec_x, bank_x)
-        sub_y = sgwt_decompose(spec_y, bank_y)
+        sub_x = px.bands
+        sub_y = _sub_bands(py, num_bandpass, continuous_tail)
         row = [
             _pearson(build_wcm(px.graph, sub_x[c], sub_y[c], num_bins),
                      build_wcm(py.graph, sub_y[c], sub_x[c], num_bins))

@@ -12,13 +12,15 @@ import io
 import json
 import os
 import sys
+import threading
 import traceback
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import fields
 
 from .cloud import load_ply
 from .errors import ParseError, PhmError
-from .metric import MetricConfig, phm_score
+from .metric import REFERENCE_FIELDS, MetricConfig, phm_score, prepare_reference
 
 CONFIG_ENV_VAR = "PHM_CONFIG"
 _REPORT_COLUMNS = ("d_h", "d_l_o", "d_l_i", "d_l", "omega", "score")
@@ -42,15 +44,9 @@ def _emit_error(exc: Exception) -> None:
     sys.stderr.write(json.dumps({"error": name, "message": str(exc)}) + "\n")
 
 
-def _score_pair(ref_path: str, dist_path: str, cfg: MetricConfig):
-    ref = load_ply(ref_path)
-    dist = load_ply(dist_path)
-    return phm_score(ref, dist, cfg)
-
-
 def cmd_score(args) -> int:
     cfg = _load_config(args.config)
-    report = _score_pair(args.ref, args.dist, cfg)
+    report = phm_score(load_ply(args.ref), load_ply(args.dist), cfg)
     if report.status != "ok":
         _emit_error(PhmError(f"pipeline produced no score: {report.status}"))
         return 3
@@ -106,14 +102,83 @@ def _read_manifest(path: str):
     return rows
 
 
-def _batch_row(pair_id, ref, dist, base_cfg, overrides):
+def _row_config(base_cfg: MetricConfig, overrides: dict) -> MetricConfig:
+    if not overrides:
+        return base_cfg
+    typed = {k: _convert_override(k, raw, _CONFIG_TYPES[k]) for k, raw in overrides.items()}
+    return MetricConfig.from_dict({**base_cfg.to_dict(), **typed})
+
+
+def _reference_key(ref_path: str, cfg: MetricConfig) -> tuple:
+    return (ref_path, *(getattr(cfg, name) for name in REFERENCE_FIELDS))
+
+
+class _SharedReferences:
+    """The prepared references of one batch, one per reference key.
+
+    The first row of a key prepares it within its own call; a row that needs
+    a key under preparation waits for that result, or for its error, rather
+    than repeating the work. An entry is dropped once the last of the rows
+    counted for its key has released it.
+    """
+
+    def __init__(self, keys):
+        self._lock = threading.Lock()
+        self._users = Counter(keys)
+        self._entries: dict[tuple, Future] = {}
+
+    def acquire(self, key: tuple, prepare):
+        with self._lock:
+            entry = self._entries.get(key)
+            first = entry is None
+            if first:
+                entry = self._entries[key] = Future()
+        if not first:
+            return entry.result()
+        try:
+            result = prepare()
+        except BaseException as e:  # the waiting rows must not hang, whatever stopped it
+            entry.set_exception(e)
+            raise
+        entry.set_result(result)
+        return result
+
+    def release(self, key: tuple) -> None:
+        with self._lock:
+            self._users[key] -= 1
+            if self._users[key] <= 0:
+                self._entries.pop(key, None)
+
+
+def _load_and_prepare(ref_path: str, cfg: MetricConfig):
+    """(prepared reference, None), or (None, (error, traceback)) when preparing it raised.
+
+    A load failure raises here. A preparation failure is handed back, so that
+    each row raises it only after loading its own distorted cloud: one pair
+    scored alone meets the two in that order. The traceback is kept apart
+    because every raise of the shared error prepends the raising frame.
+    """
+    ref = load_ply(ref_path)
+    try:
+        return prepare_reference(ref, cfg), None
+    except Exception as e:
+        return None, (e, e.__traceback__)
+
+
+def _batch_row(pair_id, ref, dist, base_cfg, overrides, shared):
     """(pair_id, report or None, error cell); never raises, so one row cannot stop a batch."""
     try:
-        cfg = base_cfg
-        if overrides:
-            typed = {k: _convert_override(k, raw, _CONFIG_TYPES[k]) for k, raw in overrides.items()}
-            cfg = MetricConfig.from_dict({**base_cfg.to_dict(), **typed})
-        report = _score_pair(ref, dist, cfg)
+        cfg = _row_config(base_cfg, overrides)
+        key = _reference_key(ref, cfg)
+        try:
+            prepared, failed = shared.acquire(key, lambda: _load_and_prepare(ref, cfg))
+            dist_cloud = load_ply(dist)
+            if failed is not None:
+                error, tb = failed
+                raise error.with_traceback(tb)
+            report = phm_score(prepared, dist_cloud, cfg)
+        finally:
+            shared.release(key)
         if report.status != "ok":
             return pair_id, None, report.status
         return pair_id, report, ""
@@ -126,13 +191,25 @@ def _batch_row(pair_id, ref, dist, base_cfg, overrides):
         return pair_id, None, f"{type(e).__name__}: {e}"
 
 
+def _reference_keys(rows, base_cfg: MetricConfig) -> list[tuple]:
+    """The reference key of each row whose config builds; any other row fails before using one."""
+    keys = []
+    for _, ref, _, overrides in rows:
+        try:
+            keys.append(_reference_key(ref, _row_config(base_cfg, overrides)))
+        except Exception:  # _batch_row reports it in the row's error cell
+            continue
+    return keys
+
+
 def cmd_batch(args) -> int:
     if args.jobs < 1:
         raise ParseError(f"--jobs must be >= 1, got {args.jobs}")
     cfg = _load_config(args.config)
     rows = _read_manifest(args.manifest)
+    shared = _SharedReferences(_reference_keys(rows, cfg))
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        futures = [pool.submit(_batch_row, pid, ref, dist, cfg, ov)
+        futures = [pool.submit(_batch_row, pid, ref, dist, cfg, ov, shared)
                    for pid, ref, dist, ov in rows]
         results = [f.result() for f in futures]  # manifest order, not completion order
 

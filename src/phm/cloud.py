@@ -91,12 +91,15 @@ class SpatialIndex:
     def query(self, point, k: int, exclude: int | None = None) -> np.ndarray:
         """Indices of the min(k, N_effective) nearest points to ``point``.
 
-        ``exclude`` names one indexed point to leave out of the answer.
+        ``exclude`` names one indexed point, in ``[0, N)``, to leave out of
+        the answer.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
+        if exclude is not None and not 0 <= exclude < self.n:
+            raise ValueError(f"exclude must lie in [0, {self.n}), got {exclude}")
         q = np.asarray(point, dtype=np.float64).reshape(1, 3)
-        own = None if exclude is None or not 0 <= exclude < self.n else np.array([exclude])
+        own = None if exclude is None else np.array([exclude])
         return self._knn(q, k, own)[0]
 
     def query_bulk(self, points, k: int, exclude_self: bool = False) -> np.ndarray:

@@ -6,20 +6,24 @@ import json
 import math
 import numbers
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 from .appearance import (
+    PreparedSide,
     fuse_appearance,
     geometry_degradation,
     prepare_pairs,
+    prepare_reference_sides,
     texture_degradation,
 )
-from .cloud import PointCloud
+from .cloud import PointCloud, SpatialIndex
 from .errors import CloudTooSmall, DomainError, NoValidPatches, ParseError
-from .patches import partition_into_patch_pairs
-from .visible import visible_difference
+from .patches import ReferenceCells, partition_into_patch_pairs, reference_cells
+from .visible import reference_masking, visible_difference
 
 _FUSION_MODES = ("multiply", "average")
+# The MetricConfig fields that the reference-only work depends on.
+REFERENCE_FIELDS = ("k1", "k2", "patch_divisor", "num_bandpass", "continuous_tail")
 
 
 @dataclass
@@ -136,27 +140,82 @@ class QualityReport:
         return json.dumps(self.to_dict(), indent=indent)
 
 
-def phm_score(ref: PointCloud, dist: PointCloud, config: MetricConfig | None = None) -> QualityReport:
+@dataclass(frozen=True)
+class PreparedReference:
+    """Everything ``phm_score`` computes from the reference alone.
+
+    Built by ``prepare_reference`` and reusable for any number of distorted
+    copies: the reference's exact NN index and texture complexity C(ref),
+    its Voronoi cells with their seed tree, and each cell's graph and SGWT
+    sub-bands. ``config`` is the configuration it was built with; only its
+    REFERENCE_FIELDS matter here.
+    """
+
+    cloud: PointCloud
+    config: MetricConfig
+    index: SpatialIndex
+    complexity: float
+    cells: ReferenceCells
+    sides: list[PreparedSide | None]
+
+
+def prepare_reference(ref: PointCloud, config: MetricConfig | None = None) -> PreparedReference:
+    """Do the reference-only work of ``phm_score`` once, for many distorted copies.
+
+    Raises CloudTooSmall when the reference has no more points than the AR
+    order k1.
+    """
+    # A copy: editing the caller's config later must not change what this records.
+    cfg = replace(config) if config is not None else MetricConfig()
+    if len(ref) <= cfg.k1:
+        raise CloudTooSmall(
+            f"reference has {len(ref)} points; AR order {cfg.k1} needs more")
+    index, complexity = reference_masking(ref, cfg.k1)
+    cells = reference_cells(ref, max(1, len(ref) // cfg.patch_divisor))
+    sides = prepare_reference_sides(
+        ref, cells.members, cfg.k2, cfg.num_bandpass, cfg.continuous_tail)
+    return PreparedReference(ref, cfg, index, complexity, cells, sides)
+
+
+def phm_score(
+    ref: PointCloud | PreparedReference,
+    dist: PointCloud,
+    config: MetricConfig | None = None,
+) -> QualityReport:
     """Full pipeline: visible difference, appearance degradation, combination.
+
+    ``ref`` is the reference cloud or its ``prepare_reference`` result; both
+    give the same report. A prepared reference scores with its own config
+    when ``config`` is None, and raises ValueError when ``config`` differs
+    from it in a REFERENCE_FIELDS value.
 
     Deterministic for fixed inputs and config. If every patch pair is
     degenerate the report carries status "no_valid_patches" and a None
     score instead of a fabricated value.
     """
-    cfg = config if config is not None else MetricConfig()
-    if len(ref) <= cfg.k1:
-        raise CloudTooSmall(
-            f"reference has {len(ref)} points; AR order {cfg.k1} needs more")
     timing: dict[str, float] = {}
+    t0 = time.perf_counter()
+    if isinstance(ref, PreparedReference):
+        cfg = config if config is not None else ref.config
+        changed = [f for f in REFERENCE_FIELDS if getattr(cfg, f) != getattr(ref.config, f)]
+        if changed:
+            raise ValueError(f"config differs in {changed} from the one the reference was "
+                             "prepared with")
+        reference = ref
+        timing["prepare_reference"] = 0.0
+    else:
+        cfg = config if config is not None else MetricConfig()
+        reference = prepare_reference(ref, cfg)
+        timing["prepare_reference"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    vd = visible_difference(ref, dist, cfg.alpha, cfg.k1)
+    vd = visible_difference(reference.cloud, dist, reference.index, reference.complexity,
+                            cfg.alpha)
     timing["visible_difference"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    cells = max(1, len(ref) // cfg.patch_divisor)
-    pairs = partition_into_patch_pairs(ref, dist, cells)
-    prepared = prepare_pairs(ref, dist, pairs, cfg.k2)
+    pairs = partition_into_patch_pairs(reference.cells, dist)
+    prepared = prepare_pairs(reference.sides, dist, pairs, cfg.k2)
     timing["partition_and_graphs"] = time.perf_counter() - t0
 
     per_patch = [
@@ -172,7 +231,7 @@ def phm_score(ref: PointCloud, dist: PointCloud, config: MetricConfig | None = N
         for cell, ((ref_idx, dist_idx), (px, py)) in enumerate(zip(pairs, prepared))
     ]
     diagnostics = {
-        "n_ref": len(ref),
+        "n_ref": len(reference.cloud),
         "n_dist": len(dist),
         "patch_count": len(pairs),
         "degenerate_patch_count": sum(1 for e in per_patch if e["degenerate"]),

@@ -1,11 +1,12 @@
 """Voronoi patch pairing, per-patch weighted graphs and their spectra.
 
-The reference cloud is split by farthest-point-sampled seeds; both clouds
-are partitioned by nearest seed so each cell yields a pair of reference and
-distorted point-index arrays. Every patch gets a Gaussian-weighted KNN graph,
-held as its edge list. ``eigendecompose`` gives the spectrum of one signal on
-that graph, exact for small patches and from Lanczos iteration for larger
-ones, and the wavelet analysis downstream filters through it.
+The reference cloud is split by farthest-point-sampled seeds, once per
+reference; each distorted cloud is then partitioned by nearest seed, so each
+cell yields a pair of reference and distorted point-index arrays. Every
+patch gets a Gaussian-weighted KNN graph, held as its edge list.
+``eigendecompose`` gives the spectrum of one signal on that graph, exact for
+small patches and from Lanczos iteration for larger ones, and the wavelet
+analysis downstream filters through it.
 """
 
 from __future__ import annotations
@@ -29,31 +30,51 @@ PATCH_POINT_CAP = 3000
 KRYLOV_STEPS = 200
 
 
-def partition_into_patch_pairs(
-    ref: PointCloud,
-    dist: PointCloud,
-    num_cells: int | None = None,
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Split both clouds into Voronoi cells of FPS seeds drawn from ref.
+@dataclass(frozen=True)
+class ReferenceCells:
+    """Voronoi cells of FPS seeds drawn from a reference cloud.
 
-    Returns one (ref_idx, dist_idx) pair of ascending point indices per cell,
-    with the cell id as the list position. Defaults to max(1, N // 1000)
-    cells. The partition is exhaustive and disjoint on both sides; cells may
-    be empty on the distorted side.
+    ``members[c]`` holds the ascending reference point indices of cell c;
+    ``seed_index`` assigns the points of any other cloud to the same cells.
+    """
+
+    seed_index: SpatialIndex
+    members: list[np.ndarray]
+
+
+def reference_cells(ref: PointCloud, num_cells: int | None = None) -> ReferenceCells:
+    """Split the reference into the Voronoi cells of its FPS seeds.
+
+    Defaults to max(1, N // 1000) cells. The partition is exhaustive and
+    disjoint.
     """
     n = len(ref)
     cells = num_cells if num_cells is not None else max(1, n // DEFAULT_PATCH_DIVISOR)
     seeds = farthest_point_sample(ref, cells, start=0)
+    seed_index = SpatialIndex(ref.positions[seeds])
+    return ReferenceCells(seed_index, _cell_members(seed_index, ref))
+
+
+def _cell_members(seed_index: SpatialIndex, cloud: PointCloud) -> list[np.ndarray]:
     # query_bulk re-ranks by exact squared distance with ties to the lower
     # index, so a point on a cell boundary goes to the lower seed id.
-    seed_index = SpatialIndex(ref.positions[seeds])
-    sides = []
-    for cloud in (ref, dist):
-        cell_of = seed_index.query_bulk(cloud.positions, 1)[:, 0]
-        members = np.argsort(cell_of, kind="stable")  # ascending point index per cell
-        bounds = np.searchsorted(cell_of[members], np.arange(cells + 1))
-        sides.append([members[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])])
-    return list(zip(*sides))
+    cell_of = seed_index.query_bulk(cloud.positions, 1)[:, 0]
+    members = np.argsort(cell_of, kind="stable")  # ascending point index per cell
+    bounds = np.searchsorted(cell_of[members], np.arange(seed_index.n + 1))
+    return [members[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def partition_into_patch_pairs(
+    cells: ReferenceCells,
+    dist: PointCloud,
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Pair each reference cell with the distorted points nearest its seed.
+
+    Returns one (ref_idx, dist_idx) pair of ascending point indices per cell,
+    with the cell id as the list position. The distorted side is split
+    exhaustively and disjointly too; its cells may be empty.
+    """
+    return list(zip(cells.members, _cell_members(cells.seed_index, dist)))
 
 
 @dataclass(frozen=True)

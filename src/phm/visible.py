@@ -76,22 +76,32 @@ def upsilon(alpha: float) -> float:
     return 10.0 * math.log10(PEAK * PEAK) + alpha * RESIDUAL_SPAN_BITS
 
 
+def reference_masking(ref: PointCloud, k1: int = DEFAULT_AR_ORDER) -> tuple[SpatialIndex, float]:
+    """The reference-only half of D_H: ref's exact NN index and its complexity C(ref).
+
+    Both serve every distorted copy of ref; the AR fit runs over that index.
+    """
+    ref_index = SpatialIndex(ref.positions)
+    _, complexity = ar_texture_complexity(ref, ref_index, k1)
+    return ref_index, complexity
+
+
 def visible_difference(
     ref: PointCloud,
     dist: PointCloud,
+    ref_index: SpatialIndex,
+    complexity: float,
     alpha: float = DEFAULT_ALPHA,
-    k1: int = DEFAULT_AR_ORDER,
 ) -> VisibleDifference:
     """Masking-compensated visible difference D_H in (0, 1].
 
+    ``ref_index`` and ``complexity`` come from ``reference_masking(ref, k1)``.
     d_h = (PSNR_Y + alpha * C(ref)) / upsilon, clamped to 1 when the raw
     value exceeds 1 or the symmetric MSE is below the unity floor.
     """
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
-    ref_index = SpatialIndex(ref.positions)
     d = symmetric_mse(ref, dist, ref_index)
-    _, complexity = ar_texture_complexity(ref, ref_index, k1)
     perfect = d < 1.0
     if perfect:
         return VisibleDifference(None, True, d, complexity, 1.0)

@@ -6,8 +6,8 @@ from pathlib import Path
 
 import phm
 
-PUBLIC = ["MetricConfig", "QualityReport", "phm_score", "PointCloud", "load_ply", "save_ply",
-          "PhmError"]
+PUBLIC = ["MetricConfig", "QualityReport", "phm_score", "prepare_reference", "PointCloud",
+          "load_ply", "save_ply", "PhmError"]
 
 
 def test_public_names_are_exactly_the_documented_ones():

@@ -13,15 +13,29 @@ from phm.appearance import (
     graph_smoothness,
     make_filter_bank,
     prepare_pairs,
+    prepare_reference_sides,
     sgwt_decompose,
     texture_degradation,
 )
 from phm.cloud import PointCloud
 from phm.errors import NoValidPatches, ShapeError
-from phm.patches import build_patch_graph, eigendecompose, laplacian, partition_into_patch_pairs
+from phm.patches import (
+    build_patch_graph,
+    eigendecompose,
+    laplacian,
+    partition_into_patch_pairs,
+    reference_cells,
+)
 
 from conftest import random_cloud
 from test_patches import make_graph
+
+
+def patch_pairs(ref, dist, cells, k2):
+    """Prepared pairs as phm_score builds them: reference sides with their sub-bands, then dist."""
+    rc = reference_cells(ref, cells)
+    sides = prepare_reference_sides(ref, rc.members, k2)
+    return prepare_pairs(sides, dist, partition_into_patch_pairs(rc, dist), k2)
 
 
 def random_connected_graph(seed, n_max=50):
@@ -82,8 +96,7 @@ def test_smoothness_translation_invariant():
 
 def test_identical_sides_give_unit_geometry_score():
     ref = random_cloud(300, seed=10)
-    pairs = partition_into_patch_pairs(ref, ref, 3)
-    per_patch, d_l_o = geometry_degradation(prepare_pairs(ref, ref, pairs, k2=6))
+    per_patch, d_l_o = geometry_degradation(patch_pairs(ref, ref, 3, k2=6))
     assert d_l_o == 1.0
     for fs in per_patch:
         assert fs == (1.0, 1.0, 1.0)
@@ -104,10 +117,10 @@ def test_degenerate_pairs_are_excluded():
     from phm.cloud import PointCloud
     pos = rng.uniform(0, 1.5, size=(40, 3))  # clustered in one corner
     dist = PointCloud.from_arrays(pos, rng.integers(0, 256, (40, 3), dtype=np.uint8))
-    pairs = partition_into_patch_pairs(ref, dist, 6)
+    pairs = partition_into_patch_pairs(reference_cells(ref, 6), dist)
     empties = [di for _, di in pairs if len(di) < 2]
     assert empties, "fixture should produce at least one starved cell"
-    per_patch, d_l_o = geometry_degradation(prepare_pairs(ref, dist, pairs, k2=5))
+    per_patch, d_l_o = geometry_degradation(patch_pairs(ref, dist, 6, k2=5))
     for (_, di), fs in zip(pairs, per_patch):
         if len(di) < 2:
             assert fs is None
@@ -118,8 +131,7 @@ def test_all_degenerate_raises():
     from phm.cloud import PointCloud
     ref = random_cloud(30, seed=2)
     dist = PointCloud.from_arrays(np.zeros((5, 3)), np.zeros((5, 3), dtype=np.uint8))
-    pairs = partition_into_patch_pairs(ref, dist, 1)
-    prepared = prepare_pairs(ref, dist, pairs, k2=5)
+    prepared = patch_pairs(ref, dist, 1, k2=5)
     with pytest.raises(NoValidPatches):
         geometry_degradation(prepared)
 
@@ -142,10 +154,8 @@ def test_geometry_score_translation_invariant():
     shift = np.array([123.0, -45.0, 8.0])
     ref_t = PointCloud.from_arrays(ref.positions + shift, ref.colors.copy())
     dist_t = PointCloud.from_arrays(dist.positions + shift, dist.colors.copy())
-    _, base = geometry_degradation(
-        prepare_pairs(ref, dist, partition_into_patch_pairs(ref, dist, 2), 6))
-    _, moved = geometry_degradation(
-        prepare_pairs(ref_t, dist_t, partition_into_patch_pairs(ref_t, dist_t, 2), 6))
+    _, base = geometry_degradation(patch_pairs(ref, dist, 2, 6))
+    _, moved = geometry_degradation(patch_pairs(ref_t, dist_t, 2, 6))
     assert moved == pytest.approx(base, rel=1e-9)
 
 
@@ -330,9 +340,7 @@ def test_pearson_zero_variance_guards():
 
 def test_identical_sides_give_unit_texture_score():
     ref = random_cloud(300, seed=33)
-    pairs = partition_into_patch_pairs(ref, ref, 3)
-    prepared = prepare_pairs(ref, ref, pairs, k2=6)
-    per_patch, d_l_i = texture_degradation(prepared)
+    per_patch, d_l_i = texture_degradation(patch_pairs(ref, ref, 3, k2=6))
     assert d_l_i == 1.0
     for row in per_patch:
         assert row == [1.0, 1.0, 1.0, 1.0]
@@ -342,9 +350,7 @@ def test_texture_score_drops_under_color_noise():
     from phm.synthetic import synthetic_cloud, with_luminance_noise
     ref = synthetic_cloud(500, seed=3)
     dist = with_luminance_noise(ref, 40.0, seed=4)
-    pairs = partition_into_patch_pairs(ref, dist, 2)
-    prepared = prepare_pairs(ref, dist, pairs, k2=8)
-    _, d_l_i = texture_degradation(prepared)
+    _, d_l_i = texture_degradation(patch_pairs(ref, dist, 2, k2=8))
     assert d_l_i < 1.0
 
 
@@ -357,9 +363,10 @@ def test_flat_patch_against_jitters_of_itself_scores_one(n):
     colors = np.full((n, 3), 120)
     ref = PointCloud.from_arrays(pos, colors)
     whole = [(np.arange(n), np.arange(n))]
+    sides = prepare_reference_sides(ref, [np.arange(n)], k2=10)
     for _ in range(4):
         dist = PointCloud.from_arrays(pos + rng.uniform(-0.05, 0.05, size=(n, 3)), colors)
-        per_patch, d_l_i = texture_degradation(prepare_pairs(ref, dist, whole, k2=10))
+        per_patch, d_l_i = texture_degradation(prepare_pairs(sides, dist, whole, k2=10))
         assert per_patch == [[1.0, 1.0, 1.0, 1.0]]
         assert d_l_i == 1.0
 

@@ -1,5 +1,10 @@
 import csv
 import json
+import os
+import random
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -212,6 +217,131 @@ def test_batch_unexpected_exception_fills_error_cell(ply_pair, capsys, tmp_path,
     rows = list(csv.DictReader(out.splitlines()))
     assert rows[0]["error"] == "ZeroDivisionError: boom"
     assert "Traceback" in err
+
+
+def test_batch_prepares_each_reference_key_once(capsys, tmp_path, monkeypatch):
+    import phm.cli
+    from phm.cloud import load_ply
+    from phm.metric import MetricConfig, phm_score
+
+    paths = {}
+    for name, cloud in (("ref_a", synthetic_cloud(300, seed=1)), ("ref_b", synthetic_cloud(320, seed=4)),
+                        ("tiny", synthetic_cloud(15, seed=5))):
+        paths[name] = str(tmp_path / f"{name}.ply")
+        save_ply(cloud, paths[name])
+    for name, ref, sigma in (("dist_a", "ref_a", 20.0), ("dist_b", "ref_b", 10.0), ("copy_a", "ref_a", 0)):
+        paths[name] = str(tmp_path / f"{name}.ply")
+        cloud = load_ply(paths[ref])
+        save_ply(with_luminance_noise(cloud, sigma, seed=2) if sigma else cloud, paths[name], binary=True)
+    head, body = open(paths["ref_a"], "rb").read().split(b"end_header\n")
+    paths["nan"] = str(tmp_path / "nan.ply")
+    open(paths["nan"], "wb").write(head + b"end_header\nnan" + body[body.index(b" "):])
+    rows = [  # pair_id, ref, dist, patch_divisor override
+        ("a1", "ref_a", "dist_a", ""), ("b1", "ref_b", "dist_b", ""), ("a2", "ref_a", "copy_a", ""),
+        ("bad1", "nan", "dist_a", ""), ("bad2", "nan", "copy_a", ""), ("a3", "ref_a", "dist_a", "100"),
+        # a reference too small to prepare, with a distorted file that is missing or fine
+        ("tiny1", "tiny", "missing", ""), ("tiny2", "tiny", "dist_b", ""),
+    ]
+    paths["missing"] = str(tmp_path / "missing.ply")
+    manifest = tmp_path / "m.csv"
+    write_manifest(manifest, [(pid, paths[r], paths[d], pd) for pid, r, d, pd in rows],
+                   extra_cols=("patch_divisor",))
+
+    loads = []
+
+    def counted_load(path):
+        loads.append(os.path.basename(path))
+        return load_ply(path)
+
+    monkeypatch.setattr(phm.cli, "load_ply", counted_load)
+    outs = []
+    for jobs in ("1", "2"):
+        loads.clear()
+        out = tmp_path / f"o{jobs}.csv"
+        assert run_cli(capsys, "batch", "--manifest", str(manifest), "--jobs", jobs, "--out", str(out))[0] == 0
+        # one load per reference key: ref_a twice (two patch_divisor values), the rest once
+        refs = sorted(name for name in loads if not name.startswith(("dist", "copy", "missing")))
+        assert refs == ["nan.ply", "ref_a.ply", "ref_a.ply", "ref_b.ply", "tiny.ply"]
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+    got = {r["pair_id"]: r for r in csv.DictReader(outs[0].decode().splitlines())}
+    for pid, ref, dist, divisor in rows[:3] + rows[5:6]:
+        cfg = MetricConfig(patch_divisor=int(divisor)) if divisor else MetricConfig()
+        report = phm_score(load_ply(paths[ref]), load_ply(paths[dist]), cfg)
+        assert [got[pid][c] for c in ("d_h", "d_l_o", "d_l_i", "d_l", "omega", "score", "error")] == [
+            repr(report.d_h), repr(report.d_l_o), repr(report.d_l_i), repr(report.d_l),
+            repr(report.omega), repr(report.score), ""]
+    assert float(got["a2"]["score"]) == 1.0
+    with pytest.raises(Exception) as nan_error:
+        load_ply(paths["nan"])
+    for pid in ("bad1", "bad2"):
+        assert got[pid]["error"] == f"{type(nan_error.value).__name__}: {nan_error.value}"
+        assert got[pid]["score"] == ""
+    # the order one pair scored alone meets the failures in: missing file before small reference
+    assert got["tiny1"]["error"] == f"missing file: {paths['missing']}"
+    assert got["tiny2"]["error"] == "CloudTooSmall: reference has 15 points; AR order 20 needs more"
+
+
+def test_batch_failed_preparation_fills_each_row_of_its_reference(ply_pair, capsys, tmp_path,
+                                                                  monkeypatch):
+    import phm.cli
+
+    def broken(ref, cfg):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setattr(phm.cli, "prepare_reference", broken)
+    ref, dist = ply_pair
+    manifest = tmp_path / "m.csv"
+    write_manifest(manifest, [["a", ref, dist], ["b", ref, ref], ["c", ref, dist]])
+    code, out, err = run_cli(capsys, "batch", "--manifest", str(manifest), "--jobs", "2")
+    assert code == 0
+    assert [r["error"] for r in csv.DictReader(out.splitlines())] == ["ZeroDivisionError: boom"] * 3
+    tracebacks = [block.split("\n", 1)[1] for block in err.split("pair ")[1:]]
+    assert len(tracebacks) == 3 and len(set(tracebacks)) == 1  # no row's frames pile onto the next
+
+
+def test_shared_references_prepare_once_under_contention():
+    from phm.cli import _SharedReferences
+
+    keys = [k for k in ("a", "b", "c", "fail") for _ in range(25)]
+    shared = _SharedReferences(keys)
+    calls, lock, results = [], threading.Lock(), []
+
+    def prepare(key):
+        with lock:
+            calls.append(key)
+        time.sleep(0.005)
+        if key == "fail":
+            raise ValueError("bad reference")
+        return object()
+
+    def row(key):
+        try:
+            results.append((key, shared.acquire(key, lambda: prepare(key))))
+        except ValueError as e:
+            results.append((key, str(e)))
+        finally:
+            shared.release(key)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=row, args=(k,)) for k in keys]
+        random.Random(3).shuffle(threads)
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(calls) == ["a", "b", "c", "fail"]
+    assert len(results) == len(keys)
+    for key in ("a", "b", "c"):
+        assert len({id(v) for k, v in results if k == key}) == 1
+    assert {v for k, v in results if k == "fail"} == {"bad reference"}
+    assert shared._entries == {}
 
 
 def test_batch_per_row_config_override(ply_pair, capsys, tmp_path):

@@ -107,6 +107,14 @@ def test_knn_k_larger_than_cloud():
     assert list(idx.query((0, 0, 0), k=10, exclude=0)) == [1]
 
 
+@pytest.mark.parametrize("exclude", [-1, 3])
+def test_knn_exclude_out_of_range_raises(exclude):
+    # -1 must not pass as "no exclusion", nor read as the last point
+    idx = SpatialIndex(np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0]], dtype=float))
+    with pytest.raises(ValueError, match="exclude"):
+        idx.query((0, 0, 0), k=2, exclude=exclude)
+
+
 def test_bulk_query_matches_single_queries():
     cloud = random_cloud(80, seed=23)
     idx = SpatialIndex(cloud.positions)

@@ -12,7 +12,7 @@ change is meant to move scores.
 import json
 from pathlib import Path
 
-from phm.metric import MetricConfig, phm_score
+from phm.metric import MetricConfig, phm_score, prepare_reference
 from phm.synthetic import synthetic_cloud, with_geometry_jitter, with_luminance_noise
 
 GOLDEN = Path(__file__).parent / "data" / "golden_reports.json"
@@ -30,8 +30,8 @@ def golden_cases():
     }
 
 
-def report_without_timing(ref, dist):
-    report = phm_score(ref, dist, CONFIG).to_dict()
+def report_without_timing(ref, dist, config=CONFIG):
+    report = phm_score(ref, dist, config).to_dict()
     del report["diagnostics"]["timing"]
     return report
 
@@ -61,6 +61,34 @@ def test_reports_match_golden():
         # Compare what the JSON report carries, as the frozen file does.
         got = json.loads(json.dumps(report_without_timing(ref, dist)))
         assert_same(got, want[name], name)
+
+
+def test_prepared_reference_gives_the_same_report():
+    for name, (ref, dist) in golden_cases().items():
+        prepared = prepare_reference(ref, CONFIG)
+        assert report_without_timing(prepared, dist) == report_without_timing(ref, dist), name
+
+
+def test_one_prepared_reference_serves_many_distortions():
+    ref = golden_cases()["noise20"][0]
+    prepared = prepare_reference(ref, CONFIG)
+    copies = [ref, with_luminance_noise(ref, 5.0, seed=321), with_luminance_noise(ref, 40.0, seed=322),
+              with_geometry_jitter(ref, 0.5, seed=323)]
+    for dist in copies:
+        report = phm_score(prepared, dist)  # config None: the one it was prepared with
+        assert report.diagnostics["timing"]["prepare_reference"] == 0.0
+        got = report.to_dict()
+        del got["diagnostics"]["timing"]
+        assert got == report_without_timing(ref, dist)
+    assert phm_score(prepared, ref).score == 1.0
+
+
+def test_timing_reports_the_preparation_first():
+    ref, dist = golden_cases()["noise20"]
+    timing = phm_score(ref, dist, CONFIG).diagnostics["timing"]
+    assert list(timing) == ["prepare_reference", "visible_difference", "partition_and_graphs",
+                            "geometry_degradation", "texture_degradation"]
+    assert timing["prepare_reference"] > 0.0
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from phm.errors import CloudTooSmall, DomainError, ParseError
-from phm.metric import MetricConfig, combine_adaptive, phm_score
+from phm.metric import MetricConfig, combine_adaptive, phm_score, prepare_reference
 from phm.synthetic import synthetic_cloud, with_luminance_noise
 
 from conftest import random_cloud
@@ -127,6 +127,30 @@ def test_phm_requires_enough_points():
     small = random_cloud(15, seed=1)
     with pytest.raises(CloudTooSmall):
         phm_score(small, small)
+    with pytest.raises(CloudTooSmall):
+        prepare_reference(small)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("k1", 10), ("k2", 8), ("patch_divisor", 200), ("num_bandpass", 2), ("continuous_tail", False),
+])
+def test_prepared_reference_rejects_other_reference_fields(textured_cloud, name, value):
+    prepared = prepare_reference(textured_cloud)
+    with pytest.raises(ValueError, match=name):
+        phm_score(prepared, textured_cloud, MetricConfig(**{name: value}))
+
+
+@pytest.mark.parametrize("name, value", [
+    ("alpha", 2.0), ("mu", 2.0), ("nb_bins", 20), ("stabilizer", 1e-3),
+    ("inner_fusion", "average"), ("outer_fusion", "average"),
+])
+def test_prepared_reference_takes_other_pair_fields(textured_cloud, name, value):
+    noisy = with_luminance_noise(textured_cloud, 20.0, seed=6)
+    cfg = MetricConfig(**{name: value})
+    got = phm_score(prepare_reference(textured_cloud), noisy, cfg)
+    want = phm_score(textured_cloud, noisy, cfg)
+    assert (got.d_h, got.d_l_o, got.d_l_i, got.score) == (want.d_h, want.d_l_o, want.d_l_i,
+                                                          want.score)
 
 
 def test_phm_deterministic_repeat(textured_cloud):

@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from phm.cloud import PointCloud, farthest_point_sample
-from phm.patches import partition_into_patch_pairs
+from phm.patches import partition_into_patch_pairs, reference_cells
 
 
 def fps_loop_oracle(positions, num_seeds, start=0):
@@ -55,7 +55,7 @@ def check_parity(ref_pos, dist_pos, cells):
     ref, dist = cloud_of(ref_pos), cloud_of(dist_pos)
     seeds = farthest_point_sample(ref, cells)
     np.testing.assert_array_equal(seeds, fps_loop_oracle(ref.positions, cells))
-    pairs = partition_into_patch_pairs(ref, dist, cells)
+    pairs = partition_into_patch_pairs(reference_cells(ref, cells), dist)
     assert len(pairs) == cells  # the cell id is the list position
     seed_pos = ref.positions[seeds]
     for side, cloud in ((0, ref), (1, dist)):

@@ -12,6 +12,7 @@ from phm.patches import (
     eigendecompose,
     laplacian,
     partition_into_patch_pairs,
+    reference_cells,
 )
 
 from conftest import random_cloud
@@ -43,7 +44,7 @@ def edge_set_oracle(points, k2):
 # --- partition ---------------------------------------------------------------
 
 def test_single_cell_holds_everything(small_cloud):
-    pairs = partition_into_patch_pairs(small_cloud, small_cloud, 1)
+    pairs = partition_into_patch_pairs(reference_cells(small_cloud, 1), small_cloud)
     assert len(pairs) == 1
     ref_idx, dist_idx = pairs[0]
     np.testing.assert_array_equal(ref_idx, np.arange(len(small_cloud)))
@@ -53,7 +54,7 @@ def test_single_cell_holds_everything(small_cloud):
 def test_points_go_to_nearer_seed():
     pos = np.array([[0, 0, 0], [10, 0, 0], [1, 0, 0], [9, 0, 0]], dtype=float)
     cloud = PointCloud.from_arrays(pos, np.zeros((4, 3), dtype=np.uint8))
-    pairs = partition_into_patch_pairs(cloud, cloud, 2)
+    pairs = partition_into_patch_pairs(reference_cells(cloud, 2), cloud)
     # FPS from index 0 picks the far end (index 1) as the second seed
     cell_of = {}
     for cell, (ref_idx, _) in enumerate(pairs):
@@ -66,7 +67,7 @@ def test_points_go_to_nearer_seed():
 def test_partition_matches_bruteforce_assignment():
     ref = random_cloud(500, seed=41)
     dist = random_cloud(480, seed=42)
-    pairs = partition_into_patch_pairs(ref, dist, 5)
+    pairs = partition_into_patch_pairs(reference_cells(ref, 5), dist)
     from phm.cloud import farthest_point_sample
     seeds = ref.positions[farthest_point_sample(ref, 5)]
 
@@ -93,7 +94,7 @@ def test_partition_matches_bruteforce_assignment():
 
 def test_partition_default_cell_count():
     ref = random_cloud(2500, seed=1)
-    pairs = partition_into_patch_pairs(ref, ref)
+    pairs = partition_into_patch_pairs(reference_cells(ref), ref)
     assert len(pairs) == 2
 
 
@@ -185,15 +186,15 @@ def test_spectrum_orthonormal_and_reconstructs():
 # --- patch cap ---------------------------------------------------------------
 
 def test_cap_indices_noop_below_cap():
-    pairs = partition_into_patch_pairs(random_cloud(50, seed=1), random_cloud(50, seed=2), 1)
-    idx, capped = cap_indices(pairs[0][0], cap=100)
+    cell = reference_cells(random_cloud(50, seed=1), 1).members[0]
+    idx, capped = cap_indices(cell, cap=100)
     assert not capped and len(idx) == 50
 
 
 def test_cap_indices_uniform_and_deterministic():
-    pairs = partition_into_patch_pairs(random_cloud(100, seed=1), random_cloud(100, seed=2), 1)
-    idx1, capped1 = cap_indices(pairs[0][0], cap=30)
-    idx2, _ = cap_indices(pairs[0][0], cap=30)
+    cell = reference_cells(random_cloud(100, seed=1), 1).members[0]
+    idx1, capped1 = cap_indices(cell, cap=30)
+    idx2, _ = cap_indices(cell, cap=30)
     assert capped1 and len(idx1) == 30
     assert len(np.unique(idx1)) == 30
     np.testing.assert_array_equal(idx1, idx2)

@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 from phm.cloud import PointCloud, SpatialIndex
 from phm.errors import CloudTooSmall
 from phm.synthetic import synthetic_cloud
-from phm.visible import ar_texture_complexity, symmetric_mse, upsilon, visible_difference
+from phm.visible import (
+    ar_texture_complexity,
+    reference_masking,
+    symmetric_mse,
+    upsilon,
+    visible_difference,
+)
 
 from conftest import random_cloud
 
@@ -32,14 +38,19 @@ def mse_oracle(ref, dist):
 
 
 def ar_complexity(cloud, k1):
-    """AR fit over a fresh reference index, as visible_difference builds it."""
+    """AR fit over a fresh reference index, as reference_masking builds it."""
     return ar_texture_complexity(cloud, SpatialIndex(cloud.positions), k1)
+
+
+def visible(ref, dist, k1=20):
+    """D_H as phm_score computes it: the reference's masking, then the pair."""
+    return visible_difference(ref, dist, *reference_masking(ref, k1))
 
 
 # --- symmetric PSNR ----------------------------------------------------------
 
 def test_identical_clouds_are_perfect(small_cloud):
-    vd = visible_difference(small_cloud, small_cloud)
+    vd = visible(small_cloud, small_cloud)
     assert vd.perfect and vd.psnr_y is None
 
 
@@ -47,7 +58,7 @@ def test_psnr_colocated_hand_case():
     pos = [[0, 0, 0], [5, 5, 5]]
     ref = cloud_with_luminance(pos, [100, 200])
     dist = cloud_with_luminance(pos, [105, 195])
-    vd = visible_difference(ref, dist, k1=1)
+    vd = visible(ref, dist, k1=1)
     assert not vd.perfect
     assert vd.psnr_y == pytest.approx(10 * math.log10(255**2 / 25), abs=1e-9)  # ~34.15 dB
 
@@ -59,7 +70,7 @@ def test_psnr_asymmetric_takes_worse_direction():
     d_fwd = 25.0  # both ref points match their co-located partner
     d_rev = (25.0 + 25.0 + 225.0) / 3.0
     assert mse_oracle(ref, dist) == pytest.approx(max(d_fwd, d_rev))
-    vd = visible_difference(ref, dist, k1=1)
+    vd = visible(ref, dist, k1=1)
     assert not vd.perfect
     assert vd.psnr_y == pytest.approx(10 * math.log10(255**2 / d_rev), abs=1e-9)
 
@@ -176,7 +187,7 @@ def test_complexity_nonnegative(seed):
 # --- visible difference ------------------------------------------------------
 
 def test_identity_visible_difference_is_one(small_cloud):
-    vd = visible_difference(small_cloud, small_cloud)
+    vd = visible(small_cloud, small_cloud)
     assert vd.perfect and vd.d_h == 1.0
 
 
@@ -195,7 +206,7 @@ def test_visible_difference_pipeline_values(textured_cloud):
     rng = np.random.default_rng(21)
     col = np.clip(textured_cloud.colors.astype(int) + rng.integers(-60, 61, textured_cloud.colors.shape), 0, 255)
     dist = PointCloud.from_arrays(textured_cloud.positions.copy(), col.astype(np.uint8))
-    vd = visible_difference(textured_cloud, dist)
+    vd = visible(textured_cloud, dist)
     assert not vd.perfect
     expected = (vd.psnr_y + 4.5 * vd.complexity) / upsilon(4.5)
     assert vd.d_h == pytest.approx(min(expected, 1.0), rel=1e-12)
@@ -207,7 +218,7 @@ def test_noise_monotonicity_of_psnr_and_dh(textured_cloud):
     last_psnr, last_dh = math.inf, math.inf
     for sigma in (5.0, 10.0, 20.0, 40.0):
         dist = with_luminance_noise(textured_cloud, sigma, seed=2)
-        vd = visible_difference(textured_cloud, dist)
+        vd = visible(textured_cloud, dist)
         psnr = vd.psnr_y if vd.psnr_y is not None else math.inf
         assert psnr <= last_psnr
         assert vd.d_h <= last_dh
