@@ -1,15 +1,16 @@
 """Low-quality regime: appearance degradation from graph smoothness and SGWT.
 
-Geometry degradation compares per-axis coordinate smoothness between the
-two sides of each patch pair; texture degradation compares weighted
-co-occurrence matrices of spectral graph wavelet sub-bands of luminance.
-Each side keeps its own graph, spectrum and filter bank.
+``prepare_side`` builds what each side of a patch pair contributes, on its
+own graph, spectrum and filter bank: per-axis coordinate smoothness and the
+spectral graph wavelet sub-bands of luminance. Geometry degradation then
+compares the smoothness of the two sides; texture degradation compares
+weighted co-occurrence matrices of their sub-bands.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,46 +36,37 @@ def graph_smoothness(graph: PatchGraph, signal: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class PreparedSide:
-    """One side of a patch pair, capped and with its graph built.
+    """One side of a patch pair: everything its comparisons read.
 
-    A reference side also carries its (C + 1, n) SGWT sub-bands of
-    luminance: they depend on that side alone, so they are computed once
-    per reference (``prepare_reference_sides``).
+    ``smoothness`` holds the x/y/z coordinate smoothness on the side's own
+    graph, each divided by its point count; ``bands`` the (C + 1, n) SGWT
+    sub-bands of its luminance on its own spectrum and filter bank.
     """
 
     graph: PatchGraph
-    positions: np.ndarray
-    luminance: np.ndarray
     capped: bool
-    bands: np.ndarray | None = None
+    smoothness: tuple[float, float, float]
+    bands: np.ndarray
 
 
-def _prepare_side(cloud: PointCloud, idx: np.ndarray, k2: int) -> PreparedSide | None:
+def prepare_side(
+    cloud: PointCloud,
+    idx: np.ndarray,
+    k2: int,
+    num_bandpass: int = DEFAULT_NUM_BANDPASS,
+    continuous_tail: bool = True,
+) -> PreparedSide | None:
+    """Cap, gather, graph and filter one cell of a cloud; None if it cannot support a graph."""
     idx, capped = cap_indices(idx)
     positions = cloud.positions[idx]
     try:
         graph = build_patch_graph(positions, k2)
     except DegeneratePatch:
         return None
-    return PreparedSide(graph, positions, cloud.luminance[idx], capped)
-
-
-def prepare_reference_sides(
-    ref: PointCloud,
-    cells: list[np.ndarray],
-    k2: int,
-    num_bandpass: int = DEFAULT_NUM_BANDPASS,
-    continuous_tail: bool = True,
-) -> list[PreparedSide | None]:
-    """Cap, gather, graph and filter each reference cell.
-
-    A cell that cannot support a graph is None. The sub-bands are those
-    ``texture_degradation`` would compute for the side.
-    """
-    sides = [_prepare_side(ref, idx, k2) for idx in cells]
-    return [None if side is None
-            else replace(side, bands=_sub_bands(side, num_bandpass, continuous_tail))
-            for side in sides]
+    smoothness = tuple(graph_smoothness(graph, positions[:, axis]) / graph.n for axis in range(3))
+    spectrum = eigendecompose(graph, cloud.luminance[idx])
+    bank = make_filter_bank(float(spectrum[0][-1]), num_bandpass, continuous_tail)
+    return PreparedSide(graph, capped, smoothness, sgwt_decompose(spectrum, bank))
 
 
 def prepare_pairs(
@@ -82,13 +74,36 @@ def prepare_pairs(
     dist: PointCloud,
     pairs: list[tuple[np.ndarray, np.ndarray]],
     k2: int,
+    num_bandpass: int = DEFAULT_NUM_BANDPASS,
+    continuous_tail: bool = True,
 ) -> list[tuple[PreparedSide | None, PreparedSide | None]]:
-    """Pair each prepared reference side with its distorted side, capped, gathered and graphed here.
+    """Pair each prepared reference side with its distorted side, prepared here.
 
     ``pairs`` comes from ``partition_into_patch_pairs`` over the cells that
-    ``ref_sides`` was prepared from. A side that cannot support a graph is None.
+    ``ref_sides`` was prepared from, with the same ``k2``, ``num_bandpass``
+    and ``continuous_tail``.
     """
-    return [(rs, _prepare_side(dist, di, k2)) for rs, (_, di) in zip(ref_sides, pairs)]
+    return [(rs, prepare_side(dist, di, k2, num_bandpass, continuous_tail))
+            for rs, (_, di) in zip(ref_sides, pairs)]
+
+
+def _compare(prepared, similarity):
+    """(per-pair rows, mean of all values): None rows for pairs with a degenerate side.
+
+    Raises NoValidPatches when no pair has two sides.
+    """
+    rows = []
+    values: list[float] = []
+    for px, py in prepared:
+        if px is None or py is None:
+            rows.append(None)
+            continue
+        row = similarity(px, py)
+        rows.append(row)
+        values.extend(row)
+    if not values:
+        raise NoValidPatches("every patch pair was degenerate")
+    return rows, float(np.mean(values))
 
 
 def _smoothness_similarity(sx: float, sy: float, t: float) -> float:
@@ -101,27 +116,12 @@ def geometry_degradation(
 ) -> tuple[list[tuple[float, float, float] | None], float]:
     """Per-patch smoothness similarity over x/y/z and its global mean.
 
-    Smoothness of each coordinate channel is computed on each side's own
-    graph and normalized by that side's point count. Pairs with a
-    degenerate side are excluded from the mean (None in the per-patch
-    list). Raises NoValidPatches when nothing survives.
+    Pairs with a degenerate side are excluded from the mean (None in the
+    per-patch list). Raises NoValidPatches when nothing survives.
     """
-    per_patch: list[tuple[float, float, float] | None] = []
-    values: list[float] = []
-    for px, py in prepared:
-        if px is None or py is None:
-            per_patch.append(None)
-            continue
-        fs = []
-        for axis in range(3):
-            sx = graph_smoothness(px.graph, px.positions[:, axis]) / px.graph.n
-            sy = graph_smoothness(py.graph, py.positions[:, axis]) / py.graph.n
-            fs.append(_smoothness_similarity(sx, sy, stabilizer))
-        per_patch.append(tuple(fs))
-        values.extend(fs)
-    if not values:
-        raise NoValidPatches("every patch pair was degenerate")
-    return per_patch, float(np.mean(values))
+    return _compare(prepared, lambda px, py: tuple(
+        _smoothness_similarity(sx, sy, stabilizer)
+        for sx, sy in zip(px.smoothness, py.smoothness)))
 
 
 @dataclass(frozen=True)
@@ -245,46 +245,18 @@ def _pearson(a: np.ndarray, b: np.ndarray) -> float:
     return float((ac @ bc) / np.sqrt(na * nb))
 
 
-def _sub_bands(side: PreparedSide, num_bandpass: int, continuous_tail: bool) -> np.ndarray:
-    """(C + 1, n) sub-bands of the side's luminance on its own spectrum and filter bank."""
-    spectrum = eigendecompose(side.graph, side.luminance)
-    bank = make_filter_bank(float(spectrum[0][-1]), num_bandpass, continuous_tail)
-    return sgwt_decompose(spectrum, bank)
-
-
 def texture_degradation(
     prepared: list[tuple[PreparedSide | None, PreparedSide | None]],
-    num_bandpass: int = DEFAULT_NUM_BANDPASS,
     num_bins: int = DEFAULT_NUM_BINS,
-    continuous_tail: bool = True,
 ) -> tuple[list[list[float] | None], float]:
-    """Per-(patch, band) WCM correlation of luminance sub-bands and its mean.
+    """Per-(patch, band) WCM correlation of the sides' sub-bands and its mean.
 
-    Luminance is decomposed on each side's own spectrum with its own filter
-    bank; each band pair shares one quantization range. The reference sides
-    bring their sub-bands from ``prepare_reference_sides``, which must have
-    used the same ``num_bandpass`` and ``continuous_tail``; the distorted
-    sides are filtered here. Degenerate pairs contribute None rows and are
-    left out of the mean.
+    Each band pair shares one quantization range. Degenerate pairs
+    contribute None rows and are left out of the mean.
     """
-    per_patch: list[list[float] | None] = []
-    values: list[float] = []
-    for (px, py) in prepared:
-        if px is None or py is None:
-            per_patch.append(None)
-            continue
-        sub_x = px.bands
-        sub_y = _sub_bands(py, num_bandpass, continuous_tail)
-        row = [
-            _pearson(build_wcm(px.graph, sub_x[c], sub_y[c], num_bins),
-                     build_wcm(py.graph, sub_y[c], sub_x[c], num_bins))
-            for c in range(num_bandpass + 1)
-        ]
-        per_patch.append(row)
-        values.extend(row)
-    if not values:
-        raise NoValidPatches("every patch pair was degenerate")
-    return per_patch, float(np.mean(values))
+    return _compare(prepared, lambda px, py: [
+        _pearson(build_wcm(px.graph, bx, by, num_bins), build_wcm(py.graph, by, bx, num_bins))
+        for bx, by in zip(px.bands, py.bands)])
 
 
 def fuse_appearance(d_l_o: float, d_l_i: float, mode: str = "multiply") -> float:

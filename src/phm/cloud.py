@@ -8,6 +8,7 @@ with ties broken by lower point index.
 
 from __future__ import annotations
 
+import re
 import warnings
 from dataclasses import dataclass
 
@@ -201,16 +202,19 @@ _PLY_SCALAR = {
 }
 _FLOAT_TYPES = {"float", "float32", "double", "float64"}
 _UCHAR_TYPES = {"uchar", "uint8"}
+_END_HEADER = re.compile(rb"^[ \t\r\f\v]*end_header[ \t\r\f\v]*$", re.MULTILINE)
 
 
 def _parse_ply_header(data: bytes):
-    end = data.find(b"end_header")
-    if end < 0:
+    # The header ends at the line that is exactly end_header, not at those
+    # bytes inside a comment.
+    match = _END_HEADER.search(data)
+    if match is None:
         raise ParseError("no end_header in PLY file")
-    nl = data.find(b"\n", end)
-    if nl < 0:
+    end = match.start()
+    if match.end() == len(data):
         raise ParseError("end_header line not terminated")
-    body_start = nl + 1
+    body_start = match.end() + 1
     try:
         lines = data[:end].decode("ascii").splitlines()
     except UnicodeDecodeError as e:
@@ -248,8 +252,6 @@ def _parse_ply_header(data: bytes):
                 elements[-1][2].append((tokens[1], tokens[2]))
             else:
                 raise ParseError(f"unsupported property line: {raw!r}")
-        elif tokens[0] == "end_header":
-            break
         else:
             raise ParseError(f"unrecognized header line: {raw!r}")
     if fmt is None:

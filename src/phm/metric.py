@@ -13,7 +13,7 @@ from .appearance import (
     fuse_appearance,
     geometry_degradation,
     prepare_pairs,
-    prepare_reference_sides,
+    prepare_side,
     texture_degradation,
 )
 from .cloud import PointCloud, SpatialIndex
@@ -146,9 +146,9 @@ class PreparedReference:
 
     Built by ``prepare_reference`` and reusable for any number of distorted
     copies: the reference's exact NN index and texture complexity C(ref),
-    its Voronoi cells with their seed tree, and each cell's graph and SGWT
-    sub-bands. ``config`` is the configuration it was built with; only its
-    REFERENCE_FIELDS matter here.
+    its Voronoi cells with their seed tree, and each cell's ``PreparedSide``
+    (graph, coordinate smoothness and SGWT sub-bands). ``config`` is the
+    configuration it was built with; only its REFERENCE_FIELDS matter here.
     """
 
     cloud: PointCloud
@@ -172,8 +172,8 @@ def prepare_reference(ref: PointCloud, config: MetricConfig | None = None) -> Pr
             f"reference has {len(ref)} points; AR order {cfg.k1} needs more")
     index, complexity = reference_masking(ref, cfg.k1)
     cells = reference_cells(ref, max(1, len(ref) // cfg.patch_divisor))
-    sides = prepare_reference_sides(
-        ref, cells.members, cfg.k2, cfg.num_bandpass, cfg.continuous_tail)
+    sides = [prepare_side(ref, idx, cfg.k2, cfg.num_bandpass, cfg.continuous_tail)
+             for idx in cells.members]
     return PreparedReference(ref, cfg, index, complexity, cells, sides)
 
 
@@ -215,7 +215,8 @@ def phm_score(
 
     t0 = time.perf_counter()
     pairs = partition_into_patch_pairs(reference.cells, dist)
-    prepared = prepare_pairs(reference.sides, dist, pairs, cfg.k2)
+    prepared = prepare_pairs(reference.sides, dist, pairs, cfg.k2, cfg.num_bandpass,
+                             cfg.continuous_tail)
     timing["partition_and_graphs"] = time.perf_counter() - t0
 
     per_patch = [
@@ -250,8 +251,7 @@ def phm_score(
         fs_rows, d_l_o = geometry_degradation(prepared, cfg.stabilizer)
         timing["geometry_degradation"] = time.perf_counter() - t0
         t0 = time.perf_counter()
-        fw_rows, d_l_i = texture_degradation(
-            prepared, cfg.num_bandpass, cfg.nb_bins, cfg.continuous_tail)
+        fw_rows, d_l_i = texture_degradation(prepared, cfg.nb_bins)
         timing["texture_degradation"] = time.perf_counter() - t0
     except NoValidPatches:
         return QualityReport(

@@ -148,20 +148,30 @@ def eigendecompose(
         raise SpectralError(f"eigendecomposition failed: {e}") from None
     if u.max() > u.min():
         return lam, vec, vec.T @ u
-    return _assemble(u, [], lam[-1])
+    return _assemble(u, lam[-1])
 
 
-def _assemble(u: np.ndarray, parts: list, top: float | None):
-    """Spectrum of u: its mean on the constant null vector, then ``parts``.
+def _assemble(u: np.ndarray, top: float | None, ritz=None):
+    """Spectrum of u: its mean on the constant null vector, then the Ritz part.
 
-    Unless ``top`` is None, lambda_max = top comes last with a zero vector
-    and coefficient: it sets the filter bank's range and adds nothing.
+    ``ritz`` is None or Lanczos's (theta, basis, s, norm), giving eigenvalues
+    theta, vectors basis.T @ s (written straight into the result) and
+    coefficients norm * s[0]. Unless ``top`` is None, lambda_max = top comes
+    last with a zero vector and coefficient: it sets the filter bank's range
+    and adds nothing.
     """
     n = len(u)
-    head = (np.zeros(1), np.full((n, 1), 1.0 / np.sqrt(n)), np.array([u.mean() * np.sqrt(n)]))
-    tail = [] if top is None else [(np.array([top]), np.zeros((n, 1)), np.zeros(1))]
-    lam, vec, coef = zip(head, *parts, *tail)
-    return np.concatenate(lam), np.hstack(vec), np.concatenate(coef)
+    k = 0 if ritz is None else len(ritz[0])
+    lam = np.zeros(1 + k + (top is not None))
+    vec, coef = np.zeros((n, len(lam))), np.zeros(len(lam))
+    vec[:, 0], coef[0] = 1.0 / np.sqrt(n), u.mean() * np.sqrt(n)
+    if ritz is not None:
+        theta, basis, s, norm = ritz
+        lam[1:k + 1], coef[1:k + 1] = theta, norm * s[0]
+        np.matmul(basis.T, s, out=vec[:, 1:k + 1])
+    if top is not None:
+        lam[-1] = top
+    return lam, vec, coef
 
 
 def _krylov_spectrum(graph: PatchGraph, u: np.ndarray):
@@ -189,16 +199,16 @@ def _krylov_spectrum(graph: PatchGraph, u: np.ndarray):
     tol = 1e-10 * degree.max()
     r = u - u.mean()
     norm = float(np.linalg.norm(r)) if u.max() > u.min() else 0.0
-    theta, parts, top = np.zeros(1), [], None  # theta: the null vector's 0 until Lanczos runs
+    theta, ritz, top = np.zeros(1), None, None  # theta: the null vector's 0 until Lanczos runs
     if norm > 0.0:
         basis, alpha, beta = _lanczos(lap, r / norm, tol)
         theta, s = eigh_tridiagonal(alpha, beta)
-        parts.append((theta, basis.T @ s, norm * s[0]))
+        ritz = (theta, basis, s, norm)
     if len(theta) < KRYLOV_STEPS:
         start = np.random.default_rng(0).standard_normal(n)
         _, alpha, beta = _lanczos(lap, start / np.linalg.norm(start), tol)
         top = max(eigh_tridiagonal(alpha, beta, eigvals_only=True)[-1], theta[-1])
-    return _assemble(u, parts, top)
+    return _assemble(u, top, ritz)
 
 
 def _lanczos(lap, q: np.ndarray, tol: float):

@@ -13,7 +13,7 @@ from phm.appearance import (
     graph_smoothness,
     make_filter_bank,
     prepare_pairs,
-    prepare_reference_sides,
+    prepare_side,
     sgwt_decompose,
     texture_degradation,
 )
@@ -32,9 +32,9 @@ from test_patches import make_graph
 
 
 def patch_pairs(ref, dist, cells, k2):
-    """Prepared pairs as phm_score builds them: reference sides with their sub-bands, then dist."""
+    """Prepared pairs as phm_score builds them: the reference sides, then dist."""
     rc = reference_cells(ref, cells)
-    sides = prepare_reference_sides(ref, rc.members, k2)
+    sides = [prepare_side(ref, idx, k2) for idx in rc.members]
     return prepare_pairs(sides, dist, partition_into_patch_pairs(rc, dist), k2)
 
 
@@ -363,7 +363,7 @@ def test_flat_patch_against_jitters_of_itself_scores_one(n):
     colors = np.full((n, 3), 120)
     ref = PointCloud.from_arrays(pos, colors)
     whole = [(np.arange(n), np.arange(n))]
-    sides = prepare_reference_sides(ref, [np.arange(n)], k2=10)
+    sides = [prepare_side(ref, np.arange(n), k2=10)]
     for _ in range(4):
         dist = PointCloud.from_arrays(pos + rng.uniform(-0.05, 0.05, size=(n, 3)), colors)
         per_patch, d_l_i = texture_degradation(prepare_pairs(sides, dist, whole, k2=10))

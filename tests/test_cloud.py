@@ -289,6 +289,19 @@ def test_binary_matches_ascii_roundtrip(tmp_path):
     np.testing.assert_array_equal(ca.luminance, cb.luminance)
 
 
+@pytest.mark.parametrize("binary", [False, True])
+@pytest.mark.parametrize("before", [b"format", b"end_header"])
+def test_end_header_inside_a_comment_does_not_end_the_header(tmp_path, binary, before):
+    plain, commented = tmp_path / "plain.ply", tmp_path / "commented.ply"
+    save_ply(random_cloud(50, seed=4), plain, binary=binary)
+    data = plain.read_bytes()
+    at = data.index(b"\n" + before) + 1
+    commented.write_bytes(data[:at] + b"comment end_header follows\n" + data[at:])
+    want, got = load_ply(plain), load_ply(commented)
+    np.testing.assert_array_equal(got.positions, want.positions)
+    np.testing.assert_array_equal(got.colors, want.colors)
+
+
 def test_ply_without_colors_raises(tmp_path):
     p = tmp_path / "bare.ply"
     p.write_bytes(

@@ -2,7 +2,7 @@
 
 The oracle is the exact spectrum: ``laplacian`` plus ``numpy.linalg.eigh``,
 with coefficients eigenvectors^T u. Each side builds its own filter bank
-from its own lambda_max, as ``texture_degradation`` does.
+from its own lambda_max, as ``prepare_side`` does.
 """
 
 import numpy as np

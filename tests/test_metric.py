@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import phm.appearance
 from phm.errors import CloudTooSmall, DomainError, ParseError
 from phm.metric import MetricConfig, combine_adaptive, phm_score, prepare_reference
 from phm.synthetic import synthetic_cloud, with_luminance_noise
@@ -151,6 +152,26 @@ def test_prepared_reference_takes_other_pair_fields(textured_cloud, name, value)
     want = phm_score(textured_cloud, noisy, cfg)
     assert (got.d_h, got.d_l_o, got.d_l_i, got.score) == (want.d_h, want.d_l_o, want.d_l_i,
                                                           want.score)
+
+
+def test_prepared_reference_features_are_not_recomputed(textured_cloud, monkeypatch):
+    # Scoring computes smoothness and spectra for the distorted sides only;
+    # the reference sides bring theirs from prepare_reference.
+    cfg = MetricConfig(patch_divisor=100)
+    prepared = prepare_reference(textured_cloud, cfg)
+    ref_graphs = {id(side.graph) for side in prepared.sides if side is not None}
+    calls = {"graph_smoothness": [], "eigendecompose": []}
+    for name, seen in calls.items():
+        def counted(graph, signal, fn=getattr(phm.appearance, name), seen=seen):
+            seen.append(graph)
+            return fn(graph, signal)
+        monkeypatch.setattr(phm.appearance, name, counted)
+    report = phm_score(prepared, with_luminance_noise(textured_cloud, 20.0, seed=6), cfg)
+    sides = report.diagnostics["valid_patch_count"]
+    assert report.diagnostics["degenerate_patch_count"] == 0 and sides > 1
+    assert len(calls["graph_smoothness"]) == 3 * sides
+    assert len(calls["eigendecompose"]) == sides
+    assert not ref_graphs & {id(graph) for seen in calls.values() for graph in seen}
 
 
 def test_phm_deterministic_repeat(textured_cloud):
