@@ -1,7 +1,7 @@
 """Low-quality regime: appearance degradation from graph smoothness and SGWT.
 
 ``prepare_side`` builds what each side of a patch pair contributes, on its
-own graph, spectrum and filter bank: per-axis coordinate smoothness and the
+own graph and spectrum: per-axis coordinate smoothness and the
 spectral graph wavelet sub-bands of luminance. Geometry degradation then
 compares the smoothness of the two sides; texture degradation compares
 weighted co-occurrence matrices of their sub-bands.
@@ -40,7 +40,7 @@ class PreparedSide:
 
     ``smoothness`` holds the x/y/z coordinate smoothness on the side's own
     graph, each divided by its point count; ``bands`` the (C + 1, n) SGWT
-    sub-bands of its luminance on its own spectrum and filter bank.
+    sub-bands of its luminance on its own spectrum.
     """
 
     graph: PatchGraph
@@ -65,8 +65,8 @@ def prepare_side(
         return None
     smoothness = tuple(graph_smoothness(graph, positions[:, axis]) / graph.n for axis in range(3))
     spectrum = eigendecompose(graph, cloud.luminance[idx])
-    bank = make_filter_bank(float(spectrum[0][-1]), num_bandpass, continuous_tail)
-    return PreparedSide(graph, capped, smoothness, sgwt_decompose(spectrum, bank))
+    bands = sgwt_decompose(spectrum, num_bandpass, continuous_tail)
+    return PreparedSide(graph, capped, smoothness, bands)
 
 
 def prepare_pairs(
@@ -124,72 +124,47 @@ def geometry_degradation(
         for sx, sy in zip(px.smoothness, py.smoothness)))
 
 
-@dataclass(frozen=True)
-class FilterBank:
-    """SGWT kernel: one low-pass scaling function and C band-pass scales."""
-
-    scales: np.ndarray  # (C,) ascending, 2/lambda_max .. 2/lambda_min
-    gamma: float  # scaling-function amplitude, max of g
-    lambda_min: float
-    lambda_max: float
-    num_bandpass: int
-    continuous_tail: bool = True
-
-    def g(self, lam: np.ndarray) -> np.ndarray:
-        """Band-pass kernel: lam^2 below 1, cubic on [1, 2], decaying tail."""
-        arr = np.asarray(lam, dtype=np.float64)
-        tail_scale = 4.0 if self.continuous_tail else 1.0
-        out = np.empty_like(arr)
-        low = arr < 1.0
-        high = arr > 2.0
-        mid = ~(low | high)
-        out[low] = arr[low] ** 2
-        lm = arr[mid]
-        out[mid] = ((lm - 6.0) * lm + 11.0) * lm - 5.0
-        out[high] = tail_scale / (arr[high] ** 2)
-        return out
-
-    def h(self, lam: np.ndarray) -> np.ndarray:
-        """Low-pass kernel gamma * exp(-(lam / (0.6 lambda_min))^4)."""
-        arr = np.asarray(lam, dtype=np.float64)
-        return self.gamma * np.exp(-((arr / (0.6 * self.lambda_min)) ** 4))
+def band_pass(x: np.ndarray, continuous_tail: bool = True) -> np.ndarray:
+    """Band-pass g: x^2 below 1, cubic on [1, 2], 4/x^2 above (1/x^2 without continuous_tail)."""
+    arr = np.asarray(x, dtype=np.float64)
+    tail_scale = 4.0 if continuous_tail else 1.0
+    out = np.empty_like(arr)
+    low = arr < 1.0
+    high = arr > 2.0
+    mid = ~(low | high)
+    out[low] = arr[low] ** 2
+    lm = arr[mid]
+    out[mid] = ((lm - 6.0) * lm + 11.0) * lm - 5.0
+    out[high] = tail_scale / (arr[high] ** 2)
+    return out
 
 
-# The cubic's maximum sits at the root of 3 lam^2 - 12 lam + 11 inside [1, 2].
-_GAMMA_ARG = 2.0 - 1.0 / math.sqrt(3.0)
-
-
-def make_filter_bank(
-    lambda_max: float,
-    num_bandpass: int = DEFAULT_NUM_BANDPASS,
-    continuous_tail: bool = True,
-) -> FilterBank:
-    """Bank with log-equispaced scales between 2/lambda_max and 2/lambda_min."""
-    if lambda_max <= 0:
-        raise ValueError("lambda_max must be positive")
-    if num_bandpass < 1:
-        raise ValueError("need at least one band-pass filter")
-    lambda_min = lambda_max / SCALE_SPAN
-    scales = np.geomspace(2.0 / lambda_max, 2.0 / lambda_min, num_bandpass)
-    gamma = ((_GAMMA_ARG - 6.0) * _GAMMA_ARG + 11.0) * _GAMMA_ARG - 5.0
-    return FilterBank(scales, float(gamma), lambda_min, lambda_max, num_bandpass, continuous_tail)
+# Max of g: the cubic at the root of 3 x^2 - 12 x + 11 inside [1, 2]. It is
+# the low-pass kernel's height, so h(0) = max g.
+GAMMA = float(band_pass(np.array([2.0 - 1.0 / math.sqrt(3.0)]))[0])
 
 
 def sgwt_decompose(
     spectrum: tuple[np.ndarray, np.ndarray, np.ndarray],
-    bank: FilterBank,
+    num_bandpass: int = DEFAULT_NUM_BANDPASS,
+    continuous_tail: bool = True,
 ) -> np.ndarray:
-    """Filter a signal through the bank in the spectral domain.
+    """Filter a signal through PHM's wavelet kernels in the spectral domain.
 
     ``spectrum`` is the signal's (eigenvalues, vectors, coefficients) from
-    ``eigendecompose``. Returns a (C + 1, n) array: row 0 is the scaling
-    (low-pass) band, rows 1..C the band-pass bands.
+    ``eigendecompose``, whose last eigenvalue is lambda_max; lambda_min is
+    lambda_max / SCALE_SPAN. Returns a (C + 1, n) array: row 0 is the
+    low-pass band GAMMA * exp(-(lam / (0.6 lambda_min))^4), rows 1..C the
+    band-pass bands g(t lam) at scales t log-equispaced from 2/lambda_max
+    to 2/lambda_min.
     """
     lam, vec, coef = spectrum
-    out = np.empty((bank.num_bandpass + 1, len(vec)))
-    out[0] = vec @ (bank.h(lam) * coef)
-    for c, t in enumerate(bank.scales, start=1):
-        out[c] = vec @ (bank.g(t * lam) * coef)
+    lambda_min = lam[-1] / SCALE_SPAN
+    out = np.empty((num_bandpass + 1, len(vec)))
+    out[0] = vec @ (GAMMA * np.exp(-((lam / (0.6 * lambda_min)) ** 4)) * coef)
+    scales = np.geomspace(2.0 / lam[-1], 2.0 / lambda_min, num_bandpass)
+    for c, t in enumerate(scales, start=1):
+        out[c] = vec @ (band_pass(t * lam, continuous_tail) * coef)
     return out
 
 

@@ -73,32 +73,35 @@ def _convert_override(name: str, raw: str, kind: type):
 
 def _read_manifest(path: str):
     """Rows of (pair_id, ref, dist, overrides); extra columns must be config keys."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        cols = reader.fieldnames or []
-        missing = [c for c in ("pair_id", "ref_path", "dist_path") if c not in cols]
-        if missing:
-            raise ParseError(f"manifest lacks columns {missing}")
-        extras = [c for c in cols if c not in ("pair_id", "ref_path", "dist_path")]
-        bad = [c for c in extras if c not in _CONFIG_TYPES]
-        if bad:
-            raise ParseError(f"manifest has unknown config columns {bad}")
-        rows = []
-        seen = set()
-        for i, row in enumerate(reader):
-            if None in row:  # DictReader's key for cells beyond the header
-                raise ParseError(f"manifest row {i} ({row['pair_id']!r}) has more cells than the "
-                                 f"header, extra {row[None]!r}; quote a path that holds a comma")
-            pid = (row["pair_id"] or "").strip()
-            ref, dist = (row["ref_path"] or "").strip(), (row["dist_path"] or "").strip()
-            if not pid or not ref or not dist:
-                raise ParseError(f"manifest row {i} has an empty required field")
-            if pid in seen:
-                raise ParseError(f"duplicate pair_id {pid!r}")
-            seen.add(pid)
-            # Raw strings: a bad value fails its own row in _batch_row, not the batch.
-            overrides = {c: raw for c in extras if (raw := (row.get(c) or "").strip())}
-            rows.append((pid, ref, dist, overrides))
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.DictReader(fh)
+            cols, table = reader.fieldnames or [], list(reader)
+    except (UnicodeDecodeError, csv.Error) as e:
+        raise ParseError(f"manifest is not a readable UTF-8 CSV: {e}") from None
+    missing = [c for c in ("pair_id", "ref_path", "dist_path") if c not in cols]
+    if missing:
+        raise ParseError(f"manifest lacks columns {missing}")
+    extras = [c for c in cols if c not in ("pair_id", "ref_path", "dist_path")]
+    bad = [c for c in extras if c not in _CONFIG_TYPES]
+    if bad:
+        raise ParseError(f"manifest has unknown config columns {bad}")
+    rows = []
+    seen = set()
+    for i, row in enumerate(table):
+        if None in row:  # DictReader's key for cells beyond the header
+            raise ParseError(f"manifest row {i} ({row['pair_id']!r}) has more cells than the "
+                             f"header, extra {row[None]!r}; quote a path that holds a comma")
+        pid = (row["pair_id"] or "").strip()
+        ref, dist = (row["ref_path"] or "").strip(), (row["dist_path"] or "").strip()
+        if not pid or not ref or not dist:
+            raise ParseError(f"manifest row {i} has an empty required field")
+        if pid in seen:
+            raise ParseError(f"duplicate pair_id {pid!r}")
+        seen.add(pid)
+        # Raw strings: a bad value fails its own row in _batch_row, not the batch.
+        overrides = {c: raw for c in extras if (raw := (row.get(c) or "").strip())}
+        rows.append((pid, ref, dist, overrides))
     return rows
 
 

@@ -124,20 +124,23 @@ def f_test_left(residuals_a, residuals_b, significance: float = 0.05) -> int:
 
 def read_records_csv(path) -> list[EvalRecord]:
     """Read evaluation records from a CSV with header sample_id, mos, prediction."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        cols = reader.fieldnames or []
-        missing = [c for c in ("sample_id", "mos", "prediction") if c not in cols]
-        if missing:
-            raise ParseError(f"predictions CSV lacks columns {missing}")
-        records = []
-        for i, row in enumerate(reader):
-            try:
-                mos = float(row["mos"])
-                pred = float(row["prediction"])
-            except (TypeError, ValueError):
-                raise ParseError(f"unparseable numeric value on row {i}") from None
-            if not (math.isfinite(mos) and math.isfinite(pred)):
-                raise ParseError(f"non-finite value on row {i}")
-            records.append(EvalRecord(row["sample_id"], mos, pred))
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.DictReader(fh)
+            cols, table = reader.fieldnames or [], list(reader)
+    except (UnicodeDecodeError, csv.Error) as e:
+        raise ParseError(f"predictions CSV is not a readable UTF-8 CSV: {e}") from None
+    missing = [c for c in ("sample_id", "mos", "prediction") if c not in cols]
+    if missing:
+        raise ParseError(f"predictions CSV lacks columns {missing}")
+    records = []
+    for i, row in enumerate(table):
+        try:
+            mos = float(row["mos"])
+            pred = float(row["prediction"])
+        except (TypeError, ValueError):
+            raise ParseError(f"unparseable numeric value on row {i}") from None
+        if not (math.isfinite(mos) and math.isfinite(pred)):
+            raise ParseError(f"non-finite value on row {i}")
+        records.append(EvalRecord(row["sample_id"], mos, pred))
     return records

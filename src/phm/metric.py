@@ -84,8 +84,10 @@ class MetricConfig:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"config is not valid JSON: {e}") from None
+        # ValueError covers JSONDecodeError, UnicodeDecodeError and int digit limits;
+        # RecursionError a document nested too deep to parse.
+        except (ValueError, RecursionError) as e:
+            raise ParseError(f"config is not valid UTF-8 JSON: {e}") from None
         if not isinstance(data, dict):
             raise ParseError("config document must be a JSON object")
         return cls.from_dict(data)

@@ -20,7 +20,6 @@ from scipy.sparse import csr_matrix
 from .cloud import PointCloud, SpatialIndex, farthest_point_sample
 from .errors import DegeneratePatch, ShapeError, SpectralError
 
-DEFAULT_PATCH_DIVISOR = 1000
 DEFAULT_GRAPH_KNN = 10
 # Larger patches are subsampled first. The cap dates from the dense O(n^3)
 # spectrum; it stays so that scores of cells above 3,000 points do not move.
@@ -42,15 +41,12 @@ class ReferenceCells:
     members: list[np.ndarray]
 
 
-def reference_cells(ref: PointCloud, num_cells: int | None = None) -> ReferenceCells:
+def reference_cells(ref: PointCloud, num_cells: int) -> ReferenceCells:
     """Split the reference into the Voronoi cells of its FPS seeds.
 
-    Defaults to max(1, N // 1000) cells. The partition is exhaustive and
-    disjoint.
+    The partition is exhaustive and disjoint.
     """
-    n = len(ref)
-    cells = num_cells if num_cells is not None else max(1, n // DEFAULT_PATCH_DIVISOR)
-    seeds = farthest_point_sample(ref, cells, start=0)
+    seeds = farthest_point_sample(ref, num_cells, start=0)
     seed_index = SpatialIndex(ref.positions[seeds])
     return ReferenceCells(seed_index, _cell_members(seed_index, ref))
 
@@ -157,7 +153,7 @@ def _assemble(u: np.ndarray, top: float | None, ritz=None):
     ``ritz`` is None or Lanczos's (theta, basis, s, norm), giving eigenvalues
     theta, vectors basis.T @ s (written straight into the result) and
     coefficients norm * s[0]. Unless ``top`` is None, lambda_max = top comes
-    last with a zero vector and coefficient: it sets the filter bank's range
+    last with a zero vector and coefficient: it sets the wavelet kernels' scales
     and adds nothing.
     """
     n = len(u)

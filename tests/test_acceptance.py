@@ -14,10 +14,11 @@ from scipy.integrate import quad
 from scipy.special import beta as beta_fn
 
 from phm.appearance import (
+    GAMMA,
     _pearson,
+    band_pass,
     build_wcm,
     graph_smoothness,
-    make_filter_bank,
     sgwt_decompose,
 )
 from phm.cli import main as cli_main
@@ -121,14 +122,13 @@ def test_criterion_4_sgwt_constants():
     for _ in range(100):
         g = random_connected_graph(rng)
         c = float(rng.uniform(-100, 100))
-        spectrum = eigendecompose(g, np.full(g.n, c))
-        bank = make_filter_bank(spectrum[0][-1])
-        sub = sgwt_decompose(spectrum, bank)
+        sub = sgwt_decompose(eigendecompose(g, np.full(g.n, c)))
         assert np.abs(sub[1:]).max() <= 1e-9
-        assert np.abs(sub[0] - bank.gamma * c).max() <= 1e-9
-    bank = make_filter_bank(2.0)
+        assert np.abs(sub[0] - GAMMA * c).max() <= 1e-9
     cubic_at_2 = ((2.0 - 6.0) * 2.0 + 11.0) * 2.0 - 5.0
     assert abs(cubic_at_2 - 4.0 / 2.0 ** 2) <= 1e-12
+    left, right = band_pass(np.array([2.0 - 1e-12, 2.0 + 1e-12]))
+    assert abs(left - right) <= 1e-9
 
 
 @criterion(5, "normalized WCMs are symmetric with unit mass; hand-worked case exact")
@@ -236,6 +236,7 @@ def test_criterion_9_spot_checks():
     assert abs(d_h - 0.6894) <= 1e-4
     omega, _ = combine_adaptive(0.6894, 0.5, mu=5.0)
     assert abs(omega - 0.2249) <= 1e-4
-    bank = make_filter_bank(2.0, num_bandpass=3)
-    for got, want in zip(bank.scales, (1.0, 4.4721, 20.0)):
+    # a delta spectrum at 1e-3, below every knee of g = x^2, reads scale t as sqrt(band) / 1e-3
+    sub = sgwt_decompose((np.array([1e-3, 2.0]), np.eye(2), np.array([1.0, 0.0])), num_bandpass=3)
+    for got, want in zip(np.sqrt(sub[1:, 0]) / 1e-3, (1.0, 4.4721, 20.0)):
         assert abs(got - want) <= 1e-4

@@ -6,12 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from phm.appearance import (
+    GAMMA,
     _pearson,
+    band_pass,
     build_wcm,
     fuse_appearance,
     geometry_degradation,
     graph_smoothness,
-    make_filter_bank,
     prepare_pairs,
     prepare_side,
     sgwt_decompose,
@@ -159,49 +160,76 @@ def test_geometry_score_translation_invariant():
     assert moved == pytest.approx(base, rel=1e-9)
 
 
-# --- filter bank -------------------------------------------------------------
+# --- SGWT kernels ------------------------------------------------------------
+
+def delta_bands(lam_lo, lam_max, num_bandpass=3):
+    """Bands of a two-eigenvalue spectrum whose signal sits on eigenvalue lam_lo.
+
+    Row c holds the kernel at lam_lo in column 0 and nothing in column 1.
+    """
+    return sgwt_decompose((np.array([lam_lo, lam_max]), np.eye(2), np.array([1.0, 0.0])),
+                          num_bandpass)
+
+
+def scales(lam_max, num_bandpass=3):
+    """Log-equispaced band-pass scales 2/lambda_max .. 2/lambda_min, lambda_min = lambda_max/20."""
+    return np.geomspace(2.0 / lam_max, 40.0 / lam_max, num_bandpass)
+
+
+def low_pass(lam, lam_max):
+    return GAMMA * np.exp(-((np.asarray(lam) / (0.6 * lam_max / 20.0)) ** 4))
+
 
 def test_filter_continuity_at_one_and_two():
-    bank = make_filter_bank(2.0)
-    assert bank.g(np.array([1.0]))[0] == pytest.approx(1.0, abs=1e-12)
+    assert band_pass(np.array([1.0]))[0] == pytest.approx(1.0, abs=1e-12)
     cubic_at_2 = ((2.0 - 6.0) * 2.0 + 11.0) * 2.0 - 5.0
     tail_at_2 = 4.0 / 4.0
     assert abs(cubic_at_2 - tail_at_2) <= 1e-12
-    # sampled just around the knee
-    left = bank.g(np.array([2.0 - 1e-12]))[0]
-    right = bank.g(np.array([2.0 + 1e-12]))[0]
-    assert abs(left - right) <= 1e-9
+    # sampled just around both knees
+    for knee in (1.0, 2.0):
+        left = band_pass(np.array([knee - 1e-12]))[0]
+        right = band_pass(np.array([knee + 1e-12]))[0]
+        assert abs(left - right) <= 1e-9
 
 
 def test_plain_inverse_square_tail_is_discontinuous():
-    bank = make_filter_bank(2.0, continuous_tail=False)
-    assert bank.g(np.array([2.0]))[0] == pytest.approx(1.0)
-    assert bank.g(np.array([2.0 + 1e-9]))[0] == pytest.approx(0.25, rel=1e-6)
+    assert band_pass(np.array([2.0]), continuous_tail=False)[0] == pytest.approx(1.0)
+    assert band_pass(np.array([2.0 + 1e-9]), continuous_tail=False)[0] == pytest.approx(
+        0.25, rel=1e-6)
+    # sgwt_decompose passes the choice on: x = t * lambda above 2 reads 1/x^2, not 4/x^2
+    spectrum = (np.array([0.0, 2.0]), np.eye(2), np.array([0.0, 1.0]))
+    for tail, factor in ((True, 4.0), (False, 1.0)):
+        sub = sgwt_decompose(spectrum, 3, tail)
+        x = scales(2.0)[1:] * 2.0
+        np.testing.assert_allclose(sub[2:, 1], factor / x**2, rtol=1e-12)
 
 
 def test_gamma_from_cubic_root():
-    bank = make_filter_bank(2.0)
     lam_star = 2.0 - 1.0 / math.sqrt(3.0)
     # root of the derivative 3 lam^2 - 12 lam + 11
     assert 3 * lam_star**2 - 12 * lam_star + 11 == pytest.approx(0.0, abs=1e-12)
     gamma = lam_star**3 - 6 * lam_star**2 + 11 * lam_star - 5
-    assert bank.gamma == pytest.approx(gamma, abs=1e-12)
-    assert bank.gamma == pytest.approx(1.3849, abs=1e-4)
+    assert GAMMA == pytest.approx(gamma, abs=1e-12)
+    assert GAMMA == pytest.approx(1.3849, abs=1e-4)
     # it is the max of g over a dense grid
     grid = np.linspace(0, 10, 50001)
-    assert bank.g(grid).max() <= bank.gamma + 1e-9
-    assert bank.h(np.array([0.0]))[0] == pytest.approx(bank.gamma, rel=1e-15)
+    assert band_pass(grid).max() <= GAMMA + 1e-9
+    # and the low-pass height: h(0) = gamma exactly
+    assert delta_bands(0.0, 2.0)[0, 0] == GAMMA
 
 
 def test_scales_log_equispaced():
-    bank = make_filter_bank(2.0, num_bandpass=3)
-    np.testing.assert_allclose(bank.scales, [1.0, math.sqrt(20.0), 20.0], rtol=1e-12)
-    assert bank.lambda_min == pytest.approx(0.1)
-    bank5 = make_filter_bank(7.3, num_bandpass=5)
-    ratios = bank5.scales[1:] / bank5.scales[:-1]
+    # On a delta spectrum at 1e-3 every t * lam stays below 1, where g = x^2,
+    # so band c reads (t_c * 1e-3)^2 and gives its scale back.
+    got = np.sqrt(delta_bands(1e-3, 2.0)[1:, 0]) / 1e-3
+    np.testing.assert_allclose(got, [1.0, math.sqrt(20.0), 20.0], rtol=1e-12)
+    got5 = np.sqrt(delta_bands(1e-3, 7.3, num_bandpass=5)[1:, 0]) / 1e-3
+    ratios = got5[1:] / got5[:-1]
     np.testing.assert_allclose(ratios, ratios[0], rtol=1e-12)
-    assert bank5.scales[0] == pytest.approx(2 / 7.3)
-    assert bank5.scales[-1] == pytest.approx(40 / 7.3)
+    assert got5[0] == pytest.approx(2 / 7.3)
+    assert got5[-1] == pytest.approx(40 / 7.3)
+    # lambda_min = lambda_max / 20: the low-pass falls to gamma / e at 0.6 lambda_min
+    assert delta_bands(0.06, 2.0)[0, 0] == pytest.approx(GAMMA / math.e, rel=1e-12)
 
 
 # --- SGWT --------------------------------------------------------------------
@@ -209,10 +237,8 @@ def test_scales_log_equispaced():
 def test_constant_signal_annihilated_by_bandpass():
     g = random_connected_graph(31)
     c = -7.5
-    spectrum = eigendecompose(g, np.full(g.n, c))
-    bank = make_filter_bank(spectrum[0][-1])
-    sub = sgwt_decompose(spectrum, bank)
-    np.testing.assert_allclose(sub[0], bank.gamma * c, atol=1e-9)
+    sub = sgwt_decompose(eigendecompose(g, np.full(g.n, c)))
+    np.testing.assert_allclose(sub[0], GAMMA * c, atol=1e-9)
     assert np.abs(sub[1:]).max() <= 1e-9
 
 
@@ -221,14 +247,14 @@ def test_two_node_closed_form():
     g = make_graph([(0, 1)], 2, weights=[w])
     a, b = 3.0, -1.0
     spectrum = eigendecompose(g, np.array([a, b]))
-    bank = make_filter_bank(spectrum[0][-1])
-    sub = sgwt_decompose(spectrum, bank)
-    for c, t in enumerate(bank.scales, start=1):
-        gain = bank.g(np.array([t * 2 * w]))[0]
+    assert spectrum[0][-1] == pytest.approx(2 * w, rel=1e-12)
+    sub = sgwt_decompose(spectrum)
+    for c, t in enumerate(scales(2 * w), start=1):
+        gain = band_pass(np.array([t * 2 * w]))[0]
         expect = gain * (a - b) / 2 * np.array([1.0, -1.0])
         np.testing.assert_allclose(sub[c], expect, atol=1e-12)
-    mean_term = bank.h(np.array([0.0]))[0] * (a + b) / 2
-    high_term = bank.h(np.array([2 * w]))[0] * (a - b) / 2
+    mean_term = low_pass(0.0, 2 * w) * (a + b) / 2
+    high_term = low_pass(2 * w, 2 * w) * (a - b) / 2
     np.testing.assert_allclose(
         sub[0], [mean_term + high_term, mean_term - high_term], atol=1e-12)
 
@@ -239,25 +265,25 @@ def test_operator_form_equivalence():
     u = rng.normal(size=g.n)
     spectrum = eigendecompose(g, u)
     lam, vec, _ = spectrum
-    bank = make_filter_bank(lam[-1])
-    sub = sgwt_decompose(spectrum, bank)
-    for c, t in enumerate(bank.scales, start=1):
-        op = vec @ np.diag(bank.g(t * lam)) @ vec.T
+    sub = sgwt_decompose(spectrum)
+    for c, t in enumerate(scales(lam[-1]), start=1):
+        op = vec @ np.diag(band_pass(t * lam)) @ vec.T
         np.testing.assert_allclose(sub[c], op @ u, atol=1e-9)
-    op0 = vec @ np.diag(bank.h(lam)) @ vec.T
+    op0 = vec @ np.diag(low_pass(lam, lam[-1])) @ vec.T
     np.testing.assert_allclose(sub[0], op0 @ u, atol=1e-9)
 
 
 @given(st.integers(0, 999))
 def test_sgwt_linearity(seed):
+    # A dense spectrum's lambda_max is the graph's, whatever the signal, so
+    # all three signals are filtered by the same kernels.
     g = random_connected_graph(seed % 7)
     rng = np.random.default_rng(seed)
     u, v = rng.normal(size=g.n), rng.normal(size=g.n)
     a, b = rng.uniform(-3, 3, size=2)
-    bank = make_filter_bank(eigendecompose(g, u)[0][-1])
 
     def bands(signal):
-        return sgwt_decompose(eigendecompose(g, signal), bank)
+        return sgwt_decompose(eigendecompose(g, signal))
 
     left = bands(a * u + b * v)
     right = a * bands(u) + b * bands(v)
@@ -378,8 +404,7 @@ def test_disconnected_patch_is_legal_downstream():
     g = build_patch_graph(pts, k2=3)
     spectrum = eigendecompose(g, rng.normal(size=24))
     assert spectrum[0][1] <= 1e-8  # disconnected: second eigenvalue ~0
-    bank = make_filter_bank(spectrum[0][-1])
-    sub = sgwt_decompose(spectrum, bank)
+    sub = sgwt_decompose(spectrum)
     assert sub.shape == (4, 24)
     wcm = build_wcm(g, sub[1], sub[1], num_bins=10)
     assert abs(wcm.sum() - 1.0) <= 1e-12

@@ -454,3 +454,39 @@ def test_eval_bad_csv_exits_1(capsys, tmp_path):
     code, _, err = run_cli(capsys, "eval", str(p))
     assert code == 1
     assert json.loads(err)["error"] == "ParseError"
+
+
+# --- undecodable and oversized text inputs -----------------------------------
+
+BAD_CONFIG = b'{"mu": 2.0, "\xff": 1}'
+DEEP_CONFIG = b"[" * 100_000 + b"]" * 100_000
+MANIFEST_HEADER = b"pair_id,ref_path,dist_path\n"
+PREDICTIONS_HEADER = b"sample_id,mos,prediction\n"
+LONG_CELL = b"x" * 200_000  # beyond the csv module's 131,072-character field limit
+
+
+@pytest.mark.parametrize("via, body", [
+    ("--config", BAD_CONFIG),
+    ("PHM_CONFIG", BAD_CONFIG),
+    ("--config", DEEP_CONFIG),
+    ("batch", MANIFEST_HEADER + b"a\xffb,r.ply,d.ply\n"),
+    ("batch", MANIFEST_HEADER + LONG_CELL + b",r.ply,d.ply\n"),
+    ("eval", PREDICTIONS_HEADER + b"a\xffb,1,2\n"),
+    ("eval", PREDICTIONS_HEADER + LONG_CELL + b",1,2\n"),
+], ids=["config-bad-utf8", "env-config-bad-utf8", "config-deep-nesting", "manifest-bad-utf8",
+        "manifest-long-cell", "predictions-bad-utf8", "predictions-long-cell"])
+def test_unreadable_text_input_exits_1_with_parse_error(via, body, capsys, tmp_path, monkeypatch):
+    p = tmp_path / "input"
+    p.write_bytes(body)
+    argv = {
+        "--config": ["score", "--ref", "r.ply", "--dist", "d.ply", "--config", str(p)],
+        "PHM_CONFIG": ["score", "--ref", "r.ply", "--dist", "d.ply"],
+        "batch": ["batch", "--manifest", str(p)],
+        "eval": ["eval", str(p)],
+    }[via]
+    if via == "PHM_CONFIG":
+        monkeypatch.setenv("PHM_CONFIG", str(p))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert json.loads(err)["error"] == "ParseError"

@@ -1,15 +1,15 @@
 """Lanczos spectra of patches above KRYLOV_STEPS + 1 points against a dense oracle.
 
 The oracle is the exact spectrum: ``laplacian`` plus ``numpy.linalg.eigh``,
-with coefficients eigenvectors^T u. Each side builds its own filter bank
-from its own lambda_max, as ``prepare_side`` does.
+with coefficients eigenvectors^T u. ``sgwt_decompose`` scales each side's
+kernels from that side's own lambda_max, as ``prepare_side`` uses it.
 """
 
 import numpy as np
 import pytest
 
 import phm.appearance
-from phm.appearance import make_filter_bank, sgwt_decompose
+from phm.appearance import GAMMA, sgwt_decompose
 from phm.errors import ShapeError
 from phm.metric import phm_score
 from phm.patches import KRYLOV_STEPS, build_patch_graph, eigendecompose, laplacian
@@ -27,10 +27,6 @@ def dense_spectrum(graph, signal):
     return lam, vec, vec.T @ signal
 
 
-def bands(spectrum):
-    return sgwt_decompose(spectrum, make_filter_bank(spectrum[0][-1]))
-
-
 def assert_bands_close(got, want, rtol=BAND_RTOL):
     scale = np.abs(want).max(axis=1, keepdims=True)
     assert np.all(np.abs(got - want) <= rtol * scale), np.abs(got - want).max(axis=1) / scale.ravel()
@@ -44,7 +40,7 @@ def test_random_patch_bands_match_dense(n):
     got = eigendecompose(g, cloud.luminance)
     want = dense_spectrum(g, cloud.luminance)
     assert got[0][-1] == pytest.approx(want[0][-1], rel=1e-9)
-    assert_bands_close(bands(got), bands(want))
+    assert_bands_close(sgwt_decompose(got), sgwt_decompose(want))
 
 
 def test_small_patch_keeps_the_exact_spectrum():
@@ -61,9 +57,8 @@ def test_constant_luminance_above_cutoff():
     rng = np.random.default_rng(1)
     g = build_patch_graph(rng.uniform(0, 10, (500, 3)))
     spectrum = eigendecompose(g, np.full(500, 87.3))
-    bank = make_filter_bank(spectrum[0][-1])
-    sub = sgwt_decompose(spectrum, bank)
-    np.testing.assert_allclose(sub[0], bank.gamma * 87.3, rtol=1e-12)
+    sub = sgwt_decompose(spectrum)
+    np.testing.assert_allclose(sub[0], GAMMA * 87.3, rtol=1e-12)
     assert np.all(sub[1:] == 0.0)
     # lambda_max comes from a separate run, not from the (empty) signal part
     assert spectrum[0][-1] == pytest.approx(dense_spectrum(g, np.zeros(500))[0][-1], rel=1e-9)
@@ -78,7 +73,7 @@ def test_disconnected_clusters_with_constant_luminance():
     assert want[0][1] <= 1e-8  # two components
     got = eigendecompose(g, u)
     assert got[0][-1] == pytest.approx(want[0][-1], rel=1e-9)
-    np.testing.assert_allclose(bands(got), bands(want), atol=1e-9)
+    np.testing.assert_allclose(sgwt_decompose(got), sgwt_decompose(want), atol=1e-9)
 
 
 def test_signal_length_is_checked():

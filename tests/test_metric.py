@@ -132,6 +132,11 @@ def test_phm_requires_enough_points():
         prepare_reference(small)
 
 
+def test_prepare_reference_default_cell_count():
+    # max(1, N // patch_divisor) cells: 2,500 points give 2 at the default 1000
+    assert len(prepare_reference(random_cloud(2500, seed=1)).cells.members) == 2
+
+
 @pytest.mark.parametrize("name, value", [
     ("k1", 10), ("k2", 8), ("patch_divisor", 200), ("num_bandpass", 2), ("continuous_tail", False),
 ])

@@ -92,12 +92,6 @@ def test_partition_matches_bruteforce_assignment():
     assert seen_dist == set(range(len(dist)))
 
 
-def test_partition_default_cell_count():
-    ref = random_cloud(2500, seed=1)
-    pairs = partition_into_patch_pairs(reference_cells(ref), ref)
-    assert len(pairs) == 2
-
-
 # --- graph construction ------------------------------------------------------
 
 def test_three_collinear_points_k1():
