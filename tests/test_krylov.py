@@ -2,7 +2,7 @@
 
 The oracle is the exact spectrum: ``laplacian`` plus ``numpy.linalg.eigh``,
 with coefficients eigenvectors^T u. ``sgwt_decompose`` scales each side's
-kernels from that side's own lambda_max, as ``prepare_side`` uses it.
+kernels from that side's own lambda_max, as in ``prepare_side``.
 """
 
 import numpy as np
