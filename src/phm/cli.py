@@ -8,15 +8,14 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
-import threading
 import traceback
-from collections import Counter
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import fields
+from typing import NamedTuple
 
 from .cloud import load_ply
 from .errors import ParseError, PhmError
@@ -74,7 +73,7 @@ def _convert_override(name: str, raw: str, kind: type):
 def _read_manifest(path: str):
     """Rows of (pair_id, ref, dist, overrides); extra columns must be config keys."""
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:  # -sig: Excel's BOM
             reader = csv.DictReader(fh)
             cols, table = reader.fieldnames or [], list(reader)
     except (UnicodeDecodeError, csv.Error) as e:
@@ -99,7 +98,7 @@ def _read_manifest(path: str):
         if pid in seen:
             raise ParseError(f"duplicate pair_id {pid!r}")
         seen.add(pid)
-        # Raw strings: a bad value fails its own row in _batch_row, not the batch.
+        # Raw strings: a bad value fails its own row, not the batch.
         overrides = {c: raw for c in extras if (raw := (row.get(c) or "").strip())}
         rows.append((pid, ref, dist, overrides))
     return rows
@@ -116,120 +115,93 @@ def _reference_key(ref_path: str, cfg: MetricConfig) -> tuple:
     return (ref_path, *(getattr(cfg, name) for name in REFERENCE_FIELDS))
 
 
-class _SharedReferences:
-    """The prepared references of one batch, one per reference key.
+class _Unprepared(NamedTuple):
+    """Why a reference key has no prepared reference: the error, its traceback, and
+    whether the reference had loaded before it was raised."""
 
-    The first row of a key prepares it within its own call; a row that needs
-    a key under preparation waits for that result, or for its error, rather
-    than repeating the work. An entry is dropped once the last of the rows
-    counted for its key has released it.
-    """
-
-    def __init__(self, keys):
-        self._lock = threading.Lock()
-        self._users = Counter(keys)
-        self._entries: dict[tuple, Future] = {}
-
-    def acquire(self, key: tuple, prepare):
-        with self._lock:
-            entry = self._entries.get(key)
-            first = entry is None
-            if first:
-                entry = self._entries[key] = Future()
-        if not first:
-            return entry.result()
-        try:
-            result = prepare()
-        except BaseException as e:  # the waiting rows must not hang, whatever stopped it
-            entry.set_exception(e)
-            raise
-        entry.set_result(result)
-        return result
-
-    def release(self, key: tuple) -> None:
-        with self._lock:
-            self._users[key] -= 1
-            if self._users[key] <= 0:
-                self._entries.pop(key, None)
+    error: Exception
+    tb: object
+    loaded: bool
 
 
 def _load_and_prepare(ref_path: str, cfg: MetricConfig):
-    """(prepared reference, None), or (None, (error, traceback)) when preparing it raised.
+    """The prepared reference, or an _Unprepared if loading or preparing it raised.
 
-    A load failure raises here. A preparation failure is handed back, so that
-    each row raises it only after loading its own distorted cloud: one pair
-    scored alone meets the two in that order. The traceback is kept apart
-    because every raise of the shared error prepends the raising frame.
+    Each row of the key raises the error itself, in the order one pair scored
+    alone meets it: a load failure before the row loads its distorted cloud,
+    a preparation failure after. The traceback is kept apart because every
+    raise of the shared error prepends the raising frame.
     """
-    ref = load_ply(ref_path)
+    loaded = False
     try:
-        return prepare_reference(ref, cfg), None
+        ref = load_ply(ref_path)
+        loaded = True
+        return prepare_reference(ref, cfg)
     except Exception as e:
-        return None, (e, e.__traceback__)
+        return _Unprepared(e, e.__traceback__, loaded)
 
 
-def _batch_row(pair_id, ref, dist, base_cfg, overrides, shared):
+def _error_cell(pair_id, e: Exception) -> str:
+    if isinstance(e, FileNotFoundError):
+        return f"missing file: {e.filename}"
+    if not isinstance(e, (PhmError, OSError)):  # a defect, not bad input: keep the traceback visible
+        sys.stderr.write(f"pair {pair_id!r} failed:\n{''.join(traceback.format_exception(e))}")
+    return f"{type(e).__name__}: {e}"
+
+
+def _batch_row(pair_id, dist, cfg, reference):
     """(pair_id, report or None, error cell); never raises, so one row cannot stop a batch."""
     try:
-        cfg = _row_config(base_cfg, overrides)
-        key = _reference_key(ref, cfg)
-        try:
-            prepared, failed = shared.acquire(key, lambda: _load_and_prepare(ref, cfg))
-            dist_cloud = load_ply(dist)
-            if failed is not None:
-                error, tb = failed
-                raise error.with_traceback(tb)
-            report = phm_score(prepared, dist_cloud, cfg)
-        finally:
-            shared.release(key)
+        failed = reference if isinstance(reference, _Unprepared) else None
+        if failed and not failed.loaded:
+            raise failed.error.with_traceback(failed.tb)
+        dist_cloud = load_ply(dist)
+        if failed:
+            raise failed.error.with_traceback(failed.tb)
+        report = phm_score(reference, dist_cloud, cfg)
         if report.status != "ok":
             return pair_id, None, report.status
         return pair_id, report, ""
-    except FileNotFoundError as e:
-        return pair_id, None, f"missing file: {e.filename}"
-    except (PhmError, OSError) as e:
-        return pair_id, None, f"{type(e).__name__}: {e}"
-    except Exception as e:  # a defect, not bad input: keep the traceback visible
-        sys.stderr.write(f"pair {pair_id!r} failed:\n{traceback.format_exc()}")
-        return pair_id, None, f"{type(e).__name__}: {e}"
+    except Exception as e:
+        return pair_id, None, _error_cell(pair_id, e)
 
 
-def _reference_keys(rows, base_cfg: MetricConfig) -> list[tuple]:
-    """The reference key of each row whose config builds; any other row fails before using one."""
-    keys = []
-    for _, ref, _, overrides in rows:
-        try:
-            keys.append(_reference_key(ref, _row_config(base_cfg, overrides)))
-        except Exception:  # _batch_row reports it in the row's error cell
-            continue
-    return keys
+def _score_reference(ref_path: str, rows) -> list:
+    """Load and prepare one reference key's reference once, then score its rows in order."""
+    reference = _load_and_prepare(ref_path, rows[0][2])
+    return [(i, _batch_row(pid, dist, cfg, reference)) for pid, dist, cfg, i in rows]
 
 
 def cmd_batch(args) -> int:
     if args.jobs < 1:
         raise ParseError(f"--jobs must be >= 1, got {args.jobs}")
-    cfg = _load_config(args.config)
+    base_cfg = _load_config(args.config)
     rows = _read_manifest(args.manifest)
-    shared = _SharedReferences(_reference_keys(rows, cfg))
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        futures = [pool.submit(_batch_row, pid, ref, dist, cfg, ov, shared)
-                   for pid, ref, dist, ov in rows]
-        results = [f.result() for f in futures]  # manifest order, not completion order
+    results = [None] * len(rows)
+    groups: dict[tuple, list] = {}  # reference key -> its rows, in manifest order
+    for i, (pid, ref, dist, overrides) in enumerate(rows):
+        try:
+            cfg = _row_config(base_cfg, overrides)
+        except Exception as e:
+            results[i] = (pid, None, _error_cell(pid, e))
+            continue
+        groups.setdefault(_reference_key(ref, cfg), []).append((pid, dist, cfg, i))
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("pair_id",) + _REPORT_COLUMNS + ("error",))
-    for pair_id, report, err in results:
-        if report is None:
-            writer.writerow([pair_id] + [""] * len(_REPORT_COLUMNS) + [err])
-        else:
-            writer.writerow([pair_id] + [_fmt(getattr(report, c)) for c in _REPORT_COLUMNS] + [err])
-    payload = buf.getvalue()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+    # Opened before scoring, so an unwritable --out costs no work.
+    out = open(args.out, "w", encoding="utf-8", newline="") if args.out else nullcontext(sys.stdout)
+    with out as fh:
+        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+            tasks = [pool.submit(_score_reference, key[0], group) for key, group in groups.items()]
+            for task in tasks:
+                for i, result in task.result():
+                    results[i] = result
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(("pair_id",) + _REPORT_COLUMNS + ("error",))
+        for pair_id, report, err in results:
+            if report is None:
+                writer.writerow([pair_id] + [""] * len(_REPORT_COLUMNS) + [err])
+            else:
+                writer.writerow([pair_id] + [_fmt(getattr(report, c)) for c in _REPORT_COLUMNS] + [err])
     return 0
 
 
@@ -267,7 +239,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True,
                    help="CSV with pair_id, ref_path, dist_path and optional config columns")
     p.add_argument("--config", default=None)
-    p.add_argument("--jobs", type=int, default=1, help="concurrent scoring jobs")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="reference keys scored at once, each preparing its reference once "
+                        "and scoring its rows in order")
     p.add_argument("--out", default=None, help="output CSV (default: stdout)")
     p.set_defaults(func=cmd_batch)
 

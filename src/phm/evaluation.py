@@ -125,7 +125,7 @@ def f_test_left(residuals_a, residuals_b, significance: float = 0.05) -> int:
 def read_records_csv(path) -> list[EvalRecord]:
     """Read evaluation records from a CSV with header sample_id, mos, prediction."""
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:  # -sig: Excel's BOM
             reader = csv.DictReader(fh)
             cols, table = reader.fieldnames or [], list(reader)
     except (UnicodeDecodeError, csv.Error) as e:

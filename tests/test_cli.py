@@ -1,10 +1,6 @@
 import csv
 import json
 import os
-import random
-import sys
-import threading
-import time
 
 import numpy as np
 import pytest
@@ -152,6 +148,11 @@ def test_batch_identity_rows(ply_pair, capsys, tmp_path):
     assert [r["pair_id"] for r in rows] == ["a", "b"]
     assert all(float(r["score"]) == 1.0 for r in rows)
     assert all(r["error"] == "" for r in rows)
+    # a byte-order mark, as Excel's "CSV UTF-8" writes, is not part of the first column's name
+    manifest.write_bytes(b"\xef\xbb\xbf" + manifest.read_bytes())
+    bom_csv = tmp_path / "bom.csv"
+    assert run_cli(capsys, "batch", "--manifest", str(manifest), "--out", str(bom_csv))[0] == 0
+    assert bom_csv.read_bytes() == out_csv.read_bytes()
 
 
 def test_batch_partial_failure_keeps_going(ply_pair, capsys, tmp_path):
@@ -202,6 +203,20 @@ def test_batch_bad_rows_do_not_stop_the_batch(ply_pair, capsys, tmp_path):
     assert rows["ok1"]["error"] == "" and float(rows["ok2"]["score"]) == 1.0
 
 
+def test_batch_unwritable_out_fails_before_scoring(ply_pair, capsys, tmp_path, monkeypatch):
+    import phm.cli
+
+    calls = []
+    monkeypatch.setattr(phm.cli, "phm_score", lambda *args: calls.append(args))
+    ref, dist = ply_pair
+    manifest = tmp_path / "m.csv"
+    write_manifest(manifest, [["a", ref, dist]])
+    out = tmp_path / "no_such_dir" / "out.csv"
+    code, stdout, err = run_cli(capsys, "batch", "--manifest", str(manifest), "--out", str(out))
+    assert code == 1 and stdout == "" and calls == []
+    assert json.loads(err)["error"] == "FileNotFoundError"
+
+
 def test_batch_unexpected_exception_fills_error_cell(ply_pair, capsys, tmp_path, monkeypatch):
     import phm.cli
 
@@ -238,7 +253,8 @@ def test_batch_prepares_each_reference_key_once(capsys, tmp_path, monkeypatch):
     open(paths["nan"], "wb").write(head + b"end_header\nnan" + body[body.index(b" "):])
     rows = [  # pair_id, ref, dist, patch_divisor override
         ("a1", "ref_a", "dist_a", ""), ("b1", "ref_b", "dist_b", ""), ("a2", "ref_a", "copy_a", ""),
-        ("bad1", "nan", "dist_a", ""), ("bad2", "nan", "copy_a", ""), ("a3", "ref_a", "dist_a", "100"),
+        ("bad1", "nan", "dist_a", ""), ("bad2", "nan", "copy_a", ""), ("bad3", "nan", "missing", ""),
+        ("a3", "ref_a", "dist_a", "100"),
         # a reference too small to prepare, with a distorted file that is missing or fine
         ("tiny1", "tiny", "missing", ""), ("tiny2", "tiny", "dist_b", ""),
     ]
@@ -255,7 +271,7 @@ def test_batch_prepares_each_reference_key_once(capsys, tmp_path, monkeypatch):
 
     monkeypatch.setattr(phm.cli, "load_ply", counted_load)
     outs = []
-    for jobs in ("1", "2"):
+    for jobs in ("1", "2", "8"):
         loads.clear()
         out = tmp_path / f"o{jobs}.csv"
         assert run_cli(capsys, "batch", "--manifest", str(manifest), "--jobs", jobs, "--out", str(out))[0] == 0
@@ -263,10 +279,10 @@ def test_batch_prepares_each_reference_key_once(capsys, tmp_path, monkeypatch):
         refs = sorted(name for name in loads if not name.startswith(("dist", "copy", "missing")))
         assert refs == ["nan.ply", "ref_a.ply", "ref_a.ply", "ref_b.ply", "tiny.ply"]
         outs.append(out.read_bytes())
-    assert outs[0] == outs[1]
+    assert outs[0] == outs[1] == outs[2]
 
     got = {r["pair_id"]: r for r in csv.DictReader(outs[0].decode().splitlines())}
-    for pid, ref, dist, divisor in rows[:3] + rows[5:6]:
+    for pid, ref, dist, divisor in rows[:3] + rows[6:7]:
         cfg = MetricConfig(patch_divisor=int(divisor)) if divisor else MetricConfig()
         report = phm_score(load_ply(paths[ref]), load_ply(paths[dist]), cfg)
         assert [got[pid][c] for c in ("d_h", "d_l_o", "d_l_i", "d_l", "omega", "score", "error")] == [
@@ -275,7 +291,7 @@ def test_batch_prepares_each_reference_key_once(capsys, tmp_path, monkeypatch):
     assert float(got["a2"]["score"]) == 1.0
     with pytest.raises(Exception) as nan_error:
         load_ply(paths["nan"])
-    for pid in ("bad1", "bad2"):
+    for pid in ("bad1", "bad2", "bad3"):  # a reference that fails to load fails before the distorted file
         assert got[pid]["error"] == f"{type(nan_error.value).__name__}: {nan_error.value}"
         assert got[pid]["score"] == ""
     # the order one pair scored alone meets the failures in: missing file before small reference
@@ -301,47 +317,33 @@ def test_batch_failed_preparation_fills_each_row_of_its_reference(ply_pair, caps
     assert len(tracebacks) == 3 and len(set(tracebacks)) == 1  # no row's frames pile onto the next
 
 
-def test_shared_references_prepare_once_under_contention():
-    from phm.cli import _SharedReferences
+def test_batch_frees_each_reference_before_the_next(ply_pair, capsys, tmp_path, monkeypatch):
+    import weakref
 
-    keys = [k for k in ("a", "b", "c", "fail") for _ in range(25)]
-    shared = _SharedReferences(keys)
-    calls, lock, results = [], threading.Lock(), []
+    import phm.cli
+    from phm.metric import phm_score, prepare_reference
 
-    def prepare(key):
-        with lock:
-            calls.append(key)
-        time.sleep(0.005)
-        if key == "fail":
-            raise ValueError("bad reference")
-        return object()
+    prepared, scored = [], []  # weak refs to each preparation; which one each row scored against
 
-    def row(key):
-        try:
-            results.append((key, shared.acquire(key, lambda: prepare(key))))
-        except ValueError as e:
-            results.append((key, str(e)))
-        finally:
-            shared.release(key)
+    def tracked_prepare(ref, cfg):
+        result = prepare_reference(ref, cfg)
+        prepared.append(weakref.ref(result))
+        return result
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=row, args=(k,)) for k in keys]
-        random.Random(3).shuffle(threads)
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert sorted(calls) == ["a", "b", "c", "fail"]
-    assert len(results) == len(keys)
-    for key in ("a", "b", "c"):
-        assert len({id(v) for k, v in results if k == key}) == 1
-    assert {v for k, v in results if k == "fail"} == {"bad reference"}
-    assert shared._entries == {}
+    def tracked_score(ref, dist, cfg):
+        k = next(k for k, w in enumerate(prepared) if w() is ref)
+        scored.append((k, [w() is None for w in prepared]))
+        return phm_score(ref, dist, cfg)
+
+    monkeypatch.setattr(phm.cli, "prepare_reference", tracked_prepare)
+    monkeypatch.setattr(phm.cli, "phm_score", tracked_score)
+    ref, dist = ply_pair
+    manifest = tmp_path / "m.csv"  # two keys, interleaved
+    write_manifest(manifest, [["a1", ref, dist], ["b1", dist, ref], ["a2", ref, ref],
+                              ["b2", dist, dist]])
+    assert run_cli(capsys, "batch", "--manifest", str(manifest), "--jobs", "1")[0] == 0
+    # one preparation per key, shared by its rows; the first is garbage before the second is used
+    assert scored == [(0, [False]), (0, [False]), (1, [True, False]), (1, [True, False])]
 
 
 def test_batch_per_row_config_override(ply_pair, capsys, tmp_path):
@@ -428,6 +430,8 @@ def test_eval_perfect_rank_order(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "eval", str(p))
     assert code == 0
     assert json.loads(out)["srocc"] == pytest.approx(1.0, abs=1e-12)
+    p.write_bytes(b"\xef\xbb\xbf" + p.read_bytes())  # Excel's byte-order mark
+    assert run_cli(capsys, "eval", str(p)) == (0, out, "")
 
 
 def test_eval_constant_predictions_exits_3(capsys, tmp_path):
