@@ -1,6 +1,6 @@
 """Low-quality regime: appearance degradation from graph smoothness and SGWT.
 
-``prepare_side`` builds what each side of a patch pair contributes, on its
+``prepare_sides`` builds what each side of a patch pair contributes, on its
 own graph and spectrum: per-axis coordinate smoothness and the
 spectral graph wavelet sub-bands of luminance. Geometry degradation then
 compares the smoothness of the two sides; texture degradation compares
@@ -16,7 +16,8 @@ import numpy as np
 
 from .cloud import PointCloud
 from .errors import DegeneratePatch, NoValidPatches, ShapeError
-from .patches import PatchGraph, build_patch_graph, cap_indices, eigendecompose
+from .patches import (PatchGraph, Spectrum, build_patch_graph, cap_indices, eigendecompose,
+                      spectral_chunks, stack_graphs)
 
 DEFAULT_STABILIZER = 1e-6
 DEFAULT_NUM_BANDPASS = 3
@@ -49,24 +50,39 @@ class PreparedSide:
     bands: np.ndarray
 
 
-def prepare_side(
+def prepare_sides(
     cloud: PointCloud,
-    idx: np.ndarray,
+    cells: list[np.ndarray],
     k2: int,
     num_bandpass: int = DEFAULT_NUM_BANDPASS,
     continuous_tail: bool = True,
-) -> PreparedSide | None:
-    """Cap, gather, graph and filter one cell of a cloud; None if it cannot support a graph."""
-    idx, capped = cap_indices(idx)
-    positions = cloud.positions[idx]
-    try:
-        graph = build_patch_graph(positions, k2)
-    except DegeneratePatch:
-        return None
-    smoothness = tuple(graph_smoothness(graph, positions[:, axis]) / graph.n for axis in range(3))
-    spectrum = eigendecompose(graph, cloud.luminance[idx])
-    bands = sgwt_decompose(spectrum, num_bandpass, continuous_tail)
-    return PreparedSide(graph, capped, smoothness, bands)
+) -> list[PreparedSide | None]:
+    """Cap, gather, graph and filter each cell of a cloud; None for a cell without a graph.
+
+    Sides are filtered one ``spectral_chunks`` chunk at a time; a side's
+    bands do not depend on its chunk.
+    """
+    built = []  # (idx, graph, capped, smoothness), or None
+    for idx in cells:
+        idx, capped = cap_indices(idx)
+        positions = cloud.positions[idx]
+        try:
+            graph = build_patch_graph(positions, k2)
+        except DegeneratePatch:
+            built.append(None)
+            continue
+        smoothness = tuple(graph_smoothness(graph, positions[:, axis]) / graph.n for axis in range(3))
+        built.append((idx, graph, capped, smoothness))
+    sides: list[PreparedSide | None] = [None] * len(built)
+    graphs = [None if side is None else side[1] for side in built]
+    for chunk in spectral_chunks(graphs):
+        luminance = np.concatenate([cloud.luminance[built[i][0]] for i in chunk])
+        spectrum = eigendecompose(stack_graphs([graphs[i] for i in chunk]), luminance,
+                                  [graphs[i].n for i in chunk])
+        bands = sgwt_decompose(spectrum, num_bandpass, continuous_tail)
+        for i, side_bands in zip(chunk, np.split(bands, np.cumsum(spectrum.sizes[:-1]), axis=1)):
+            sides[i] = PreparedSide(*built[i][1:], side_bands)
+    return sides
 
 
 def prepare_pairs(
@@ -83,8 +99,8 @@ def prepare_pairs(
     ``ref_sides`` was prepared from, with the same ``k2``, ``num_bandpass``
     and ``continuous_tail``.
     """
-    return [(rs, prepare_side(dist, di, k2, num_bandpass, continuous_tail))
-            for rs, (_, di) in zip(ref_sides, pairs)]
+    dist_sides = prepare_sides(dist, [di for _, di in pairs], k2, num_bandpass, continuous_tail)
+    return list(zip(ref_sides, dist_sides))
 
 
 def _compare(prepared, similarity):
@@ -145,26 +161,33 @@ GAMMA = float(band_pass(np.array([2.0 - 1.0 / math.sqrt(3.0)]))[0])
 
 
 def sgwt_decompose(
-    spectrum: tuple[np.ndarray, np.ndarray, np.ndarray],
+    spectrum: Spectrum,
     num_bandpass: int = DEFAULT_NUM_BANDPASS,
     continuous_tail: bool = True,
 ) -> np.ndarray:
-    """Filter a signal through PHM's wavelet kernels in the spectral domain.
+    """Filter a chunk's signal through PHM's wavelet kernels: a (C + 1, N) array.
 
-    ``spectrum`` is the signal's (eigenvalues, vectors, coefficients) from
-    ``eigendecompose``, whose last eigenvalue is lambda_max; lambda_min is
-    lambda_max / SCALE_SPAN. Returns a (C + 1, n) array: row 0 is the
-    low-pass band GAMMA * exp(-(lam / (0.6 lambda_min))^4), rows 1..C the
-    band-pass bands g(t lam) at scales t log-equispaced from 2/lambda_max
-    to 2/lambda_min.
+    ``spectrum`` comes from ``eigendecompose``. Each block's kernels take its
+    own lambda_max, and lambda_min = lambda_max / SCALE_SPAN: row 0 is the
+    low-pass GAMMA * exp(-(lam / (0.6 lambda_min))^4), rows 1..C the
+    band-pass g(t lam) at scales t log-equispaced from 2/lambda_max to
+    2/lambda_min. Row c of block b is f_c(0) mean_b + sum_j basis[j]
+    z[c, b, j], z = S (f_c(theta) * coefficients), summed elementwise in a
+    fixed order, so a block's bands read only its own values.
     """
-    lam, vec, coef = spectrum
-    lambda_min = lam[-1] / SCALE_SPAN
-    out = np.empty((num_bandpass + 1, len(vec)))
-    out[0] = vec @ (GAMMA * np.exp(-((lam / (0.6 * lambda_min)) ** 4)) * coef)
-    scales = np.geomspace(2.0 / lam[-1], 2.0 / lambda_min, num_bandpass)
-    for c, t in enumerate(scales, start=1):
-        out[c] = vec @ (band_pass(t * lam, continuous_tail) * coef)
+    lam, lambda_max = spectrum.theta, spectrum.lambda_max[:, None]
+    lambda_min = lambda_max / SCALE_SPAN
+    kernels = [GAMMA * np.exp(-((lam / (0.6 * lambda_min)) ** 4))] + [
+        band_pass(t * lam, continuous_tail)
+        for t in np.geomspace(2.0 / lambda_max, 2.0 / lambda_min, num_bandpass)]
+    weighted = spectrum.coefficients * np.array(kernels)  # (C + 1, B, k)
+    z = np.zeros((weighted.shape[2],) + weighted.shape[:2])  # (k, C + 1, B)
+    for j in range(len(z)):
+        z += spectrum.ritz_vectors[:, :, j].T[:, None, :] * weighted[:, :, j]
+    out = np.zeros((num_bandpass + 1, spectrum.sizes.sum()))
+    out[0] = GAMMA * np.repeat(spectrum.means, spectrum.sizes)  # the mean passes: g(0) = 0
+    for q, zq in zip(spectrum.basis, z):
+        out += q * np.repeat(zq, spectrum.sizes, axis=1)
     return out
 
 

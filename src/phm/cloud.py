@@ -350,9 +350,13 @@ def save_ply(cloud: PointCloud, path, binary: bool = False) -> None:
     """Write a cloud as PLY (float32 xyz + uchar RGB).
 
     Positions are quantized to float32 on save so that the ascii and binary
-    encodings of the same cloud load back bitwise-equal.
+    encodings of the same cloud load back bitwise-equal. Raises DomainError,
+    before the file is opened, for a position beyond float32's range.
     """
-    pos32 = cloud.positions.astype(np.float32)
+    with np.errstate(over="ignore"):
+        pos32 = cloud.positions.astype(np.float32)
+    if not np.isfinite(pos32).all():
+        raise DomainError("a position overflows float32, which PLY files store")
     fmt = "binary_little_endian" if binary else "ascii"
     header = (
         "ply\n"

@@ -13,7 +13,7 @@ from .appearance import (
     fuse_appearance,
     geometry_degradation,
     prepare_pairs,
-    prepare_side,
+    prepare_sides,
     texture_degradation,
 )
 from .cloud import PointCloud, SpatialIndex
@@ -24,6 +24,8 @@ from .visible import reference_masking, visible_difference
 _FUSION_MODES = ("multiply", "average")
 # The MetricConfig fields that the reference-only work depends on.
 REFERENCE_FIELDS = ("k1", "k2", "patch_divisor", "num_bandpass", "continuous_tail")
+MAX_NUM_BANDPASS = 64
+MAX_NB_BINS = 1024
 
 
 @dataclass
@@ -43,13 +45,15 @@ class MetricConfig:
     continuous_tail: bool = True  # 4/lam^2 band-pass tail (continuous at 2)
 
     def __post_init__(self):
-        for name, least in (("k1", 1), ("k2", 1), ("patch_divisor", 1),
-                            ("num_bandpass", 1), ("nb_bins", 2)):
+        # The upper bounds keep (C + 1) x N bands and Nb^2 WCMs within memory.
+        for name, least, most in (("k1", 1, math.inf), ("k2", 1, math.inf),
+                                  ("patch_divisor", 1, math.inf), ("num_bandpass", 1, MAX_NUM_BANDPASS),
+                                  ("nb_bins", 2, MAX_NB_BINS)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise TypeError(f"{name} must be an int, got {value!r}")
-            if value < least:
-                raise ValueError(f"{name} must be >= {least}")
+            if not least <= value <= most:
+                raise ValueError(f"{name} must lie in [{least}, {most}]")
         for name in ("alpha", "mu", "stabilizer"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
@@ -174,8 +178,7 @@ def prepare_reference(ref: PointCloud, config: MetricConfig | None = None) -> Pr
             f"reference has {len(ref)} points; AR order {cfg.k1} needs more")
     index, complexity = reference_masking(ref, cfg.k1)
     cells = reference_cells(ref, max(1, len(ref) // cfg.patch_divisor))
-    sides = [prepare_side(ref, idx, cfg.k2, cfg.num_bandpass, cfg.continuous_tail)
-             for idx in cells.members]
+    sides = prepare_sides(ref, cells.members, cfg.k2, cfg.num_bandpass, cfg.continuous_tail)
     return PreparedReference(ref, cfg, index, complexity, cells, sides)
 
 

@@ -4,13 +4,13 @@ The reference cloud is split by farthest-point-sampled seeds, once per
 reference; each distorted cloud is then partitioned by nearest seed, so each
 cell yields a pair of reference and distorted point-index arrays. Every
 patch gets a Gaussian-weighted KNN graph, held as its edge list.
-``eigendecompose`` gives the spectrum of one signal on that graph, exact for
-small patches and from Lanczos iteration for larger ones, and the wavelet
-analysis downstream filters through it.
+``eigendecompose`` gives the Lanczos spectra of a signal on a chunk of such
+graphs at once, and the wavelet analysis downstream filters through them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,9 +24,11 @@ DEFAULT_GRAPH_KNN = 10
 # Larger patches are subsampled first. The cap dates from the dense O(n^3)
 # spectrum; it stays so that scores of cells above 3,000 points do not move.
 PATCH_POINT_CAP = 3000
-# Lanczos steps for a patch of more than KRYLOV_STEPS + 1 points; smaller
-# patches get the exact dense spectrum, which is no larger than the Krylov one.
+# Lanczos steps for a patch of more than KRYLOV_STEPS + 1 points, and for smaller ones.
 KRYLOV_STEPS = 200
+SMALL_SIDE_STEPS = 40
+# Most points in one chunk of ``eigendecompose``; its basis is steps x points.
+CHUNK_POINTS = 16384
 
 
 @dataclass(frozen=True)
@@ -111,121 +113,142 @@ def build_patch_graph(points: np.ndarray, k2: int = DEFAULT_GRAPH_KNN) -> PatchG
     return PatchGraph(n, ei, ej, np.exp(-d2 / sigma2), sigma2)
 
 
-def laplacian(graph: PatchGraph) -> np.ndarray:
-    """Dense (n, n) Laplacian D - W: symmetric, zero row sums."""
-    adj = np.zeros((graph.n, graph.n))
-    adj[graph.edges_i, graph.edges_j] = graph.weights
-    adj[graph.edges_j, graph.edges_i] = graph.weights
-    return np.diag(adj.sum(axis=1)) - adj
+def stack_graphs(graphs: list[PatchGraph]) -> PatchGraph:
+    """The block-diagonal union of the graphs, in order; its sigma2 is NaN."""
+    offsets = np.repeat(np.cumsum([0] + [g.n for g in graphs[:-1]]), [len(g.weights) for g in graphs])
+    return PatchGraph(sum(g.n for g in graphs),
+                      np.concatenate([g.edges_i for g in graphs]) + offsets,
+                      np.concatenate([g.edges_j for g in graphs]) + offsets,
+                      np.concatenate([g.weights for g in graphs]), math.nan)
 
 
-def eigendecompose(
-    graph: PatchGraph, signal: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Spectrum of ``signal`` on the graph: (eigenvalues, vectors, coefficients).
+def spectral_chunks(graphs: list[PatchGraph | None]) -> list[list[int]]:
+    """Group the graphs' positions, None left out, into chunks for ``eigendecompose``.
 
-    A spectral filter f applies as ``vectors @ (f(eigenvalues) * coefficients)``
-    and eigenvalues[-1] is lambda_max. Up to KRYLOV_STEPS + 1 points this is
-    the dense ``eigh`` (ascending eigenvalues, orthonormal eigenvector
-    columns with LAPACK's signs) and coefficients = vectors.T @ signal.
-    Larger patches use a Krylov basis instead; see ``_krylov_spectrum``.
-    A constant signal gets the same exact pass-through on both paths:
-    eigenvalues [0, lambda_max], vectors [1/sqrt(n), 0] and coefficients
-    [mean * sqrt(n), 0], so its band-pass rows are exactly zero.
+    A chunk holds, in order, at most CHUNK_POINTS points of one class: above
+    KRYLOV_STEPS + 1 points, at most SMALL_SIDE_STEPS + 1 (a whole Krylov
+    space), or in between.
     """
+    runs: dict[tuple[bool, bool], list[list[int]]] = {}
+    points: dict[tuple[bool, bool], int] = {}  # in each class's last chunk
+    for i, g in enumerate(graphs):
+        if g is not None:
+            key = (g.n > KRYLOV_STEPS + 1, g.n <= SMALL_SIDE_STEPS + 1)
+            chunks = runs.setdefault(key, [[]])
+            if chunks[-1] and points[key] + g.n > CHUNK_POINTS:
+                chunks.append([])
+                points[key] = 0
+            chunks[-1].append(i)
+            points[key] = points.get(key, 0) + g.n
+    return [chunk for chunks in runs.values() for chunk in chunks]
+
+
+@dataclass(frozen=True)
+class Spectrum:
+    """Lanczos spectra of a signal on the blocks of a block-diagonal graph.
+
+    Block b holds sizes[b] points; its signal is means[b] plus a centred r.
+    Lanczos from r / ||r|| gives basis rows Q (0 past the block's last step)
+    and T = S diag(theta) S^T, so f applies as f(0) means[b] + Q^T S (f(theta)
+    * coefficients), coefficients = ||r|| S[0] (Susnjara et al., 2015); theta,
+    S and coefficients are zero-padded.
+    """
+
+    sizes: np.ndarray  # (B,)
+    means: np.ndarray  # (B,)
+    basis: np.ndarray  # (k, N)
+    theta: np.ndarray  # (B, k)
+    ritz_vectors: np.ndarray  # (B, k, k)
+    coefficients: np.ndarray  # (B, k)
+    lambda_max: np.ndarray  # (B,)
+
+
+def eigendecompose(graph: PatchGraph, signal: np.ndarray, sizes) -> Spectrum:
+    """Lockstep Lanczos spectra of ``signal`` on a ``spectral_chunks`` chunk of sides.
+
+    ``graph`` is their ``stack_graphs`` union and ``sizes`` their point counts.
+    They run together, one sparse matvec per step: KRYLOV_STEPS steps for sides
+    above KRYLOV_STEPS + 1 points, else SMALL_SIDE_STEPS. There is no
+    reorthogonalisation (accurate for f(L) r, Musco et al., SODA 2018) unless
+    every side spans its whole Krylov space, whose spectrum is then exact. A
+    side's arithmetic reads only its points.
+
+    lambda_max is the top Ritz value of a side that ran every step or at least
+    n - 1. Any other, a constant signal (no step) included, takes the larger of
+    that and the top of a run from ``default_rng(0).standard_normal(n)``.
+    """
+    sizes = np.asarray(sizes, dtype=np.intp)
     u = np.asarray(signal, dtype=np.float64)
-    if u.shape != (graph.n,):
-        raise ShapeError(f"signal length {u.shape} does not match n={graph.n}")
+    if u.shape != (graph.n,) or sizes.sum() != graph.n:
+        raise ShapeError(f"signal length {u.shape} or block sizes do not match n={graph.n}")
+    steps = KRYLOV_STEPS if sizes.max() > KRYLOV_STEPS + 1 else SMALL_SIDE_STEPS
+    starts = np.cumsum(sizes) - sizes
+    block = np.repeat(np.arange(len(sizes)), sizes)
+    means = np.add.reduceat(u, starts) / sizes
+    # An exactly constant signal has no centred part, whatever the roundoff of its mean.
+    flat = (np.maximum.reduceat(u, starts) == np.minimum.reduceat(u, starts))[block]
     try:
-        if graph.n > KRYLOV_STEPS + 1:
-            return _krylov_spectrum(graph, u)
-        lam, vec = np.linalg.eigh(laplacian(graph))
+        norm, basis, theta, vectors, count = _lanczos(
+            graph, sizes, np.where(flat, 0.0, u - means[block]), steps, sizes.max() <= steps + 1)
+        top = theta[np.arange(len(sizes)), np.maximum(count, 1) - 1]
+        rerun = (count < steps) & (count < sizes - 1)
+        if rerun.any():
+            keep = rerun[block]
+            renumber, edges = np.cumsum(keep) - 1, keep[graph.edges_i]
+            sub = PatchGraph(int(keep.sum()), renumber[graph.edges_i[edges]],
+                             renumber[graph.edges_j[edges]], graph.weights[edges], math.nan)
+            start = np.concatenate([np.random.default_rng(0).standard_normal(n)
+                                    for n in sizes[rerun]])
+            _, _, again, _, ran = _lanczos(sub, sizes[rerun], start, steps)
+            top[rerun] = np.maximum(top[rerun], again[np.arange(len(ran)), ran - 1])
     except np.linalg.LinAlgError as e:
         raise SpectralError(f"eigendecomposition failed: {e}") from None
-    if u.max() > u.min():
-        return lam, vec, vec.T @ u
-    return _assemble(u, lam[-1])
+    return Spectrum(sizes, means, basis, theta, vectors, norm[:, None] * vectors[:, 0, :], top)
 
 
-def _assemble(u: np.ndarray, top: float | None, ritz=None):
-    """Spectrum of u: its mean on the constant null vector, then the Ritz part.
+def _lanczos(graph: PatchGraph, sizes, start, steps: int, reorthogonalise=False):
+    """Lockstep Lanczos on each block's Laplacian: (||start||, basis, theta, S, steps).
 
-    ``ritz`` is None or Lanczos's (theta, basis, s, norm), giving eigenvalues
-    theta, vectors basis.T @ s (written straight into the result) and
-    coefficients norm * s[0]. Unless ``top`` is None, lambda_max = top comes
-    last with a zero vector and coefficient: it sets the wavelet kernels' scales
-    and adds nothing.
+    A block stops when its residual falls to 1e-10 times its largest degree (an
+    invariant subspace: ||L|| <= 2 max degree) or its steps reach its size; one
+    whose start is 0 runs none. ``reorthogonalise`` takes w's mean and its
+    parts along earlier vectors out of w (classical Gram-Schmidt).
     """
-    n = len(u)
-    k = 0 if ritz is None else len(ritz[0])
-    lam = np.zeros(1 + k + (top is not None))
-    vec, coef = np.zeros((n, len(lam))), np.zeros(len(lam))
-    vec[:, 0], coef[0] = 1.0 / np.sqrt(n), u.mean() * np.sqrt(n)
-    if ritz is not None:
-        theta, basis, s, norm = ritz
-        lam[1:k + 1], coef[1:k + 1] = theta, norm * s[0]
-        np.matmul(basis.T, s, out=vec[:, 1:k + 1])
-    if top is not None:
-        lam[-1] = top
-    return lam, vec, coef
-
-
-def _krylov_spectrum(graph: PatchGraph, u: np.ndarray):
-    """Lanczos spectrum of u on the sparse Laplacian (Susnjara et al., 2015).
-
-    u splits into its mean, which sits on the constant null vector with
-    eigenvalue 0, and a centred part r. KRYLOV_STEPS steps from r / ||r||
-    give the basis Q and the tridiagonal T = S diag(theta) S^T, so
-    f(L) r ~ ||r|| Q S (f(theta) * S[0]): vectors Q S, coefficients ||r|| S[0].
-    No reorthogonalisation (accurate for f(L) r, Musco et al., SODA 2018).
-    Theta ascends, so its top Ritz value is lambda_max. When the iteration
-    stops early (r spans an invariant subspace, or u is constant) the Ritz
-    values need not reach lambda_max: a second run from a fixed generic start
-    supplies it, appended with a zero vector and coefficient.
-    """
-    n = graph.n
-    idx = np.arange(n)
+    n, starts = graph.n, np.cumsum(sizes) - sizes
+    block = np.repeat(np.arange(len(sizes)), sizes)
     degree = np.bincount(graph.edges_i, graph.weights, n) + np.bincount(graph.edges_j, graph.weights, n)
-    lap = csr_matrix(
-        (np.concatenate([-graph.weights, -graph.weights, degree]),
-         (np.concatenate([graph.edges_i, graph.edges_j, idx]),
-          np.concatenate([graph.edges_j, graph.edges_i, idx]))),
-        shape=(n, n))
-    # ||L|| <= 2 max degree: a smaller residual means an invariant subspace.
-    tol = 1e-10 * degree.max()
-    r = u - u.mean()
-    norm = float(np.linalg.norm(r)) if u.max() > u.min() else 0.0
-    theta, ritz, top = np.zeros(1), None, None  # theta: the null vector's 0 until Lanczos runs
-    if norm > 0.0:
-        basis, alpha, beta = _lanczos(lap, r / norm, tol)
-        theta, s = eigh_tridiagonal(alpha, beta)
-        ritz = (theta, basis, s, norm)
-    if len(theta) < KRYLOV_STEPS:
-        start = np.random.default_rng(0).standard_normal(n)
-        _, alpha, beta = _lanczos(lap, start / np.linalg.norm(start), tol)
-        top = max(eigh_tridiagonal(alpha, beta, eigvals_only=True)[-1], theta[-1])
-    return _assemble(u, top, ritz)
-
-
-def _lanczos(lap, q: np.ndarray, tol: float):
-    """Up to KRYLOV_STEPS Lanczos steps from unit q: (basis rows, alpha, beta)."""
-    basis = np.empty((KRYLOV_STEPS, len(q)))
-    alpha = np.empty(KRYLOV_STEPS)
-    beta = np.empty(KRYLOV_STEPS - 1)
-    prev, b = np.zeros_like(q), 0.0
-    for j in range(KRYLOV_STEPS):
+    lap = csr_matrix((np.concatenate([-graph.weights, -graph.weights, degree]),
+                      (np.concatenate([graph.edges_i, graph.edges_j, np.arange(n)]),
+                       np.concatenate([graph.edges_j, graph.edges_i, np.arange(n)]))), shape=(n, n))
+    tol = 1e-10 * np.maximum.reduceat(degree, starts)
+    norm = np.sqrt(np.add.reduceat(start * start, starts))
+    q = start / np.where(norm > 0, norm, np.inf)[block]
+    running, count = norm > 0, np.zeros(len(sizes), dtype=np.intp)
+    basis = np.empty((steps, n))
+    alpha, beta = np.zeros((len(sizes), steps)), np.zeros((len(sizes), steps))
+    prev, b = np.zeros(n), np.zeros(len(sizes))
+    for j in range(steps):
+        count += running
         basis[j] = q
-        w = lap @ q - b * prev
-        alpha[j] = q @ w
-        if j + 1 == KRYLOV_STEPS:
+        w = lap @ q - b[block] * prev
+        alpha[:, j] = a = np.add.reduceat(q * w, starts)
+        w -= a[block] * q
+        if reorthogonalise:
+            w -= (np.add.reduceat(w, starts) / sizes)[block]
+            dots = np.add.reduceat(basis[:j + 1] * w, starts, axis=1)
+            w -= (basis[:j + 1] * dots[:, block]).sum(axis=0)
+        b = np.sqrt(np.add.reduceat(w * w, starts))
+        running &= (b > tol) & (count < sizes) & (j + 1 < steps)
+        if not running.any():
             break
-        w -= alpha[j] * q
-        b = float(np.linalg.norm(w))
-        if b <= tol:
-            break
-        beta[j] = b
-        prev, q = q, w / b
-    return basis[:j + 1], alpha[:j + 1], beta[:j]
+        beta[:, j] = b = np.where(running, b, 0.0)
+        # A stopped block's q becomes 0 (w / inf), and so does all it adds later.
+        prev, q = q, w / np.where(running, b, np.inf)[block]
+    theta, vectors = np.zeros((len(sizes), j + 1)), np.zeros((len(sizes), j + 1, j + 1))
+    for i, c in enumerate(count):
+        if c:
+            theta[i, :c], vectors[i, :c, :c] = eigh_tridiagonal(alpha[i, :c], beta[i, :c - 1])
+    return norm, basis[:j + 1], theta, vectors, count
 
 
 def cap_indices(idx: np.ndarray, cap: int = PATCH_POINT_CAP) -> tuple[np.ndarray, bool]:

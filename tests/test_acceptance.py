@@ -19,7 +19,6 @@ from phm.appearance import (
     band_pass,
     build_wcm,
     graph_smoothness,
-    sgwt_decompose,
 )
 from phm.cli import main as cli_main
 from phm.cloud import PointCloud, SpatialIndex, save_ply
@@ -32,7 +31,7 @@ from phm.evaluation import (
     logistic_map,
 )
 from phm.metric import combine_adaptive, phm_score
-from phm.patches import build_patch_graph, eigendecompose, laplacian
+from phm.patches import build_patch_graph
 from phm.synthetic import (
     mean_nn_spacing,
     synthetic_cloud,
@@ -41,6 +40,7 @@ from phm.synthetic import (
 )
 from phm.visible import ar_texture_complexity, upsilon
 
+from dense_oracle import dense_bands, dense_spectrum, lanczos_bands, laplacian
 from test_patches import make_graph
 
 
@@ -109,7 +109,7 @@ def test_criterion_3_triple_identity():
         f = rng.normal(size=g.n)
         edge_sum = graph_smoothness(g, f)
         quad_form = float(f @ laplacian(g) @ f)
-        lam, vec, fhat = eigendecompose(g, f)
+        lam, vec, fhat = dense_spectrum(g, f)
         spectral = float(lam @ (fhat * fhat))
         scale = max(abs(edge_sum), abs(quad_form), abs(spectral), 1e-12)
         assert abs(edge_sum - quad_form) / scale <= 1e-8
@@ -122,7 +122,7 @@ def test_criterion_4_sgwt_constants():
     for _ in range(100):
         g = random_connected_graph(rng)
         c = float(rng.uniform(-100, 100))
-        sub = sgwt_decompose(eigendecompose(g, np.full(g.n, c)))
+        sub = lanczos_bands(g, np.full(g.n, c))
         assert np.abs(sub[1:]).max() <= 1e-9
         assert np.abs(sub[0] - GAMMA * c).max() <= 1e-9
     cubic_at_2 = ((2.0 - 6.0) * 2.0 + 11.0) * 2.0 - 5.0
@@ -237,6 +237,6 @@ def test_criterion_9_spot_checks():
     omega, _ = combine_adaptive(0.6894, 0.5, mu=5.0)
     assert abs(omega - 0.2249) <= 1e-4
     # a delta spectrum at 1e-3, below every knee of g = x^2, reads scale t as sqrt(band) / 1e-3
-    sub = sgwt_decompose((np.array([1e-3, 2.0]), np.eye(2), np.array([1.0, 0.0])), num_bandpass=3)
+    sub = dense_bands((np.array([1e-3, 2.0]), np.eye(2), np.array([1.0, 0.0])), num_bandpass=3)
     for got, want in zip(np.sqrt(sub[1:, 0]) / 1e-3, (1.0, 4.4721, 20.0)):
         assert abs(got - want) <= 1e-4

@@ -14,8 +14,7 @@ from phm.appearance import (
     geometry_degradation,
     graph_smoothness,
     prepare_pairs,
-    prepare_side,
-    sgwt_decompose,
+    prepare_sides,
     texture_degradation,
 )
 from phm.cloud import PointCloud
@@ -23,19 +22,19 @@ from phm.errors import NoValidPatches, ShapeError
 from phm.patches import (
     build_patch_graph,
     eigendecompose,
-    laplacian,
     partition_into_patch_pairs,
     reference_cells,
 )
 
 from conftest import random_cloud
+from dense_oracle import dense_bands, dense_spectrum, lanczos_bands, laplacian
 from test_patches import make_graph
 
 
 def patch_pairs(ref, dist, cells, k2):
     """Prepared pairs as phm_score builds them: the reference sides, then dist."""
     rc = reference_cells(ref, cells)
-    sides = [prepare_side(ref, idx, k2) for idx in rc.members]
+    sides = prepare_sides(ref, rc.members, k2)
     return prepare_pairs(sides, dist, partition_into_patch_pairs(rc, dist), k2)
 
 
@@ -73,7 +72,7 @@ def test_smoothness_triple_identity():
         f = rng.normal(size=g.n)
         edge_sum = graph_smoothness(g, f)
         quad = float(f @ laplacian(g) @ f)
-        lam, vec, fhat = eigendecompose(g, f)
+        lam, vec, fhat = dense_spectrum(g, f)
         spectral = float(lam @ (fhat * fhat))
         scale = max(abs(edge_sum), 1e-12)
         assert abs(edge_sum - quad) / scale <= 1e-8
@@ -167,8 +166,8 @@ def delta_bands(lam_lo, lam_max, num_bandpass=3):
 
     Row c holds the kernel at lam_lo in column 0 and nothing in column 1.
     """
-    return sgwt_decompose((np.array([lam_lo, lam_max]), np.eye(2), np.array([1.0, 0.0])),
-                          num_bandpass)
+    return dense_bands((np.array([lam_lo, lam_max]), np.eye(2), np.array([1.0, 0.0])),
+                       num_bandpass)
 
 
 def scales(lam_max, num_bandpass=3):
@@ -199,7 +198,7 @@ def test_plain_inverse_square_tail_is_discontinuous():
     # sgwt_decompose passes the choice on: x = t * lambda above 2 reads 1/x^2, not 4/x^2
     spectrum = (np.array([0.0, 2.0]), np.eye(2), np.array([0.0, 1.0]))
     for tail, factor in ((True, 4.0), (False, 1.0)):
-        sub = sgwt_decompose(spectrum, 3, tail)
+        sub = dense_bands(spectrum, 3, tail)
         x = scales(2.0)[1:] * 2.0
         np.testing.assert_allclose(sub[2:, 1], factor / x**2, rtol=1e-12)
 
@@ -237,7 +236,7 @@ def test_scales_log_equispaced():
 def test_constant_signal_annihilated_by_bandpass():
     g = random_connected_graph(31)
     c = -7.5
-    sub = sgwt_decompose(eigendecompose(g, np.full(g.n, c)))
+    sub = lanczos_bands(g, np.full(g.n, c))
     np.testing.assert_allclose(sub[0], GAMMA * c, atol=1e-9)
     assert np.abs(sub[1:]).max() <= 1e-9
 
@@ -246,9 +245,8 @@ def test_two_node_closed_form():
     w = 0.6
     g = make_graph([(0, 1)], 2, weights=[w])
     a, b = 3.0, -1.0
-    spectrum = eigendecompose(g, np.array([a, b]))
-    assert spectrum[0][-1] == pytest.approx(2 * w, rel=1e-12)
-    sub = sgwt_decompose(spectrum)
+    assert eigendecompose(g, np.array([a, b]), [2]).lambda_max[0] == pytest.approx(2 * w, rel=1e-12)
+    sub = lanczos_bands(g, np.array([a, b]))
     for c, t in enumerate(scales(2 * w), start=1):
         gain = band_pass(np.array([t * 2 * w]))[0]
         expect = gain * (a - b) / 2 * np.array([1.0, -1.0])
@@ -263,9 +261,9 @@ def test_operator_form_equivalence():
     g = random_connected_graph(8)
     rng = np.random.default_rng(2)
     u = rng.normal(size=g.n)
-    spectrum = eigendecompose(g, u)
+    spectrum = dense_spectrum(g, u)
     lam, vec, _ = spectrum
-    sub = sgwt_decompose(spectrum)
+    sub = dense_bands(spectrum)
     for c, t in enumerate(scales(lam[-1]), start=1):
         op = vec @ np.diag(band_pass(t * lam)) @ vec.T
         np.testing.assert_allclose(sub[c], op @ u, atol=1e-9)
@@ -283,7 +281,7 @@ def test_sgwt_linearity(seed):
     a, b = rng.uniform(-3, 3, size=2)
 
     def bands(signal):
-        return sgwt_decompose(eigendecompose(g, signal))
+        return dense_bands(dense_spectrum(g, signal))
 
     left = bands(a * u + b * v)
     right = a * bands(u) + b * bands(v)
@@ -380,16 +378,16 @@ def test_texture_score_drops_under_color_noise():
     assert d_l_i < 1.0
 
 
-@pytest.mark.parametrize("n", [150, 600])  # dense spectrum, Krylov spectrum
+@pytest.mark.parametrize("n", [150, 600])  # both Lanczos step counts
 def test_flat_patch_against_jitters_of_itself_scores_one(n):
     # A flat colour has no texture to lose: every band must read 1.0 on both
-    # sides of the 201-point cutoff, not correlations of roundoff noise.
+    # sides of the 201-point step-count cutoff, not correlations of roundoff noise.
     rng = np.random.default_rng(12)
     pos = rng.uniform(0, 5, size=(n, 3))
     colors = np.full((n, 3), 120)
     ref = PointCloud.from_arrays(pos, colors)
     whole = [(np.arange(n), np.arange(n))]
-    sides = [prepare_side(ref, np.arange(n), k2=10)]
+    sides = prepare_sides(ref, [np.arange(n)], k2=10)
     for _ in range(4):
         dist = PointCloud.from_arrays(pos + rng.uniform(-0.05, 0.05, size=(n, 3)), colors)
         per_patch, d_l_i = texture_degradation(prepare_pairs(sides, dist, whole, k2=10))
@@ -402,9 +400,9 @@ def test_disconnected_patch_is_legal_downstream():
     rng = np.random.default_rng(44)
     pts = np.vstack([rng.uniform(0, 1, (12, 3)), rng.uniform(100, 101, (12, 3))])
     g = build_patch_graph(pts, k2=3)
-    spectrum = eigendecompose(g, rng.normal(size=24))
-    assert spectrum[0][1] <= 1e-8  # disconnected: second eigenvalue ~0
-    sub = sgwt_decompose(spectrum)
+    u = rng.normal(size=24)
+    assert dense_spectrum(g, u)[0][1] <= 1e-8  # disconnected: second eigenvalue ~0
+    sub = lanczos_bands(g, u)
     assert sub.shape == (4, 24)
     wcm = build_wcm(g, sub[1], sub[1], num_bins=10)
     assert abs(wcm.sum() - 1.0) <= 1e-12

@@ -128,6 +128,31 @@ def test_score_unknown_config_key_exits_1(ply_pair, capsys, tmp_path):
     assert json.loads(err)["error"] == "ParseError"
 
 
+@pytest.mark.parametrize("key, value", [("num_bandpass", 10**12), ("nb_bins", 10**9)])
+def test_score_oversized_config_value_exits_1(ply_pair, capsys, tmp_path, key, value):
+    # Unbounded, these would allocate (C + 1) x N bands or Nb^2 WCMs and die
+    # with a raw memory error instead of a JSON PhmError.
+    ref, dist = ply_pair
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    code, out, err = run_cli(capsys, "score", "--ref", ref, "--dist", dist, "--config", str(cfg))
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "ParseError" and key in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("key, value", [("num_bandpass", 10**12), ("nb_bins", 10**9)])
+def test_batch_oversized_config_value_is_a_row_error(ply_pair, capsys, tmp_path, key, value):
+    ref, dist = ply_pair
+    manifest = tmp_path / "m.csv"
+    write_manifest(manifest, [["big", ref, dist, str(value)], ["ok", ref, dist, ""]],
+                   extra_cols=(key,))
+    out = tmp_path / "o.csv"
+    assert run_cli(capsys, "batch", "--manifest", str(manifest), "--out", str(out))[0] == 0
+    rows = {r["pair_id"]: r for r in csv.DictReader(out.open())}
+    assert rows["big"]["error"].startswith("ParseError") and rows["big"]["score"] == ""
+    assert rows["ok"]["error"] == "" and rows["ok"]["score"] != ""
+
+
 # --- batch -------------------------------------------------------------------
 
 def write_manifest(path, rows, extra_cols=()):

@@ -290,6 +290,17 @@ def test_binary_matches_ascii_roundtrip(tmp_path):
 
 
 @pytest.mark.parametrize("binary", [False, True])
+def test_save_refuses_a_position_beyond_float32(tmp_path, binary):
+    # 1e39 is a valid float64 position but inf as the float32 a PLY file
+    # stores, which load_ply would then reject.
+    cloud = PointCloud.from_arrays([[0.0, 0.0, 0.0], [1e39, 0.0, 0.0]], [[1, 2, 3], [4, 5, 6]])
+    path = tmp_path / "big.ply"
+    with pytest.raises(DomainError):
+        save_ply(cloud, path, binary=binary)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("binary", [False, True])
 @pytest.mark.parametrize("before", [b"format", b"end_header"])
 def test_end_header_inside_a_comment_does_not_end_the_header(tmp_path, binary, before):
     plain, commented = tmp_path / "plain.ply", tmp_path / "commented.ply"

@@ -167,15 +167,17 @@ def test_prepared_reference_features_are_not_recomputed(textured_cloud, monkeypa
     ref_graphs = {id(side.graph) for side in prepared.sides if side is not None}
     calls = {"graph_smoothness": [], "eigendecompose": []}
     for name, seen in calls.items():
-        def counted(graph, signal, fn=getattr(phm.appearance, name), seen=seen):
+        def counted(graph, signal, *args, fn=getattr(phm.appearance, name), seen=seen):
             seen.append(graph)
-            return fn(graph, signal)
+            return fn(graph, signal, *args)
         monkeypatch.setattr(phm.appearance, name, counted)
     report = phm_score(prepared, with_luminance_noise(textured_cloud, 20.0, seed=6), cfg)
     sides = report.diagnostics["valid_patch_count"]
     assert report.diagnostics["degenerate_patch_count"] == 0 and sides > 1
     assert len(calls["graph_smoothness"]) == 3 * sides
-    assert len(calls["eigendecompose"]) == sides
+    # One lockstep pass covers every distorted side, and no reference side.
+    points = sum(entry["n_dist"] for entry in report.diagnostics["per_patch"])
+    assert sum(graph.n for graph in calls["eigendecompose"]) == points
     assert not ref_graphs & {id(graph) for seen in calls.values() for graph in seen}
 
 

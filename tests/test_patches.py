@@ -9,13 +9,12 @@ from phm.patches import (
     PatchGraph,
     build_patch_graph,
     cap_indices,
-    eigendecompose,
-    laplacian,
     partition_into_patch_pairs,
     reference_cells,
 )
 
 from conftest import random_cloud
+from dense_oracle import dense_spectrum, laplacian
 
 
 def make_graph(edges, n, weights=None):
@@ -138,11 +137,11 @@ def test_weight_formula_against_oracle():
     np.testing.assert_allclose(g.weights, np.exp(-d2 / g.sigma2), rtol=1e-15)
 
 
-# --- eigendecomposition ------------------------------------------------------
+# --- dense spectrum (the oracle) ---------------------------------------------
 
 def test_two_node_spectrum_closed_form():
     g = make_graph([(0, 1)], 2, weights=[0.7])
-    lam, vec, coef = eigendecompose(g, np.array([1.0, 0.0]))
+    lam, vec, coef = dense_spectrum(g, np.array([1.0, 0.0]))
     np.testing.assert_allclose(lam, [0.0, 1.4], atol=1e-12)
     s = 1 / math.sqrt(2)
     np.testing.assert_allclose(np.abs(vec), [[s, s], [s, s]], atol=1e-12)
@@ -152,14 +151,14 @@ def test_two_node_spectrum_closed_form():
 def test_path3_eigenvalues():
     # characteristic polynomial of the unit-weight 3-path Laplacian: 0, 1, 3
     g = make_graph([(0, 1), (1, 2)], 3)
-    lam, _, _ = eigendecompose(g, np.array([1.0, 0.0, 2.0]))
+    lam, _, _ = dense_spectrum(g, np.array([1.0, 0.0, 2.0]))
     np.testing.assert_allclose(lam, [0.0, 1.0, 3.0], atol=1e-12)
 
 
 def test_connected_graph_has_constant_nullvector():
     cloud = random_cloud(30, seed=5)
     g = build_patch_graph(cloud.positions, k2=5)
-    lam, vec, _ = eigendecompose(g, cloud.luminance)
+    lam, vec, _ = dense_spectrum(g, cloud.luminance)
     assert abs(lam[0]) <= 1e-8
     v0 = vec[:, 0] * np.sign(vec[0, 0])  # eigh fixes no sign
     if lam[1] > 1e-8:  # connected
@@ -169,7 +168,7 @@ def test_connected_graph_has_constant_nullvector():
 def test_spectrum_orthonormal_and_reconstructs():
     cloud = random_cloud(35, seed=6)
     g = build_patch_graph(cloud.positions, k2=6)
-    lam, v, _ = eigendecompose(g, cloud.luminance)
+    lam, v, _ = dense_spectrum(g, cloud.luminance)
     np.testing.assert_allclose(v.T @ v, np.eye(35), atol=1e-8)
     recon = v @ np.diag(lam) @ v.T
     np.testing.assert_allclose(recon, laplacian(g), atol=1e-6)
