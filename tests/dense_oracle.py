@@ -6,7 +6,8 @@ pass-through (eigenvalues [0, lambda_max], its mean on the null vector), so
 its band-pass bands are exactly zero. ``dense_bands`` filters such a
 spectrum with phm's ``sgwt_decompose``, as one block whose basis is the
 eigenvectors, with lambda_max = the last eigenvalue. ``use_dense_oracle``
-swaps the dense spectra into ``phm.appearance`` so that ``phm_score`` runs on them.
+swaps the dense spectra into ``phm.appearance`` so that ``phm_score`` runs
+on them.
 """
 
 import numpy as np
