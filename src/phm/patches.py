@@ -125,22 +125,22 @@ def stack_graphs(graphs: list[PatchGraph]) -> PatchGraph:
 def spectral_chunks(graphs: list[PatchGraph | None]) -> list[list[int]]:
     """Group the graphs' positions, None left out, into chunks for ``eigendecompose``.
 
-    A chunk holds, in order, at most CHUNK_POINTS points of one class: above
+    A chunk holds at most CHUNK_POINTS points of one class: above
     KRYLOV_STEPS + 1 points, at most SMALL_SIDE_STEPS + 1 (a whole Krylov
-    space), or in between.
+    space), or in between. Sides go in by size, so the sides of a chunk of
+    whole Krylov spaces stop after similar step counts.
     """
-    runs: dict[tuple[bool, bool], list[list[int]]] = {}
-    points: dict[tuple[bool, bool], int] = {}  # in each class's last chunk
-    for i, g in enumerate(graphs):
-        if g is not None:
-            key = (g.n > KRYLOV_STEPS + 1, g.n <= SMALL_SIDE_STEPS + 1)
-            chunks = runs.setdefault(key, [[]])
-            if chunks[-1] and points[key] + g.n > CHUNK_POINTS:
-                chunks.append([])
-                points[key] = 0
-            chunks[-1].append(i)
-            points[key] = points.get(key, 0) + g.n
-    return [chunk for chunks in runs.values() for chunk in chunks]
+    chunks: list[list[int]] = []
+    points, last = 0, None
+    for i in sorted((i for i, g in enumerate(graphs) if g is not None), key=lambda i: graphs[i].n):
+        n = graphs[i].n
+        kind = (n > KRYLOV_STEPS + 1, n <= SMALL_SIDE_STEPS + 1)
+        if kind != last or points + n > CHUNK_POINTS:
+            chunks.append([])
+            points, last = 0, kind
+        chunks[-1].append(i)
+        points += n
+    return chunks
 
 
 @dataclass(frozen=True)
