@@ -1,53 +1,31 @@
 """Low-quality regime: appearance degradation from graph smoothness and SGWT.
 
-``prepare_sides`` builds what each side of a patch pair contributes, on its
-own graph and spectrum: per-axis coordinate smoothness and the
-spectral graph wavelet sub-bands of luminance. Geometry degradation then
-compares the smoothness of the two sides; texture degradation compares
-weighted co-occurrence matrices of their sub-bands.
+``prepare_sides`` builds what each side of every patch pair of a cloud
+contributes, on its own graph and spectrum: per-axis coordinate smoothness
+and the spectral graph wavelet sub-bands of luminance. Geometry degradation
+compares the two sides' smoothness; texture degradation compares weighted
+co-occurrence matrices of their sub-bands.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import replace
 
 import numpy as np
 
 from .cloud import PointCloud
-from .errors import DegeneratePatch, NoValidPatches, ShapeError
-from .patches import (PatchGraph, Spectrum, build_patch_graph, cap_indices, eigendecompose,
-                      spectral_chunks, stack_graphs)
+from .errors import NoValidPatches
+from .patches import (PatchGraph, Spectrum, build_patch_graph, cap_indices,
+                      chunk_graph, eigendecompose, spectral_chunks)
 
 DEFAULT_STABILIZER = 1e-6
 DEFAULT_NUM_BANDPASS = 3
 DEFAULT_NUM_BINS = 50
+# Most WCM entries one ``build_wcm`` call of ``texture_degradation`` holds.
+WCM_CHUNK_ENTRIES = 1 << 18
 # Scaling-function support relative to the spectrum: lambda_min = lambda_max / 20.
 SCALE_SPAN = 20.0
-
-
-def graph_smoothness(graph: PatchGraph, signal: np.ndarray) -> float:
-    """Quadratic-form smoothness f^T L f via the stabler edge-sum form."""
-    f = np.asarray(signal, dtype=np.float64)
-    if f.shape != (graph.n,):
-        raise ShapeError(f"signal length {f.shape} does not match n={graph.n}")
-    d = f[graph.edges_i] - f[graph.edges_j]
-    return float(graph.weights @ (d * d))
-
-
-@dataclass(frozen=True)
-class PreparedSide:
-    """One side of a patch pair: everything its comparisons read.
-
-    ``smoothness`` holds the x/y/z coordinate smoothness on the side's own
-    graph, each divided by its point count; ``bands`` the (C + 1, n) SGWT
-    sub-bands of its luminance on its own spectrum.
-    """
-
-    graph: PatchGraph
-    capped: bool
-    smoothness: tuple[float, float, float]
-    bands: np.ndarray
 
 
 def prepare_sides(
@@ -56,70 +34,55 @@ def prepare_sides(
     k2: int,
     num_bandpass: int = DEFAULT_NUM_BANDPASS,
     continuous_tail: bool = True,
-) -> list[PreparedSide | None]:
-    """Cap, gather, graph and filter each cell of a cloud; None for a cell without a graph.
+) -> CloudSides:
+    """Cap, gather, graph and filter every cell of a cloud in one pass.
 
     Sides are filtered one ``spectral_chunks`` chunk at a time; a side's
     bands do not depend on its chunk.
     """
-    built = []  # (idx, graph, capped, smoothness), or None
-    for idx in cells:
-        idx, capped = cap_indices(idx)
-        positions = cloud.positions[idx]
-        try:
-            graph = build_patch_graph(positions, k2)
-        except DegeneratePatch:
-            built.append(None)
-            continue
-        smoothness = tuple(graph_smoothness(graph, positions[:, axis]) / graph.n for axis in range(3))
-        built.append((idx, graph, capped, smoothness))
-    sides: list[PreparedSide | None] = [None] * len(built)
-    graphs = [None if side is None else side[1] for side in built]
-    for chunk in spectral_chunks(graphs):
-        luminance = np.concatenate([cloud.luminance[built[i][0]] for i in chunk])
-        spectrum = eigendecompose(stack_graphs([graphs[i] for i in chunk]), luminance,
-                                  [graphs[i].n for i in chunk])
-        bands = sgwt_decompose(spectrum, num_bandpass, continuous_tail)
-        for i, side_bands in zip(chunk, np.split(bands, np.cumsum(spectrum.sizes[:-1]), axis=1)):
-            sides[i] = PreparedSide(*built[i][1:], side_bands)
-    return sides
+    capped = [cap_indices(idx) for idx in cells]
+    idx = np.concatenate([i for i, _ in capped])
+    sides = build_patch_graph(cloud.positions[idx], [len(i) for i, _ in capped], k2)
+    luminance = cloud.luminance[idx]
+    bands = np.zeros((num_bandpass + 1, len(idx)))
+    for chunk in spectral_chunks(np.where(sides.valid, sides.sizes, 0)):
+        graph, points = chunk_graph(sides, chunk)
+        spectrum = eigendecompose(graph, luminance[points], sides.sizes[chunk])
+        bands[:, points] = sgwt_decompose(spectrum, num_bandpass, continuous_tail)
+    return replace(sides, capped=np.array([c for _, c in capped], dtype=bool), bands=bands)
 
 
 def prepare_pairs(
-    ref_sides: list[PreparedSide | None],
+    ref_sides: CloudSides,
     dist: PointCloud,
     pairs: list[tuple[np.ndarray, np.ndarray]],
     k2: int,
     num_bandpass: int = DEFAULT_NUM_BANDPASS,
     continuous_tail: bool = True,
-) -> list[tuple[PreparedSide | None, PreparedSide | None]]:
-    """Pair each prepared reference side with its distorted side, prepared here.
+) -> tuple[CloudSides, CloudSides]:
+    """The prepared reference sides and the distorted sides, prepared here.
 
     ``pairs`` comes from ``partition_into_patch_pairs`` over the cells that
     ``ref_sides`` was prepared from, with the same ``k2``, ``num_bandpass``
     and ``continuous_tail``.
     """
-    dist_sides = prepare_sides(dist, [di for _, di in pairs], k2, num_bandpass, continuous_tail)
-    return list(zip(ref_sides, dist_sides))
+    return ref_sides, prepare_sides(dist, [di for _, di in pairs], k2, num_bandpass,
+                                    continuous_tail)
 
 
-def _compare(prepared, similarity):
-    """(per-pair rows, mean of all values): None rows for pairs with a degenerate side.
+def _compare(prepared: tuple[CloudSides, CloudSides], similarity, row_type):
+    """(per-pair rows, mean of all values) of ``similarity(cells)`` over compared cells.
 
-    Raises NoValidPatches when no pair has two sides.
+    A cell is compared when both its sides have a graph; the others get None
+    rows. Raises NoValidPatches when no cell is compared.
     """
-    rows = []
-    values: list[float] = []
-    for px, py in prepared:
-        if px is None or py is None:
-            rows.append(None)
-            continue
-        row = similarity(px, py)
-        rows.append(row)
-        values.extend(row)
-    if not values:
+    ref, dist = prepared
+    cells = np.flatnonzero(ref.valid & dist.valid)
+    if not len(cells):
         raise NoValidPatches("every patch pair was degenerate")
-    return rows, float(np.mean(values))
+    values = similarity(cells)
+    rows = dict(zip(cells.tolist(), map(row_type, values.tolist())))
+    return [rows.get(cell) for cell in range(len(ref.sizes))], float(values.mean())
 
 
 def _smoothness_similarity(sx: float, sy: float, t: float) -> float:
@@ -127,7 +90,7 @@ def _smoothness_similarity(sx: float, sy: float, t: float) -> float:
 
 
 def geometry_degradation(
-    prepared: list[tuple[PreparedSide | None, PreparedSide | None]],
+    prepared: tuple[CloudSides, CloudSides],
     stabilizer: float = DEFAULT_STABILIZER,
 ) -> tuple[list[tuple[float, float, float] | None], float]:
     """Per-patch smoothness similarity over x/y/z and its global mean.
@@ -135,9 +98,9 @@ def geometry_degradation(
     Pairs with a degenerate side are excluded from the mean (None in the
     per-patch list). Raises NoValidPatches when nothing survives.
     """
-    return _compare(prepared, lambda px, py: tuple(
-        _smoothness_similarity(sx, sy, stabilizer)
-        for sx, sy in zip(px.smoothness, py.smoothness)))
+    ref, dist = prepared
+    return _compare(prepared, lambda cells: _smoothness_similarity(
+        ref.smoothness[cells], dist.smoothness[cells], stabilizer), tuple)
 
 
 def band_pass(x: np.ndarray, continuous_tail: bool = True) -> np.ndarray:
@@ -191,60 +154,45 @@ def sgwt_decompose(
     return out
 
 
-def build_wcm(
-    graph: PatchGraph,
-    band: np.ndarray,
-    partner_band: np.ndarray,
-    num_bins: int = DEFAULT_NUM_BINS,
-) -> np.ndarray:
-    """Normalized (Nb, Nb) WCM of ``band`` on ``graph``, quantized over the shared range.
+def quantize(band: np.ndarray, lo, span, sizes, num_bins: int) -> np.ndarray:
+    """Bins of ``band`` over blocks of ``sizes`` points, block b's [lo, lo + span] in num_bins."""
+    scaled = (band - np.repeat(lo, sizes)) / np.repeat(span, sizes) * num_bins
+    return np.clip(scaled.astype(np.intp), 0, num_bins - 1)
 
-    The bin range covers the concatenation of band and partner_band so the
-    two sides of a pair are histogrammed identically. Each undirected edge
-    adds its weight at (m, n) and, when m != n, at (n, m); the matrix is
-    then normalized to unit mass.
+
+def build_wcm(graph: PatchGraph, bins: np.ndarray, sizes, num_bins: int) -> np.ndarray:
+    """Normalized (B, Nb * Nb) WCMs of the blocks of ``graph``, of ``sizes`` points each.
+
+    bins[i] is point i's bin. Each undirected edge adds its weight at (m, n)
+    and, when m != n, at (n, m), in edge order; each matrix is then
+    normalized to unit mass.
     """
-    if num_bins < 2:
-        raise ValueError("num_bins must be >= 2")
-    band = np.asarray(band, dtype=np.float64)
-    if band.shape != (graph.n,):
-        raise ShapeError(f"band length {band.shape} does not match n={graph.n}")
-    lo = min(band.min(), partner_band.min())
-    hi = max(band.max(), partner_band.max())
-    if hi > lo:
-        bins = np.clip(((band - lo) / (hi - lo) * num_bins).astype(np.intp), 0, num_bins - 1)
-    else:
-        bins = np.zeros(graph.n, dtype=np.intp)
-    m, n = bins[graph.edges_i], bins[graph.edges_j]
     size = num_bins * num_bins
-    acc = np.bincount(m * num_bins + n, weights=graph.weights, minlength=size)
+    slot = np.repeat(np.arange(len(sizes)) * size, sizes)[graph.edges_i]
+    m, n = bins[graph.edges_i], bins[graph.edges_j]
+    acc = np.bincount(slot + m * num_bins + n, graph.weights, len(sizes) * size)
     off = m != n
-    acc += np.bincount(n[off] * num_bins + m[off], weights=graph.weights[off], minlength=size)
-    mat = acc.reshape(num_bins, num_bins)
-    return mat / mat.sum()
+    acc += np.bincount((slot + n * num_bins + m)[off], graph.weights[off], len(sizes) * size)
+    acc = acc.reshape(len(sizes), size)
+    return acc / acc.sum(axis=1, keepdims=True)
 
 
-def _pearson(a: np.ndarray, b: np.ndarray) -> float:
-    """Pearson correlation of two flattened matrices with zero-variance guards.
+def _pearson(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pearson correlation of matching rows (the last axis) with zero-variance guards.
 
     Both constant: 1 if equal, else 0. Exactly one constant: 0. Identical
-    inputs yield exactly 1.0 (sqrt of a squared norm is exact).
+    rows yield exactly 1.0 (sqrt of a squared norm is exact).
     """
-    a = np.asarray(a, dtype=np.float64).ravel()
-    b = np.asarray(b, dtype=np.float64).ravel()
-    ac = a - a.mean()
-    bc = b - b.mean()
-    na = ac @ ac
-    nb = bc @ bc
-    if na == 0.0 and nb == 0.0:
-        return 1.0 if np.array_equal(a, b) else 0.0
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float((ac @ bc) / np.sqrt(na * nb))
+    ac = a - a.mean(axis=-1, keepdims=True)
+    bc = b - b.mean(axis=-1, keepdims=True)
+    na, nb = np.vecdot(ac, ac), np.vecdot(bc, bc)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.vecdot(ac, bc) / np.sqrt(na * nb)
+    return np.where((na == 0.0) | (nb == 0.0), (na == nb) & (a == b).all(axis=-1), r)
 
 
 def texture_degradation(
-    prepared: list[tuple[PreparedSide | None, PreparedSide | None]],
+    prepared: tuple[CloudSides, CloudSides],
     num_bins: int = DEFAULT_NUM_BINS,
 ) -> tuple[list[list[float] | None], float]:
     """Per-(patch, band) WCM correlation of the sides' sub-bands and its mean.
@@ -252,9 +200,26 @@ def texture_degradation(
     Each band pair shares one quantization range. Degenerate pairs
     contribute None rows and are left out of the mean.
     """
-    return _compare(prepared, lambda px, py: [
-        _pearson(build_wcm(px.graph, bx, by, num_bins), build_wcm(py.graph, by, bx, num_bins))
-        for bx, by in zip(px.bands, py.bands)])
+    return _compare(prepared, lambda cells: _wcm_correlations(prepared, cells, num_bins), list)
+
+
+def _wcm_correlations(prepared, cells: np.ndarray, num_bins: int) -> np.ndarray:
+    """(cells, C + 1) WCM correlations, one band and WCM_CHUNK_ENTRIES entries at a time."""
+    step = max(1, WCM_CHUNK_ENTRIES // (num_bins * num_bins))
+    out = np.empty((len(cells), len(prepared[0].bands)))
+    for a in range(0, len(cells), step):
+        sides = []  # (graph, sizes, bands) of the chunk's cells
+        for side in prepared:
+            graph, points = chunk_graph(side, cells[a:a + step])
+            sides.append((graph, side.sizes[cells[a:a + step]], side.bands[:, points]))
+        lo = np.minimum(*(np.minimum.reduceat(b, np.cumsum(n) - n, axis=1) for _, n, b in sides))
+        hi = np.maximum(*(np.maximum.reduceat(b, np.cumsum(n) - n, axis=1) for _, n, b in sides))
+        span = np.where(hi > lo, hi - lo, 1.0)  # a flat band pair sits at lo: bin 0
+        for c in range(len(out[0])):
+            out[a:a + step, c] = _pearson(*(
+                build_wcm(g, quantize(b[c], lo[c], span[c], n, num_bins), n, num_bins)
+                for g, n, b in sides))
+    return out
 
 
 def fuse_appearance(d_l_o: float, d_l_i: float, mode: str = "multiply") -> float:

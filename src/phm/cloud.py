@@ -19,6 +19,8 @@ from .errors import ColorMissing, DomainError, EmptyCloud, ParseError, TooManySe
 
 # ITU-R BT.709 luma weights for 8-bit RGB.
 LUMA_R, LUMA_G, LUMA_B = 0.2126, 0.7152, 0.0722
+# Largest |coordinate|: PLY's float32 range, where squared distances stay finite.
+MAX_COORDINATE = float(np.finfo(np.float32).max)
 
 
 def rgb_to_luminance(rgb) -> np.ndarray | float:
@@ -37,7 +39,7 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PointCloud:
-    """Immutable cloud of N >= 1 points with positions, colors and luminance."""
+    """Immutable cloud of N >= 1 points, |coordinates| <= MAX_COORDINATE, colors and luminance."""
 
     positions: np.ndarray  # (N, 3) float64, native file units
     colors: np.ndarray  # (N, 3) uint8
@@ -51,8 +53,8 @@ class PointCloud:
             raise EmptyCloud("point cloud has no points")
         if self.colors.shape != (n, 3) or self.luminance.shape != (n,):
             raise ValueError("positions, colors and luminance lengths differ")
-        if not np.isfinite(self.positions).all():
-            raise DomainError("point positions must be finite (no NaN or inf)")
+        if not (np.abs(self.positions) <= MAX_COORDINATE).all():  # NaN fails too
+            raise DomainError("point positions must be finite and within float32 range")
         for a in (self.positions, self.colors, self.luminance):
             _readonly(a)
 
@@ -101,7 +103,7 @@ class SpatialIndex:
             raise ValueError(f"exclude must lie in [0, {self.n}), got {exclude}")
         q = np.asarray(point, dtype=np.float64).reshape(1, 3)
         own = None if exclude is None else np.array([exclude])
-        return self._knn(q, k, own)[0]
+        return ranked_knn(self._tree, self._positions, q, k, own)[0]
 
     def query_bulk(self, points, k: int, exclude_self: bool = False) -> np.ndarray:
         """Row-per-query KNN; with exclude_self, row i leaves out index i.
@@ -118,28 +120,33 @@ class SpatialIndex:
             pts = pts[None, :]
         if exclude_self and len(pts) != self.n:
             raise ValueError("exclude_self needs the indexed points as queries")
-        return self._knn(pts, k, np.arange(self.n) if exclude_self else None)
+        own = np.arange(self.n) if exclude_self else None
+        return ranked_knn(self._tree, self._positions, pts, k, own)
 
-    def _knn(self, pts: np.ndarray, k: int, own: np.ndarray | None) -> np.ndarray:
-        """(m, kr) nearest indices per query row; row i leaves out own[i] if given.
 
-        Each round tree-queries kq candidates for the open rows and ranks
-        them by (exact squared distance, index). A row is final once its
-        kr-th distance lies below the rim, the farthest candidate before
-        masking, since no unseen point is closer than that; the rows that
-        tie the rim go to the next round together, with kq doubled.
-        """
-        m, n = len(pts), self.n
-        kr = min(k, n - 1) if own is not None else min(k, n)
-        out = np.empty((m, kr), dtype=np.intp)
-        if kr == 0:
-            return out
-        rows = np.arange(m)
+def ranked_knn(tree: cKDTree, data: np.ndarray, pts: np.ndarray, k: int,
+               own: np.ndarray | None) -> np.ndarray:
+    """(m, kr) nearest indices into ``data``, the points of ``tree``, per query row.
+
+    Row i leaves out index own[i] if given. Each round tree-queries kq
+    candidates for the open rows and ranks them by (exact squared distance,
+    index). A row is final once its kr-th distance lies below the rim, the
+    farthest candidate before masking, since no unseen point is closer than
+    that; the rows that tie the rim go to the next round together, with kq
+    doubled. Rows go in blocks of 65,536.
+    """
+    m, n = len(pts), len(data)
+    kr = min(k, n - 1) if own is not None else min(k, n)
+    out = np.empty((m, kr), dtype=np.intp)
+    if kr == 0:
+        return out
+    for first in range(0, m, 1 << 16):  # row blocks bound the (rows, kq) temporaries
+        rows = np.arange(first, min(first + (1 << 16), m))
         kq = min(kr + (1 if own is None else 2), n)
         while len(rows):
-            _, idx = self._tree.query(pts[rows], k=kq)
+            _, idx = tree.query(pts[rows], k=kq)
             idx = idx.reshape(len(rows), kq)
-            diff = self._positions[idx] - pts[rows, None, :]
+            diff = data[idx] - pts[rows, None, :]
             d2 = (diff * diff).sum(axis=-1)
             rim = d2.max(axis=1)
             if own is not None:
@@ -150,7 +157,7 @@ class SpatialIndex:
                 break
             rows = rows[np.take_along_axis(d2, order[:, -1:], axis=1)[:, 0] >= rim]
             kq = min(kq * 2, n)
-        return out
+    return out
 
 
 def farthest_point_sample(cloud: PointCloud, num_seeds: int, start: int = 0) -> np.ndarray:
@@ -350,13 +357,10 @@ def save_ply(cloud: PointCloud, path, binary: bool = False) -> None:
     """Write a cloud as PLY (float32 xyz + uchar RGB).
 
     Positions are quantized to float32 on save so that the ascii and binary
-    encodings of the same cloud load back bitwise-equal. Raises DomainError,
-    before the file is opened, for a position beyond float32's range.
+    encodings of the same cloud load back bitwise-equal; PointCloud keeps
+    them within float32's range.
     """
-    with np.errstate(over="ignore"):
-        pos32 = cloud.positions.astype(np.float32)
-    if not np.isfinite(pos32).all():
-        raise DomainError("a position overflows float32, which PLY files store")
+    pos32 = cloud.positions.astype(np.float32)
     fmt = "binary_little_endian" if binary else "ascii"
     header = (
         "ply\n"
@@ -372,15 +376,10 @@ def save_ply(cloud: PointCloud, path, binary: bool = False) -> None:
             dt = np.dtype([("x", "<f4"), ("y", "<f4"), ("z", "<f4"),
                            ("red", "u1"), ("green", "u1"), ("blue", "u1")])
             rec = np.empty(len(cloud), dtype=dt)
-            rec["x"], rec["y"], rec["z"] = pos32[:, 0], pos32[:, 1], pos32[:, 2]
-            rec["red"], rec["green"], rec["blue"] = (
-                cloud.colors[:, 0], cloud.colors[:, 1], cloud.colors[:, 2])
+            rec["x"], rec["y"], rec["z"] = pos32.T
+            rec["red"], rec["green"], rec["blue"] = cloud.colors.T
             fh.write(rec.tobytes())
         else:
-            lines = []
-            for p, c in zip(pos32, cloud.colors):
-                lines.append(
-                    f"{float(p[0])!r} {float(p[1])!r} {float(p[2])!r} "
-                    f"{int(c[0])} {int(c[1])} {int(c[2])}\n"
-                )
-            fh.write("".join(lines).encode("ascii"))
+            rows = zip(pos32.tolist(), cloud.colors.tolist())
+            fh.write("".join(f"{x!r} {y!r} {z!r} {r} {g} {b}\n"
+                             for (x, y, z), (r, g, b) in rows).encode("ascii"))

@@ -52,12 +52,6 @@ class DomainError(PhmError):
     exit_code = 2
 
 
-class DegeneratePatch(PhmError):
-    """Patch cannot support a graph (fewer than 2 points, or zero variance)."""
-
-    exit_code = 3
-
-
 class SpectralError(PhmError):
     """Eigendecomposition failed to converge."""
 

@@ -9,7 +9,6 @@ import time
 from dataclasses import asdict, dataclass, field, fields, replace
 
 from .appearance import (
-    PreparedSide,
     fuse_appearance,
     geometry_degradation,
     prepare_pairs,
@@ -18,7 +17,7 @@ from .appearance import (
 )
 from .cloud import PointCloud, SpatialIndex
 from .errors import CloudTooSmall, DomainError, NoValidPatches, ParseError
-from .patches import ReferenceCells, partition_into_patch_pairs, reference_cells
+from .patches import CloudSides, ReferenceCells, partition_into_patch_pairs, reference_cells
 from .visible import reference_masking, visible_difference
 
 _FUSION_MODES = ("multiply", "average")
@@ -152,8 +151,8 @@ class PreparedReference:
 
     Built by ``prepare_reference`` and reusable for any number of distorted
     copies: the reference's exact NN index and texture complexity C(ref),
-    its Voronoi cells with their seed tree, and each cell's ``PreparedSide``
-    (graph, coordinate smoothness and SGWT sub-bands). ``config`` is the
+    its Voronoi cells with their seed tree, and its ``CloudSides``
+    (graphs, coordinate smoothness and SGWT sub-bands). ``config`` is the
     configuration it was built with; only its REFERENCE_FIELDS matter here.
     """
 
@@ -162,7 +161,7 @@ class PreparedReference:
     index: SpatialIndex
     complexity: float
     cells: ReferenceCells
-    sides: list[PreparedSide | None]
+    sides: CloudSides
 
 
 def prepare_reference(ref: PointCloud, config: MetricConfig | None = None) -> PreparedReference:
@@ -224,18 +223,12 @@ def phm_score(
                              cfg.continuous_tail)
     timing["partition_and_graphs"] = time.perf_counter() - t0
 
-    per_patch = [
-        {
-            "cell_id": cell,
-            "n_ref": len(ref_idx),
-            "n_dist": len(dist_idx),
-            "degenerate": px is None or py is None,
-            "capped": bool((px is not None and px.capped) or (py is not None and py.capped)),
-            "f_s": None,
-            "f_w": None,
-        }
-        for cell, ((ref_idx, dist_idx), (px, py)) in enumerate(zip(pairs, prepared))
-    ]
+    ref_sides, dist_sides = prepared
+    compared = ref_sides.valid & dist_sides.valid
+    capped = (ref_sides.valid & ref_sides.capped) | (dist_sides.valid & dist_sides.capped)
+    per_patch = [dict(cell_id=cell, n_ref=len(ref_idx), n_dist=len(dist_idx),
+                      degenerate=not compared[cell], capped=bool(capped[cell]), f_s=None, f_w=None)
+                 for cell, (ref_idx, dist_idx) in enumerate(pairs)]
     diagnostics = {
         "n_ref": len(reference.cloud),
         "n_dist": len(dist),

@@ -2,10 +2,11 @@
 
 The reference cloud is split by farthest-point-sampled seeds, once per
 reference; each distorted cloud is then partitioned by nearest seed, so each
-cell yields a pair of reference and distorted point-index arrays. Every
-patch gets a Gaussian-weighted KNN graph, held as its edge list.
-``eigendecompose`` gives the Lanczos spectra of a signal on a chunk of such
-graphs at once, and the wavelet analysis downstream filters through them.
+cell yields a pair of reference and distorted point-index arrays. The
+patches of one cloud get their Gaussian-weighted KNN graphs in one pass, as
+one edge list. ``eigendecompose`` gives the Lanczos spectra of a signal on a
+chunk of such graphs at once, and the wavelet analysis downstream filters
+through them.
 """
 
 from __future__ import annotations
@@ -16,9 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.sparse import csr_matrix
+from scipy.spatial import cKDTree
 
-from .cloud import PointCloud, SpatialIndex, farthest_point_sample
-from .errors import DegeneratePatch, ShapeError, SpectralError
+from .cloud import PointCloud, SpatialIndex, farthest_point_sample, ranked_knn
+from .errors import ShapeError, SpectralError
 
 DEFAULT_GRAPH_KNN = 10
 # Larger patches are subsampled first. The cap dates from the dense O(n^3)
@@ -77,53 +79,99 @@ def partition_into_patch_pairs(
 
 @dataclass(frozen=True)
 class PatchGraph:
-    """Undirected Gaussian-weighted KNN graph as an edge list."""
+    """Undirected Gaussian-weighted graph as an edge list."""
 
     n: int
-    edges_i: np.ndarray  # (E,) with edges_i < edges_j, E >= 1 once built
+    edges_i: np.ndarray  # (E,) with edges_i < edges_j
     edges_j: np.ndarray
     weights: np.ndarray  # (E,) in (0, 1]
     sigma2: float  # mean squared edge length
 
 
-def build_patch_graph(points: np.ndarray, k2: int = DEFAULT_GRAPH_KNN) -> PatchGraph:
-    """KNN graph (union-symmetrized) with weights exp(-||d||^2 / sigma^2).
+@dataclass(frozen=True)
+class CloudSides:
+    """The patch sides of one cloud: its capped cells' points one after another.
 
-    sigma^2 is the mean squared length over the undirected edge set, which
-    holds no self-pairs, so a built graph has at least one edge. Raises
-    DegeneratePatch for n < 2 or when every selected edge has zero length.
+    Cell c holds points starts[c]:starts[c] + sizes[c] and the edges
+    edge_starts[c]:edge_starts[c + 1] of its KNN graph, ascending, with
+    edges_i < edges_j indexing all the points. A cell without a graph (under
+    2 points, or every selected edge of zero length) has sigma2 0 and is not
+    ``valid``. ``smoothness`` holds a valid cell's x/y/z coordinate
+    smoothness sum w d^2, each divided by its point count. ``prepare_sides``
+    adds which cells were capped and the (C + 1, N) SGWT sub-bands of the
+    luminance, each cell's on its own spectrum (0 for a cell without a graph).
     """
-    pos = np.asarray(points, dtype=np.float64)
-    n = len(pos)
-    if n < 2:
-        raise DegeneratePatch(f"patch with {n} point(s) cannot form a graph")
-    k = min(k2, n - 1)
-    index = SpatialIndex(pos)
-    nbrs = index.query_bulk(pos, k, exclude_self=True)
-    src = np.repeat(np.arange(n, dtype=np.intp), k)
-    dst = nbrs.ravel()
-    lo = np.minimum(src, dst)
-    hi = np.maximum(src, dst)
-    ei, ej = np.divmod(np.unique(lo * n + hi), n)  # (lo, hi) ascending
-    d = pos[ei] - pos[ej]
-    d2 = (d * d).sum(axis=1)
-    sigma2 = float(d2.mean())
-    if sigma2 == 0.0:
-        raise DegeneratePatch("all selected neighbor pairs are coincident")
-    return PatchGraph(n, ei, ej, np.exp(-d2 / sigma2), sigma2)
+
+    starts: np.ndarray  # (P,)
+    sizes: np.ndarray  # (P,)
+    edges_i: np.ndarray  # (E,)
+    edges_j: np.ndarray
+    weights: np.ndarray  # (E,) in (0, 1]
+    edge_starts: np.ndarray  # (P + 1,)
+    sigma2: np.ndarray  # (P,)
+    smoothness: np.ndarray  # (P, 3)
+    capped: np.ndarray | None = None  # (P,) bool
+    bands: np.ndarray | None = None  # (C + 1, N)
+
+    @property
+    def valid(self) -> np.ndarray:
+        return self.sigma2 > 0
 
 
-def stack_graphs(graphs: list[PatchGraph]) -> PatchGraph:
-    """The block-diagonal union of the graphs, in order; its sigma2 is NaN."""
-    offsets = np.repeat(np.cumsum([0] + [g.n for g in graphs[:-1]]), [len(g.weights) for g in graphs])
-    return PatchGraph(sum(g.n for g in graphs),
-                      np.concatenate([g.edges_i for g in graphs]) + offsets,
-                      np.concatenate([g.edges_j for g in graphs]) + offsets,
-                      np.concatenate([g.weights for g in graphs]), math.nan)
+def build_patch_graph(points: np.ndarray, sizes, k2: int = DEFAULT_GRAPH_KNN) -> CloudSides:
+    """Each cell's KNN graph (union-symmetrized) with weights exp(-||d||^2 / sigma^2).
+
+    ``points`` holds the cells one after another and ``sizes`` their point
+    counts. A point links to its min(k2, n - 1) nearest others in its cell
+    of n, ranked as ``SpatialIndex.query_bulk`` ranks them; sigma^2 is the
+    mean squared length over the cell's undirected edges. One tree over
+    (x, y, z, cell * D), with D above twice any distance in the array,
+    serves every cell: a row that sees another cell's point has seen its own
+    whole cell first.
+    """
+    pos, sizes = np.asarray(points, dtype=np.float64), np.asarray(sizes, dtype=np.intp)
+    total, starts = len(pos), np.cumsum(sizes) - sizes
+    cell = np.repeat(np.arange(len(sizes)), sizes)
+    k_of = np.minimum(k2, sizes - 1)[cell]
+    lifted = np.column_stack([pos, cell * (4.0 * np.ptp(pos, axis=0).max() + 1.0)])
+    tree = cKDTree(lifted)
+    keys = [np.empty(0, np.intp)]
+    for k in np.unique(k_of[k_of > 0]):
+        rows = np.flatnonzero(k_of == k)
+        src, dst = np.repeat(rows, k), ranked_knn(tree, lifted, lifted[rows], k, rows).ravel()
+        keys.append(np.minimum(src, dst) * total + np.maximum(src, dst))
+    keys = np.sort(np.concatenate(keys))
+    ei, ej = np.divmod(keys[np.diff(keys, prepend=-1) != 0], total)  # (lo, hi) ascending
+    edge_starts = np.searchsorted(ei, np.append(starts, total))
+    sq = np.ascontiguousarray(np.square(pos[ei] - pos[ej]).T)  # unit-stride rows for BLAS
+    d2 = sq[0] + sq[1] + sq[2]
+    sigma2, smoothness = np.zeros(len(sizes)), np.zeros((len(sizes), 3))
+    for c in np.flatnonzero(np.diff(edge_starts)):
+        sigma2[c] = d2[edge_starts[c]:edge_starts[c + 1]].mean()
+    weights = np.exp(-d2 / np.repeat(np.where(sigma2 > 0, sigma2, 1.0), np.diff(edge_starts)))
+    for c in np.flatnonzero(sigma2 > 0):
+        lo, hi = edge_starts[c], edge_starts[c + 1]
+        smoothness[c] = np.vecdot(sq[:, lo:hi], weights[lo:hi]) / sizes[c]
+    return CloudSides(starts, sizes, ei, ej, weights, edge_starts, sigma2, smoothness)
 
 
-def spectral_chunks(graphs: list[PatchGraph | None]) -> list[list[int]]:
-    """Group the graphs' positions, None left out, into chunks for ``eigendecompose``.
+def concat_ranges(starts, counts) -> np.ndarray:
+    """The ranges starts[i] .. starts[i] + counts[i] - 1, joined in order."""
+    return np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
+
+
+def chunk_graph(sides: CloudSides, cells) -> tuple[PatchGraph, np.ndarray]:
+    """(graph, points): the block-diagonal graph of ``cells`` (sigma2 NaN) and their points."""
+    sizes, counts = sides.sizes[cells], np.diff(sides.edge_starts)[cells]
+    edges = concat_ranges(sides.edge_starts[cells], counts)
+    shift = np.repeat(np.cumsum(sizes) - sizes - sides.starts[cells], counts)
+    graph = PatchGraph(int(sizes.sum()), sides.edges_i[edges] + shift,
+                       sides.edges_j[edges] + shift, sides.weights[edges], math.nan)
+    return graph, concat_ranges(sides.starts[cells], sizes)
+
+
+def spectral_chunks(sizes) -> list[list[int]]:
+    """Group the cells of nonzero ``sizes`` into chunks for ``eigendecompose``.
 
     A chunk holds at most CHUNK_POINTS points of one class: above
     KRYLOV_STEPS + 1 points, at most SMALL_SIDE_STEPS + 1 (a whole Krylov
@@ -132,13 +180,14 @@ def spectral_chunks(graphs: list[PatchGraph | None]) -> list[list[int]]:
     """
     chunks: list[list[int]] = []
     points, last = 0, None
-    for i in sorted((i for i, g in enumerate(graphs) if g is not None), key=lambda i: graphs[i].n):
-        n = graphs[i].n
+    order = np.argsort(sizes, kind="stable")
+    for i in order[sizes[order] > 0]:
+        n = int(sizes[i])
         kind = (n > KRYLOV_STEPS + 1, n <= SMALL_SIDE_STEPS + 1)
         if kind != last or points + n > CHUNK_POINTS:
             chunks.append([])
             points, last = 0, kind
-        chunks[-1].append(i)
+        chunks[-1].append(int(i))
         points += n
     return chunks
 
@@ -166,7 +215,7 @@ class Spectrum:
 def eigendecompose(graph: PatchGraph, signal: np.ndarray, sizes) -> Spectrum:
     """Lockstep Lanczos spectra of ``signal`` on a ``spectral_chunks`` chunk of sides.
 
-    ``graph`` is their ``stack_graphs`` union and ``sizes`` their point counts.
+    ``graph`` is their ``chunk_graph`` and ``sizes`` their point counts.
     They run together, one sparse matvec per step: KRYLOV_STEPS steps for sides
     above KRYLOV_STEPS + 1 points, else SMALL_SIDE_STEPS. There is no
     reorthogonalisation (accurate for f(L) r, Musco et al., SODA 2018) unless

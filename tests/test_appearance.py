@@ -7,27 +7,20 @@ from hypothesis import strategies as st
 
 from phm.appearance import (
     GAMMA,
-    _pearson,
     band_pass,
-    build_wcm,
     fuse_appearance,
     geometry_degradation,
-    graph_smoothness,
     prepare_pairs,
     prepare_sides,
     texture_degradation,
 )
 from phm.cloud import PointCloud
 from phm.errors import NoValidPatches, ShapeError
-from phm.patches import (
-    build_patch_graph,
-    eigendecompose,
-    partition_into_patch_pairs,
-    reference_cells,
-)
+from phm.patches import eigendecompose, partition_into_patch_pairs, reference_cells
 
 from conftest import random_cloud
 from dense_oracle import dense_bands, dense_spectrum, lanczos_bands, laplacian
+from side_oracle import graph_smoothness, pearson, side_graph, side_wcm
 from test_patches import make_graph
 
 
@@ -44,7 +37,7 @@ def random_connected_graph(seed, n_max=50):
     while True:
         n = int(rng.integers(5, n_max + 1))
         pts = rng.uniform(0, 5, size=(n, 3))
-        g = build_patch_graph(pts, k2=int(rng.integers(2, 6)))
+        g = side_graph(pts, k2=int(rng.integers(2, 6)))
         lam = np.linalg.eigvalsh(laplacian(g))
         if lam[1] > 1e-8:
             return g
@@ -294,14 +287,14 @@ def test_wcm_hand_worked_path3():
     w = math.exp(-1)
     g = make_graph([(0, 1), (1, 2)], 3, weights=[w, w])
     band = np.array([0.0, 0.1, 1.0])  # bins (0, 0, 1) with 2 bins over [0, 1]
-    wcm = build_wcm(g, band, band, num_bins=2)
+    wcm = side_wcm(g, band, band, num_bins=2)
     raw = np.array([[w, w], [w, 0.0]])
     np.testing.assert_array_equal(wcm, raw / raw.sum())
     np.testing.assert_allclose(wcm, [[1 / 3, 1 / 3], [1 / 3, 0]], rtol=1e-12)
     # bin edges over [0, 1] are 0, 0.5, 1: a value just below 0.5 stays in bin 0
-    low = build_wcm(g, np.array([0.0, 0.499, 1.0]), band, num_bins=2)
+    low = side_wcm(g, np.array([0.0, 0.499, 1.0]), band, num_bins=2)
     np.testing.assert_array_equal(low, wcm)
-    high = build_wcm(g, np.array([0.0, 0.5, 1.0]), band, num_bins=2)
+    high = side_wcm(g, np.array([0.0, 0.5, 1.0]), band, num_bins=2)
     np.testing.assert_allclose(high, [[0, 1 / 3], [1 / 3, 1 / 3]], rtol=1e-12)
 
 
@@ -311,7 +304,7 @@ def test_wcm_symmetry_and_mass():
         g = random_connected_graph(seed)
         band = rng.normal(size=g.n)
         partner = rng.normal(size=g.n)
-        wcm = build_wcm(g, band, partner, num_bins=8)
+        wcm = side_wcm(g, band, partner, num_bins=8)
         np.testing.assert_array_equal(wcm, wcm.T)
         assert abs(wcm.sum() - 1.0) <= 1e-12
         assert np.all(wcm >= 0)
@@ -320,7 +313,7 @@ def test_wcm_symmetry_and_mass():
 def test_wcm_constant_band_degenerates_to_origin():
     g = random_connected_graph(6)
     band = np.full(g.n, 2.5)
-    wcm = build_wcm(g, band, band, num_bins=4)
+    wcm = side_wcm(g, band, band, num_bins=4)
     assert wcm[0, 0] == 1.0
     assert wcm.sum() == 1.0
 
@@ -330,7 +323,7 @@ def test_wcm_range_covers_both_bands():
     band = np.array([0.0, 1.0])
     partner = np.array([-1.0, 3.0])
     # bins over [-1, 3] are 1 wide: 0.0 falls in bin 1 and 1.0 in bin 2
-    wcm = build_wcm(g, band, partner, num_bins=4)
+    wcm = side_wcm(g, band, partner, num_bins=4)
     expect = np.zeros((4, 4))
     expect[1, 2] = expect[2, 1] = 0.5
     np.testing.assert_array_equal(wcm, expect)
@@ -341,25 +334,25 @@ def test_wcm_range_covers_both_bands():
 def test_pearson_identity_is_exactly_one():
     rng = np.random.default_rng(1)
     m = rng.uniform(size=(5, 5))
-    assert _pearson(m, m.copy()) == 1.0
+    assert pearson(m, m.copy()) == 1.0
 
 
 def test_pearson_hand_values():
     # stated 2x2 matrices: true Pearson of the flattened 4-vectors is -1
     a = np.array([0.5, 0.5, 0.0, 0.0])
     b = np.array([0.0, 0.0, 0.5, 0.5])
-    assert _pearson(a, b) == pytest.approx(-1.0, rel=1e-12)
+    assert pearson(a, b) == pytest.approx(-1.0, rel=1e-12)
     # single-mass matrices in opposite corners give -1/3
     c = np.array([0.5, 0.0, 0.0, 0.0])
     d = np.array([0.0, 0.0, 0.0, 0.5])
-    assert _pearson(c, d) == pytest.approx(-1.0 / 3.0, rel=1e-12)
+    assert pearson(c, d) == pytest.approx(-1.0 / 3.0, rel=1e-12)
 
 
 def test_pearson_zero_variance_guards():
     flat = np.full(4, 0.25)
-    assert _pearson(flat, flat.copy()) == 1.0
-    assert _pearson(flat, np.full(4, 0.5)) == 0.0
-    assert _pearson(flat, np.array([0.1, 0.2, 0.3, 0.4])) == 0.0
+    assert pearson(flat, flat.copy()) == 1.0
+    assert pearson(flat, np.full(4, 0.5)) == 0.0
+    assert pearson(flat, np.array([0.1, 0.2, 0.3, 0.4])) == 0.0
 
 
 def test_identical_sides_give_unit_texture_score():
@@ -399,12 +392,12 @@ def test_disconnected_patch_is_legal_downstream():
     # two far-apart clusters whose KNN union never bridges the gap
     rng = np.random.default_rng(44)
     pts = np.vstack([rng.uniform(0, 1, (12, 3)), rng.uniform(100, 101, (12, 3))])
-    g = build_patch_graph(pts, k2=3)
+    g = side_graph(pts, k2=3)
     u = rng.normal(size=24)
     assert dense_spectrum(g, u)[0][1] <= 1e-8  # disconnected: second eigenvalue ~0
     sub = lanczos_bands(g, u)
     assert sub.shape == (4, 24)
-    wcm = build_wcm(g, sub[1], sub[1], num_bins=10)
+    wcm = side_wcm(g, sub[1], sub[1], num_bins=10)
     assert abs(wcm.sum() - 1.0) <= 1e-12
     assert graph_smoothness(g, pts[:, 0]) >= 0.0
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from phm.cli import main
-from phm.cloud import save_ply
+from phm.cloud import load_ply, save_ply
 from phm.evaluation import FitParams, logistic_map
 from phm.synthetic import synthetic_cloud, with_luminance_noise
 
@@ -80,6 +80,27 @@ def test_score_non_finite_coordinates_exits_2(ply_pair, capsys, tmp_path):
     head, body = text.split(b"end_header\n")
     bad.write_bytes(head + b"end_header\nnan" + body[body.index(b" "):])
     code, out, err = run_cli(capsys, "score", "--ref", ref, "--dist", str(bad))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "DomainError"
+
+
+def write_double_ply(path, positions, colors):
+    """An ascii PLY with ``property double`` coordinates, which float32 need not hold."""
+    head = ("ply\nformat ascii 1.0\nelement vertex %d\nproperty double x\nproperty double y\n"
+            "property double z\nproperty uchar red\nproperty uchar green\nproperty uchar blue\n"
+            "end_header\n" % len(positions))
+    rows = "".join(f"{p[0]!r} {p[1]!r} {p[2]!r} {c[0]} {c[1]} {c[2]}\n"
+                   for p, c in zip(positions.tolist(), colors.tolist()))
+    path.write_text(head + rows)
+
+
+def test_score_coordinates_beyond_float32_exit_2(ply_pair, capsys, tmp_path):
+    # At 1e160 squared distances overflow to inf; the cloud is refused instead.
+    ref, _ = ply_pair
+    cloud = load_ply(ref)
+    huge = tmp_path / "huge.ply"
+    write_double_ply(huge, cloud.positions * 1e160, cloud.colors)
+    code, out, err = run_cli(capsys, "score", "--ref", ref, "--dist", str(huge))
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == "DomainError"
 
@@ -226,6 +247,21 @@ def test_batch_bad_rows_do_not_stop_the_batch(ply_pair, capsys, tmp_path):
     assert rows["nan"]["error"].startswith("DomainError") and rows["nan"]["score"] == ""
     assert rows["k1"]["error"].startswith("ParseError") and rows["k1"]["score"] == ""
     assert rows["ok1"]["error"] == "" and float(rows["ok2"]["score"]) == 1.0
+
+
+def test_batch_coordinates_beyond_float32_are_a_row_error(ply_pair, capsys, tmp_path):
+    ref, dist = ply_pair
+    cloud = load_ply(ref)
+    huge = tmp_path / "huge.ply"
+    write_double_ply(huge, cloud.positions * 1e160, cloud.colors)
+    manifest = tmp_path / "m.csv"
+    write_manifest(manifest, [["ok", ref, dist], ["huge", ref, str(huge)], ["ref", str(huge), ref]])
+    out = tmp_path / "o.csv"
+    assert run_cli(capsys, "batch", "--manifest", str(manifest), "--out", str(out))[0] == 0
+    rows = {r["pair_id"]: r for r in csv.DictReader(out.open())}
+    assert rows["ok"]["error"] == "" and rows["ok"]["score"] != ""
+    for pid in ("huge", "ref"):
+        assert rows[pid]["error"].startswith("DomainError") and rows[pid]["score"] == ""
 
 
 def test_batch_unwritable_out_fails_before_scoring(ply_pair, capsys, tmp_path, monkeypatch):

@@ -15,6 +15,8 @@ from phm.cloud import (
     save_ply,
 )
 from phm.errors import ColorMissing, DomainError, EmptyCloud, ParseError, TooManySeeds
+from phm.metric import phm_score
+from phm.synthetic import synthetic_cloud, with_luminance_noise
 
 from conftest import random_cloud
 
@@ -293,9 +295,10 @@ def test_binary_matches_ascii_roundtrip(tmp_path):
 def test_save_refuses_a_position_beyond_float32(tmp_path, binary):
     # 1e39 is a valid float64 position but inf as the float32 a PLY file
     # stores, which load_ply would then reject.
-    cloud = PointCloud.from_arrays([[0.0, 0.0, 0.0], [1e39, 0.0, 0.0]], [[1, 2, 3], [4, 5, 6]])
+    # PointCloud refuses it, so no such cloud reaches save_ply.
     path = tmp_path / "big.ply"
     with pytest.raises(DomainError):
+        cloud = PointCloud.from_arrays([[0.0, 0.0, 0.0], [1e39, 0.0, 0.0]], [[1, 2, 3], [4, 5, 6]])
         save_ply(cloud, path, binary=binary)
     assert not path.exists()
 
@@ -528,6 +531,34 @@ def test_pointcloud_rejects_non_finite_positions(bad):
     pos[2, 1] = bad
     with pytest.raises(DomainError):
         PointCloud.from_arrays(pos, np.zeros((4, 3), dtype=np.uint8))
+
+
+F32_MAX = float(np.finfo(np.float32).max)
+
+
+@pytest.mark.parametrize("bad", [1e39, -1e39, 1e160, -1e300, np.nextafter(F32_MAX, math.inf)])
+def test_from_arrays_refuses_a_position_beyond_float32(bad):
+    # Squared distances of such coordinates overflow float64 (1e160) or lose
+    # every digit (1e150), which KNN ranking and the graph weights need.
+    pos = np.zeros((4, 3))
+    pos[1, 2] = bad
+    with pytest.raises(DomainError):
+        PointCloud.from_arrays(pos, np.zeros((4, 3), dtype=np.uint8))
+
+
+def test_positions_up_to_float32_range_score_as_at_any_scale():
+    cloud = synthetic_cloud(300, seed=3)
+    dist = with_luminance_noise(cloud, 20.0, seed=4)
+    span = np.ptp(cloud.positions, axis=0).max()
+    scores = []
+    for scale in (1e30 / span, 3e38 / span):
+        pair = [PointCloud.from_arrays(c.positions * scale, c.colors) for c in (cloud, dist)]
+        report = phm_score(*pair)
+        assert report.status == "ok" and math.isfinite(report.score)
+        scores.append(report.score)
+    assert scores[1] == pytest.approx(scores[0], rel=1e-9)
+    edge = PointCloud.from_arrays([[F32_MAX, -F32_MAX, 0.0], [0.0, 0.0, 0.0]], np.zeros((2, 3)))
+    assert edge.positions[0, 0] == F32_MAX
 
 
 def test_pointcloud_rejects_empty():

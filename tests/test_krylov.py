@@ -11,11 +11,12 @@ import pytest
 from phm.appearance import GAMMA, sgwt_decompose
 from phm.errors import ShapeError
 from phm.metric import MetricConfig, phm_score
-from phm.patches import (KRYLOV_STEPS, SMALL_SIDE_STEPS, build_patch_graph, eigendecompose,
-                         stack_graphs)
+from phm.patches import KRYLOV_STEPS, SMALL_SIDE_STEPS, eigendecompose
 from phm.synthetic import synthetic_cloud
 
-from dense_oracle import dense_bands, dense_spectrum, lanczos_bands, laplacian, use_dense_oracle
+from dense_oracle import (dense_bands, dense_spectrum, lanczos_bands, laplacian, stack_graphs,
+                          use_dense_oracle)
+from side_oracle import side_graph
 from test_golden import CONFIG, golden_cases
 
 # Measured worst band error, relative to the band's largest magnitude, was
@@ -30,7 +31,7 @@ def assert_bands_close(got, want, rtol=BAND_RTOL):
 
 def side(n, seed):
     cloud = synthetic_cloud(n, seed=seed)
-    return build_patch_graph(cloud.positions), cloud.luminance
+    return side_graph(cloud.positions), cloud.luminance
 
 
 @pytest.mark.parametrize("n", [300, 1100, 3000])
@@ -85,7 +86,7 @@ def test_constant_side_below_cutoff_passes_its_mean_exactly(n):
 
 def test_constant_luminance_above_cutoff():
     rng = np.random.default_rng(1)
-    g = build_patch_graph(rng.uniform(0, 10, (500, 3)))
+    g = side_graph(rng.uniform(0, 10, (500, 3)))
     spectrum = eigendecompose(g, np.full(500, 87.3), [500])
     sub = sgwt_decompose(spectrum)
     np.testing.assert_allclose(sub[0], GAMMA * 87.3, rtol=1e-12)
@@ -98,7 +99,7 @@ def test_constant_luminance_above_cutoff():
 def test_disconnected_clusters_with_constant_luminance():
     rng = np.random.default_rng(2)
     pts = np.vstack([rng.uniform(0, 10, (250, 3)), rng.uniform(1000, 1010, (250, 3))])
-    g = build_patch_graph(pts)
+    g = side_graph(pts)
     u = np.r_[np.full(250, 50.0), np.full(250, 200.0)]
     want = dense_spectrum(g, u)
     assert np.linalg.eigvalsh(laplacian(g))[1] <= 1e-8  # two components
@@ -107,7 +108,7 @@ def test_disconnected_clusters_with_constant_luminance():
 
 
 def test_signal_length_is_checked():
-    g = build_patch_graph(np.random.default_rng(3).uniform(0, 1, (20, 3)))
+    g = side_graph(np.random.default_rng(3).uniform(0, 1, (20, 3)))
     with pytest.raises(ShapeError):
         eigendecompose(g, np.zeros(19), [20])
     with pytest.raises(ShapeError):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import phm.appearance
 from phm.errors import CloudTooSmall, DomainError, ParseError
 from phm.metric import MetricConfig, combine_adaptive, phm_score, prepare_reference
+from phm.patches import partition_into_patch_pairs
 from phm.synthetic import synthetic_cloud, with_luminance_noise
 
 from conftest import random_cloud
@@ -160,25 +161,27 @@ def test_prepared_reference_takes_other_pair_fields(textured_cloud, name, value)
 
 
 def test_prepared_reference_features_are_not_recomputed(textured_cloud, monkeypatch):
-    # Scoring computes smoothness and spectra for the distorted sides only;
-    # the reference sides bring theirs from prepare_reference.
+    # Scoring builds graphs, smoothness and spectra for the distorted sides
+    # only; the reference sides bring theirs from prepare_reference.
     cfg = MetricConfig(patch_divisor=100)
     prepared = prepare_reference(textured_cloud, cfg)
-    ref_graphs = {id(side.graph) for side in prepared.sides if side is not None}
-    calls = {"graph_smoothness": [], "eigendecompose": []}
+    noisy = with_luminance_noise(textured_cloud, 20.0, seed=6)
+    calls = {"build_patch_graph": [], "eigendecompose": []}
     for name, seen in calls.items():
-        def counted(graph, signal, *args, fn=getattr(phm.appearance, name), seen=seen):
-            seen.append(graph)
-            return fn(graph, signal, *args)
+        def counted(points, *args, fn=getattr(phm.appearance, name), seen=seen):
+            seen.append(points)
+            return fn(points, *args)
         monkeypatch.setattr(phm.appearance, name, counted)
-    report = phm_score(prepared, with_luminance_noise(textured_cloud, 20.0, seed=6), cfg)
+    report = phm_score(prepared, noisy, cfg)
     sides = report.diagnostics["valid_patch_count"]
     assert report.diagnostics["degenerate_patch_count"] == 0 and sides > 1
-    assert len(calls["graph_smoothness"]) == 3 * sides
+    # One bulk graph pass over the distorted cloud's points, cell by cell.
+    [points] = calls["build_patch_graph"]
+    cells = [di for _, di in partition_into_patch_pairs(prepared.cells, noisy)]
+    np.testing.assert_array_equal(points, noisy.positions[np.concatenate(cells)])
     # One lockstep pass covers every distorted side, and no reference side.
     points = sum(entry["n_dist"] for entry in report.diagnostics["per_patch"])
     assert sum(graph.n for graph in calls["eigendecompose"]) == points
-    assert not ref_graphs & {id(graph) for seen in calls.values() for graph in seen}
 
 
 def test_phm_deterministic_repeat(textured_cloud):

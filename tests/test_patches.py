@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from phm.cloud import PointCloud
-from phm.errors import DegeneratePatch
 from phm.patches import (
     PatchGraph,
-    build_patch_graph,
     cap_indices,
     partition_into_patch_pairs,
     reference_cells,
@@ -15,6 +13,7 @@ from phm.patches import (
 
 from conftest import random_cloud
 from dense_oracle import dense_spectrum, laplacian
+from side_oracle import DegeneratePatch, side_graph
 
 
 def make_graph(edges, n, weights=None):
@@ -95,7 +94,7 @@ def test_partition_matches_bruteforce_assignment():
 
 def test_three_collinear_points_k1():
     pts = np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0]], dtype=float)
-    g = build_patch_graph(pts, k2=1)
+    g = side_graph(pts, k2=1)
     assert len(g.weights) == 2
     assert g.sigma2 == pytest.approx(1.0)
     np.testing.assert_allclose(g.weights, math.exp(-1), rtol=1e-15)
@@ -103,7 +102,7 @@ def test_three_collinear_points_k1():
 
 def test_two_point_graph():
     pts = np.array([[0, 0, 0], [0, 3, 0]], dtype=float)
-    g = build_patch_graph(pts, k2=10)
+    g = side_graph(pts, k2=10)
     assert len(g.weights) == 1
     assert g.sigma2 == pytest.approx(9.0)
     assert g.weights[0] == pytest.approx(math.exp(-1), rel=1e-15)
@@ -114,7 +113,7 @@ def test_graph_edges_match_bruteforce_union():
     # Coincident points: 10 positions twice, 3 of them three times, shuffled.
     dup = np.vstack([pos, pos[:10], pos[:3]])[np.random.default_rng(78).permutation(53)]
     for points in (pos, dup):
-        g = build_patch_graph(points, k2=10)
+        g = side_graph(points, k2=10)
         got = set(zip(g.edges_i.tolist(), g.edges_j.tolist()))
         assert got == edge_set_oracle(points, 10)
         np.testing.assert_allclose(laplacian(g).sum(axis=1), 0.0, atol=1e-10)
@@ -123,14 +122,14 @@ def test_graph_edges_match_bruteforce_union():
 
 def test_degenerate_patches_raise():
     with pytest.raises(DegeneratePatch):
-        build_patch_graph(np.zeros((1, 3)))
+        side_graph(np.zeros((1, 3)))
     with pytest.raises(DegeneratePatch):
-        build_patch_graph(np.zeros((5, 3)))  # all coincident -> sigma2 == 0
+        side_graph(np.zeros((5, 3)))  # all coincident -> sigma2 == 0
 
 
 def test_weight_formula_against_oracle():
     cloud = random_cloud(25, seed=13)
-    g = build_patch_graph(cloud.positions, k2=4)
+    g = side_graph(cloud.positions, k2=4)
     d = cloud.positions[g.edges_i] - cloud.positions[g.edges_j]
     d2 = (d * d).sum(axis=1)
     assert g.sigma2 == pytest.approx(float(d2.mean()), rel=1e-15)
@@ -157,7 +156,7 @@ def test_path3_eigenvalues():
 
 def test_connected_graph_has_constant_nullvector():
     cloud = random_cloud(30, seed=5)
-    g = build_patch_graph(cloud.positions, k2=5)
+    g = side_graph(cloud.positions, k2=5)
     lam, vec, _ = dense_spectrum(g, cloud.luminance)
     assert abs(lam[0]) <= 1e-8
     v0 = vec[:, 0] * np.sign(vec[0, 0])  # eigh fixes no sign
@@ -167,7 +166,7 @@ def test_connected_graph_has_constant_nullvector():
 
 def test_spectrum_orthonormal_and_reconstructs():
     cloud = random_cloud(35, seed=6)
-    g = build_patch_graph(cloud.positions, k2=6)
+    g = side_graph(cloud.positions, k2=6)
     lam, v, _ = dense_spectrum(g, cloud.luminance)
     np.testing.assert_allclose(v.T @ v, np.eye(35), atol=1e-8)
     recon = v @ np.diag(lam) @ v.T
