@@ -16,8 +16,8 @@ import numpy as np
 
 from .cloud import PointCloud
 from .errors import NoValidPatches
-from .patches import (PatchGraph, Spectrum, build_patch_graph, cap_indices,
-                      chunk_graph, eigendecompose, spectral_chunks)
+from .patches import (PatchGraph, Spectrum, build_patch_graph, chunk_graph, eigendecompose,
+                      spectral_chunks)
 
 DEFAULT_STABILIZER = 1e-6
 DEFAULT_NUM_BANDPASS = 3
@@ -35,21 +35,20 @@ def prepare_sides(
     num_bandpass: int = DEFAULT_NUM_BANDPASS,
     continuous_tail: bool = True,
 ) -> CloudSides:
-    """Cap, gather, graph and filter every cell of a cloud in one pass.
+    """Gather, graph and filter every cell of a cloud in one pass.
 
     Sides are filtered one ``spectral_chunks`` chunk at a time; a side's
     bands do not depend on its chunk.
     """
-    capped = [cap_indices(idx) for idx in cells]
-    idx = np.concatenate([i for i, _ in capped])
-    sides = build_patch_graph(cloud.positions[idx], [len(i) for i, _ in capped], k2)
+    idx = np.concatenate(cells)
+    sides = build_patch_graph(cloud.positions[idx], [len(i) for i in cells], k2)
     luminance = cloud.luminance[idx]
     bands = np.zeros((num_bandpass + 1, len(idx)))
     for chunk in spectral_chunks(np.where(sides.valid, sides.sizes, 0)):
         graph, points = chunk_graph(sides, chunk)
         spectrum = eigendecompose(graph, luminance[points], sides.sizes[chunk])
         bands[:, points] = sgwt_decompose(spectrum, num_bandpass, continuous_tail)
-    return replace(sides, capped=np.array([c for _, c in capped], dtype=bool), bands=bands)
+    return replace(sides, bands=bands)
 
 
 def prepare_pairs(

@@ -18,7 +18,7 @@ from .appearance import (
 from .cloud import PointCloud, SpatialIndex
 from .errors import CloudTooSmall, DomainError, NoValidPatches, ParseError
 from .patches import CloudSides, ReferenceCells, partition_into_patch_pairs, reference_cells
-from .visible import reference_masking, visible_difference
+from .visible import reference_masking, upsilon, visible_difference
 
 _FUSION_MODES = ("multiply", "average")
 # The MetricConfig fields that the reference-only work depends on.
@@ -61,6 +61,8 @@ class MetricConfig:
                 raise ValueError(f"{name} must be finite")
         if self.alpha < 0:
             raise ValueError("alpha must be >= 0")
+        if not math.isfinite(upsilon(self.alpha)):
+            raise ValueError("alpha is so large that its D_H normalizer upsilon overflows")
         if self.mu <= 0:
             raise ValueError("mu must be positive")
         if self.stabilizer <= 0:
@@ -225,16 +227,14 @@ def phm_score(
 
     ref_sides, dist_sides = prepared
     compared = ref_sides.valid & dist_sides.valid
-    capped = (ref_sides.valid & ref_sides.capped) | (dist_sides.valid & dist_sides.capped)
     per_patch = [dict(cell_id=cell, n_ref=len(ref_idx), n_dist=len(dist_idx),
-                      degenerate=not compared[cell], capped=bool(capped[cell]), f_s=None, f_w=None)
+                      degenerate=not compared[cell], f_s=None, f_w=None)
                  for cell, (ref_idx, dist_idx) in enumerate(pairs)]
     diagnostics = {
         "n_ref": len(reference.cloud),
         "n_dist": len(dist),
         "patch_count": len(pairs),
         "degenerate_patch_count": sum(1 for e in per_patch if e["degenerate"]),
-        "capped_patch_count": sum(1 for e in per_patch if e["capped"]),
         "psnr_y": vd.psnr_y,
         "perfect": vd.perfect,
         "raw_mse": vd.raw_mse,

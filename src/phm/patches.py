@@ -11,7 +11,6 @@ through them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,9 +22,6 @@ from .cloud import PointCloud, SpatialIndex, farthest_point_sample, ranked_knn
 from .errors import ShapeError, SpectralError
 
 DEFAULT_GRAPH_KNN = 10
-# Larger patches are subsampled first. The cap dates from the dense O(n^3)
-# spectrum; it stays so that scores of cells above 3,000 points do not move.
-PATCH_POINT_CAP = 3000
 # Lanczos steps for a patch of more than KRYLOV_STEPS + 1 points, and for smaller ones.
 KRYLOV_STEPS = 200
 SMALL_SIDE_STEPS = 40
@@ -85,12 +81,11 @@ class PatchGraph:
     edges_i: np.ndarray  # (E,) with edges_i < edges_j
     edges_j: np.ndarray
     weights: np.ndarray  # (E,) in (0, 1]
-    sigma2: float  # mean squared edge length
 
 
 @dataclass(frozen=True)
 class CloudSides:
-    """The patch sides of one cloud: its capped cells' points one after another.
+    """The patch sides of one cloud: its cells' points one after another.
 
     Cell c holds points starts[c]:starts[c] + sizes[c] and the edges
     edge_starts[c]:edge_starts[c + 1] of its KNN graph, ascending, with
@@ -98,8 +93,8 @@ class CloudSides:
     2 points, or every selected edge of zero length) has sigma2 0 and is not
     ``valid``. ``smoothness`` holds a valid cell's x/y/z coordinate
     smoothness sum w d^2, each divided by its point count. ``prepare_sides``
-    adds which cells were capped and the (C + 1, N) SGWT sub-bands of the
-    luminance, each cell's on its own spectrum (0 for a cell without a graph).
+    adds the (C + 1, N) SGWT sub-bands of the luminance, each cell's on its
+    own spectrum (0 for a cell without a graph).
     """
 
     starts: np.ndarray  # (P,)
@@ -110,7 +105,6 @@ class CloudSides:
     edge_starts: np.ndarray  # (P + 1,)
     sigma2: np.ndarray  # (P,)
     smoothness: np.ndarray  # (P, 3)
-    capped: np.ndarray | None = None  # (P,) bool
     bands: np.ndarray | None = None  # (C + 1, N)
 
     @property
@@ -132,7 +126,8 @@ def build_patch_graph(points: np.ndarray, sizes, k2: int = DEFAULT_GRAPH_KNN) ->
     pos, sizes = np.asarray(points, dtype=np.float64), np.asarray(sizes, dtype=np.intp)
     total, starts = len(pos), np.cumsum(sizes) - sizes
     cell = np.repeat(np.arange(len(sizes)), sizes)
-    k_of = np.minimum(k2, sizes - 1)[cell]
+    # Clamped in Python first: a k2 beyond int64 would overflow in numpy.
+    k_of = np.minimum(min(k2, int(sizes.max(initial=0))), sizes - 1)[cell]
     lifted = np.column_stack([pos, cell * (4.0 * np.ptp(pos, axis=0).max() + 1.0)])
     tree = cKDTree(lifted)
     keys = [np.empty(0, np.intp)]
@@ -161,22 +156,22 @@ def concat_ranges(starts, counts) -> np.ndarray:
 
 
 def chunk_graph(sides: CloudSides, cells) -> tuple[PatchGraph, np.ndarray]:
-    """(graph, points): the block-diagonal graph of ``cells`` (sigma2 NaN) and their points."""
+    """(graph, points): the block-diagonal graph of ``cells`` and their points."""
     sizes, counts = sides.sizes[cells], np.diff(sides.edge_starts)[cells]
     edges = concat_ranges(sides.edge_starts[cells], counts)
     shift = np.repeat(np.cumsum(sizes) - sizes - sides.starts[cells], counts)
     graph = PatchGraph(int(sizes.sum()), sides.edges_i[edges] + shift,
-                       sides.edges_j[edges] + shift, sides.weights[edges], math.nan)
+                       sides.edges_j[edges] + shift, sides.weights[edges])
     return graph, concat_ranges(sides.starts[cells], sizes)
 
 
 def spectral_chunks(sizes) -> list[list[int]]:
     """Group the cells of nonzero ``sizes`` into chunks for ``eigendecompose``.
 
-    A chunk holds at most CHUNK_POINTS points of one class: above
-    KRYLOV_STEPS + 1 points, at most SMALL_SIDE_STEPS + 1 (a whole Krylov
-    space), or in between. Sides go in by size, so the sides of a chunk of
-    whole Krylov spaces stop after similar step counts.
+    A chunk holds at most CHUNK_POINTS points, or one larger side alone, of
+    one class: above KRYLOV_STEPS + 1 points, at most SMALL_SIDE_STEPS + 1 (a
+    whole Krylov space), or in between. Sides go in by size, so the sides of
+    a chunk of whole Krylov spaces stop after similar step counts.
     """
     chunks: list[list[int]] = []
     points, last = 0, None
@@ -245,7 +240,7 @@ def eigendecompose(graph: PatchGraph, signal: np.ndarray, sizes) -> Spectrum:
             keep = rerun[block]
             renumber, edges = np.cumsum(keep) - 1, keep[graph.edges_i]
             sub = PatchGraph(int(keep.sum()), renumber[graph.edges_i[edges]],
-                             renumber[graph.edges_j[edges]], graph.weights[edges], math.nan)
+                             renumber[graph.edges_j[edges]], graph.weights[edges])
             start = np.concatenate([np.random.default_rng(0).standard_normal(n)
                                     for n in sizes[rerun]])
             _, _, again, _, ran = _lanczos(sub, sizes[rerun], start, steps)
@@ -298,11 +293,3 @@ def _lanczos(graph: PatchGraph, sizes, start, steps: int, reorthogonalise=False)
         if c:
             theta[i, :c], vectors[i, :c, :c] = eigh_tridiagonal(alpha[i, :c], beta[i, :c - 1])
     return norm, basis[:j + 1], theta, vectors, count
-
-
-def cap_indices(idx: np.ndarray, cap: int = PATCH_POINT_CAP) -> tuple[np.ndarray, bool]:
-    """Uniformly subsample an oversized patch's indices (deterministic stride selection)."""
-    n = len(idx)
-    if n <= cap:
-        return idx, False
-    return idx[(np.arange(cap) * n) // cap], True

@@ -64,12 +64,12 @@ def dense_bands(spectrum, num_bandpass=3, continuous_tail=True):
 
 
 def stack_graphs(graphs):
-    """The block-diagonal union of the graphs, in order; its sigma2 is NaN."""
+    """The block-diagonal union of the graphs, in order."""
     offsets = np.repeat(np.cumsum([0] + [g.n for g in graphs[:-1]]), [len(g.weights) for g in graphs])
     return PatchGraph(sum(g.n for g in graphs),
                       np.concatenate([g.edges_i for g in graphs]) + offsets,
                       np.concatenate([g.edges_j for g in graphs]) + offsets,
-                      np.concatenate([g.weights for g in graphs]), float("nan"))
+                      np.concatenate([g.weights for g in graphs]))
 
 
 def blocks(graph, sizes):
@@ -78,7 +78,7 @@ def blocks(graph, sizes):
     for n in sizes:
         keep = (graph.edges_i >= lo) & (graph.edges_i < lo + n)
         out.append(PatchGraph(int(n), graph.edges_i[keep] - lo, graph.edges_j[keep] - lo,
-                              graph.weights[keep], float("nan")))
+                              graph.weights[keep]))
         lo += n
     return out
 

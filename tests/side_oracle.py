@@ -29,7 +29,7 @@ class DegeneratePatch(PhmError):
 
 
 def build_patch_graph(points, k2=DEFAULT_GRAPH_KNN):
-    """KNN graph (union-symmetrized) with weights exp(-||d||^2 / sigma^2).
+    """(graph, sigma^2): the KNN graph (union-symmetrized) with weights exp(-||d||^2 / sigma^2).
 
     sigma^2 is the mean squared length over the undirected edge set, which
     holds no self-pairs, so a built graph has at least one edge. Raises
@@ -49,7 +49,7 @@ def build_patch_graph(points, k2=DEFAULT_GRAPH_KNN):
     sigma2 = float(d2.mean())
     if sigma2 == 0.0:
         raise DegeneratePatch("all selected neighbor pairs are coincident")
-    return PatchGraph(n, ei, ej, np.exp(-d2 / sigma2), sigma2)
+    return PatchGraph(n, ei, ej, np.exp(-d2 / sigma2)), sigma2
 
 
 def graph_smoothness(graph, signal):
@@ -102,7 +102,7 @@ def side_graph(points, k2=DEFAULT_GRAPH_KNN):
     sides = bulk_graph(pos, [len(pos)], k2)
     if not sides.valid[0]:
         raise DegeneratePatch("side has no graph")
-    return PatchGraph(len(pos), sides.edges_i, sides.edges_j, sides.weights, float(sides.sigma2[0]))
+    return PatchGraph(len(pos), sides.edges_i, sides.edges_j, sides.weights)
 
 
 def side_wcm(graph, band, partner_band, num_bins=50):

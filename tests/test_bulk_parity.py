@@ -11,8 +11,8 @@ import pytest
 import phm.appearance
 from phm.appearance import _pearson, prepare_pairs, prepare_sides, texture_degradation
 from phm.cloud import PointCloud
-from phm.patches import (PATCH_POINT_CAP, build_patch_graph, cap_indices, chunk_graph,
-                         partition_into_patch_pairs, reference_cells)
+from phm.patches import (build_patch_graph, chunk_graph, partition_into_patch_pairs,
+                         reference_cells)
 from phm.synthetic import synthetic_cloud, with_geometry_jitter, with_luminance_noise
 
 from side_oracle import DegeneratePatch, build_wcm, graph_smoothness
@@ -26,7 +26,7 @@ def assert_cells_match_oracle(sides, points, k2):
         pos = points[start:start + n]
         lo, hi = sides.edge_starts[c], sides.edge_starts[c + 1]
         try:
-            g = oracle_graph(pos, k2)
+            g, sigma2 = oracle_graph(pos, k2)
         except DegeneratePatch:
             assert not sides.valid[c] and sides.sigma2[c] == 0.0, c
             continue
@@ -34,7 +34,7 @@ def assert_cells_match_oracle(sides, points, k2):
         assert np.array_equal(sides.edges_i[lo:hi] - start, g.edges_i), c
         assert np.array_equal(sides.edges_j[lo:hi] - start, g.edges_j), c
         assert np.array_equal(sides.weights[lo:hi], g.weights), c
-        assert sides.sigma2[c] == g.sigma2, c
+        assert sides.sigma2[c] == sigma2, c
         want = [graph_smoothness(g, pos[:, axis]) / n for axis in range(3)]
         assert sides.smoothness[c].tolist() == want, c
 
@@ -80,15 +80,13 @@ def test_single_cell_cloud_matches_the_oracle(n, k2):
     check_graphs(np.random.default_rng(n).uniform(0, 1, (n, 3)), [n], k2)
 
 
-def test_prepare_sides_caps_and_matches_the_oracle():
-    # One cell above PATCH_POINT_CAP is subsampled by cap_indices first.
-    cloud = synthetic_cloud(PATCH_POINT_CAP + 600, seed=3)
-    cells = [np.arange(PATCH_POINT_CAP + 200), np.arange(PATCH_POINT_CAP + 200, len(cloud))]
+def test_prepare_sides_matches_the_oracle():
+    # A cell above 3,000 points is graphed whole, like any other.
+    cloud = synthetic_cloud(3600, seed=3)
+    cells = [np.arange(3200), np.arange(3200, len(cloud))]
     sides = prepare_sides(cloud, cells, k2=10)
-    assert sides.capped.tolist() == [True, False]
-    idx = np.concatenate([cap_indices(cell)[0] for cell in cells])
-    assert sides.sizes.tolist() == [PATCH_POINT_CAP, 400]
-    assert_cells_match_oracle(sides, cloud.positions[idx], 10)
+    assert sides.sizes.tolist() == [3200, 400]
+    assert_cells_match_oracle(sides, cloud.positions, 10)
 
 
 def oracle_rows(prepared, num_bins):

@@ -149,10 +149,12 @@ def test_score_unknown_config_key_exits_1(ply_pair, capsys, tmp_path):
     assert json.loads(err)["error"] == "ParseError"
 
 
-@pytest.mark.parametrize("key, value", [("num_bandpass", 10**12), ("nb_bins", 10**9)])
+@pytest.mark.parametrize("key, value", [("num_bandpass", 10**12), ("nb_bins", 10**9),
+                                        ("alpha", 1e308)])
 def test_score_oversized_config_value_exits_1(ply_pair, capsys, tmp_path, key, value):
     # Unbounded, these would allocate (C + 1) x N bands or Nb^2 WCMs and die
-    # with a raw memory error instead of a JSON PhmError.
+    # with a raw memory error instead of a JSON PhmError; such an alpha
+    # would overflow D_H's normalizer and score NaN.
     ref, dist = ply_pair
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({key: value}))
@@ -161,7 +163,8 @@ def test_score_oversized_config_value_exits_1(ply_pair, capsys, tmp_path, key, v
     assert json.loads(err)["error"] == "ParseError" and key in json.loads(err)["message"]
 
 
-@pytest.mark.parametrize("key, value", [("num_bandpass", 10**12), ("nb_bins", 10**9)])
+@pytest.mark.parametrize("key, value", [("num_bandpass", 10**12), ("nb_bins", 10**9),
+                                        ("alpha", 1e308)])
 def test_batch_oversized_config_value_is_a_row_error(ply_pair, capsys, tmp_path, key, value):
     ref, dist = ply_pair
     manifest = tmp_path / "m.csv"

@@ -3,10 +3,10 @@
 ``tests/data/golden_reports.json`` holds ``phm_score(...).to_dict()`` without
 ``diagnostics.timing`` for a luminance-noise pair, a geometry-jitter pair and
 an identity pair, scored with ``patch_divisor=250`` (6-8 cells of about 250
-points, so the dense spectra stay cheap). Structure, key order, ints, flags
-and strings must match exactly; floats within an absolute 1e-9. Regenerate
-deliberately with ``PYTHONPATH=src python tests/test_golden.py`` when a
-change is meant to move scores.
+points). Structure, key order, ints, flags and strings must match exactly;
+floats within an absolute 1e-9. Regenerate deliberately with
+``PYTHONPATH=src python tests/test_golden.py`` when a change is meant to
+move scores.
 """
 
 import json

@@ -92,7 +92,7 @@ def test_config_rejects_bad_values():
 @pytest.mark.parametrize("bad", [
     {"k1": 2.5}, {"k1": True}, {"k2": "10"}, {"patch_divisor": 80.0},
     {"num_bandpass": None}, {"nb_bins": False}, {"nb_bins": 1},
-    {"alpha": -0.5}, {"alpha": math.inf}, {"mu": math.nan}, {"mu": True},
+    {"alpha": -0.5}, {"alpha": math.inf}, {"alpha": 1e308}, {"mu": math.nan}, {"mu": True},
     {"stabilizer": "1e-6"}, {"stabilizer": 0.0},
     {"continuous_tail": "no"}, {"continuous_tail": 1}, {"outer_fusion": None},
 ], ids=repr)
@@ -228,17 +228,27 @@ def test_phm_no_valid_patches_status():
     assert report.d_h > 0.0
 
 
-def test_phm_caps_oversized_patches():
+def test_phm_scores_oversized_patch_whole():
     # patch_divisor larger than N forces one patch holding the whole cloud,
-    # which exceeds the eigendecomposition cap and gets subsampled
+    # above the 3,000 points that used to be subsampled
     ref = synthetic_cloud(3500, seed=12)
     noisy = with_luminance_noise(ref, 10.0, seed=13)
     report = phm_score(ref, noisy, MetricConfig(patch_divisor=100_000))
     assert report.status == "ok"
     assert report.diagnostics["patch_count"] == 1
-    assert report.diagnostics["capped_patch_count"] == 1
-    assert report.diagnostics["per_patch"][0]["capped"]
+    assert report.diagnostics["per_patch"][0]["n_ref"] == 3500
     assert 0.0 < report.score <= 1.0
+    assert "capped" not in json.dumps(report.to_dict())
+
+
+def test_phm_k2_beyond_int64_matches_a_large_one(textured_cloud):
+    # Any k2 of at least the largest cell links every point to its whole cell.
+    noisy = with_luminance_noise(textured_cloud, 20.0, seed=7)
+    huge, large = (phm_score(textured_cloud, noisy, MetricConfig(k2=k2)).to_dict()
+                   for k2 in (10**30, 2**62))
+    huge["diagnostics"].pop("timing")
+    large["diagnostics"].pop("timing")
+    assert huge == large
 
 
 def test_phm_fusion_mode_config(textured_cloud):

@@ -4,16 +4,12 @@ import numpy as np
 import pytest
 
 from phm.cloud import PointCloud
-from phm.patches import (
-    PatchGraph,
-    cap_indices,
-    partition_into_patch_pairs,
-    reference_cells,
-)
+from phm.patches import PatchGraph, partition_into_patch_pairs, reference_cells
 
 from conftest import random_cloud
 from dense_oracle import dense_spectrum, laplacian
 from side_oracle import DegeneratePatch, side_graph
+from side_oracle import build_patch_graph as oracle_graph
 
 
 def make_graph(edges, n, weights=None):
@@ -21,7 +17,7 @@ def make_graph(edges, n, weights=None):
     ei = np.array([e[0] for e in edges], dtype=np.intp)
     ej = np.array([e[1] for e in edges], dtype=np.intp)
     w = np.ones(len(edges)) if weights is None else np.asarray(weights, dtype=float)
-    return PatchGraph(n, ei, ej, w, sigma2=1.0)
+    return PatchGraph(n, ei, ej, w)
 
 
 def edge_set_oracle(points, k2):
@@ -96,7 +92,7 @@ def test_three_collinear_points_k1():
     pts = np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0]], dtype=float)
     g = side_graph(pts, k2=1)
     assert len(g.weights) == 2
-    assert g.sigma2 == pytest.approx(1.0)
+    assert oracle_graph(pts, k2=1)[1] == pytest.approx(1.0)
     np.testing.assert_allclose(g.weights, math.exp(-1), rtol=1e-15)
 
 
@@ -104,7 +100,7 @@ def test_two_point_graph():
     pts = np.array([[0, 0, 0], [0, 3, 0]], dtype=float)
     g = side_graph(pts, k2=10)
     assert len(g.weights) == 1
-    assert g.sigma2 == pytest.approx(9.0)
+    assert oracle_graph(pts, k2=10)[1] == pytest.approx(9.0)
     assert g.weights[0] == pytest.approx(math.exp(-1), rel=1e-15)
 
 
@@ -130,10 +126,11 @@ def test_degenerate_patches_raise():
 def test_weight_formula_against_oracle():
     cloud = random_cloud(25, seed=13)
     g = side_graph(cloud.positions, k2=4)
+    _, sigma2 = oracle_graph(cloud.positions, k2=4)
     d = cloud.positions[g.edges_i] - cloud.positions[g.edges_j]
     d2 = (d * d).sum(axis=1)
-    assert g.sigma2 == pytest.approx(float(d2.mean()), rel=1e-15)
-    np.testing.assert_allclose(g.weights, np.exp(-d2 / g.sigma2), rtol=1e-15)
+    assert sigma2 == pytest.approx(float(d2.mean()), rel=1e-15)
+    np.testing.assert_allclose(g.weights, np.exp(-d2 / sigma2), rtol=1e-15)
 
 
 # --- dense spectrum (the oracle) ---------------------------------------------
@@ -173,20 +170,3 @@ def test_spectrum_orthonormal_and_reconstructs():
     np.testing.assert_allclose(recon, laplacian(g), atol=1e-6)
     assert np.all(np.diff(lam) >= -1e-12)
     assert np.all(lam >= -1e-9)
-
-
-# --- patch cap ---------------------------------------------------------------
-
-def test_cap_indices_noop_below_cap():
-    cell = reference_cells(random_cloud(50, seed=1), 1).members[0]
-    idx, capped = cap_indices(cell, cap=100)
-    assert not capped and len(idx) == 50
-
-
-def test_cap_indices_uniform_and_deterministic():
-    cell = reference_cells(random_cloud(100, seed=1), 1).members[0]
-    idx1, capped1 = cap_indices(cell, cap=30)
-    idx2, _ = cap_indices(cell, cap=30)
-    assert capped1 and len(idx1) == 30
-    assert len(np.unique(idx1)) == 30
-    np.testing.assert_array_equal(idx1, idx2)
