@@ -130,32 +130,42 @@ def ranked_knn(tree: cKDTree, data: np.ndarray, pts: np.ndarray, k: int,
 
     Row i leaves out index own[i] if given. Each round tree-queries kq
     candidates for the open rows and ranks them by (exact squared distance,
-    index). A row is final once its kr-th distance lies below the rim, the
-    farthest candidate before masking, since no unseen point is closer than
-    that; the rows that tie the rim go to the next round together, with kq
-    doubled. Rows go in blocks of 65,536.
+    index); rows the tree already returned in that order, own index first,
+    are not sorted. A row is final once its kr-th distance lies below the
+    rim, the farthest candidate before masking, since no unseen point is
+    closer than that; the rows that tie the rim go to the next round
+    together, with kq doubled. Rows go in blocks of 65,536.
     """
-    m, n = len(pts), len(data)
-    kr = min(k, n - 1) if own is not None else min(k, n)
+    m, n, skip = len(pts), len(data), int(own is not None)
+    kr = min(k, n - skip)
     out = np.empty((m, kr), dtype=np.intp)
     if kr == 0:
         return out
     for first in range(0, m, 1 << 16):  # row blocks bound the (rows, kq) temporaries
         rows = np.arange(first, min(first + (1 << 16), m))
-        kq = min(kr + (1 if own is None else 2), n)
+        kq = min(kr + 1 + skip, n)
         while len(rows):
-            _, idx = tree.query(pts[rows], k=kq)
-            idx = idx.reshape(len(rows), kq)
-            diff = data[idx] - pts[rows, None, :]
-            d2 = (diff * diff).sum(axis=-1)
+            q = pts[rows]
+            idx = tree.query(q, k=kq)[1].reshape(len(rows), kq)
+            d2 = np.zeros(idx.shape)  # column by column, summed as (diff * diff).sum(-1) sums
+            for c, col in enumerate(data.T):
+                d2 += (col[idx] - q[:, c, None]) ** 2
             rim = d2.max(axis=1)
+            d, i = d2[:, skip:], idx[:, skip:]
+            ok = ((d[:, :-1] < d[:, 1:]) | (d[:, :-1] == d[:, 1:]) & (i[:, :-1] < i[:, 1:])).all(1)
             if own is not None:
-                d2[idx == own[rows, None]] = np.inf
-            order = np.lexsort((idx, d2), axis=1)[:, :kr]
-            out[rows] = np.take_along_axis(idx, order, axis=1)
+                ok &= idx[:, 0] == own[rows]
+            out[rows], last = i[:, :kr], d[:, kr - 1].copy()
+            bad = np.flatnonzero(~ok)
+            db, ib = d2[bad], idx[bad]
+            if own is not None:
+                db[ib == own[rows[bad], None]] = np.inf
+            order = np.lexsort((ib, db), axis=1)[:, :kr]
+            out[rows[bad]] = np.take_along_axis(ib, order, axis=1)
+            last[bad] = np.take_along_axis(db, order[:, -1:], axis=1)[:, 0]
             if kq == n:
                 break
-            rows = rows[np.take_along_axis(d2, order[:, -1:], axis=1)[:, 0] >= rim]
+            rows = rows[last >= rim]
             kq = min(kq * 2, n)
     return out
 

@@ -83,6 +83,8 @@ def fit_logistic(records) -> FitParams:
         sse, x0, method="Nelder-Mead",
         options=dict(xatol=1e-8, fatol=float("inf"), maxiter=10_000, maxfev=40_000),
     )
+    if not (np.isfinite(res.x).all() and np.isfinite(res.fun)):
+        raise FitError("logistic fit did not reach finite parameters and error")
     return FitParams(*(float(v) for v in res.x))
 
 
@@ -101,6 +103,8 @@ def correlation_suite(records, params: FitParams) -> tuple[float, float, float]:
     plcc = float(pearsonr(mapped, mos).statistic)
     srocc = float(spearmanr(pred, mos).statistic)
     rmse = float(np.sqrt(np.mean((mapped - mos) ** 2)))
+    if not all(map(math.isfinite, (plcc, srocc, rmse))):
+        raise CorrelationUndefined("correlation or RMSE is not finite")
     return plcc, srocc, rmse
 
 

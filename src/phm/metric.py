@@ -144,7 +144,8 @@ class QualityReport:
         return asdict(self)
 
     def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+        # Dumps the fields as they are: asdict would deep-copy every per-patch dict first.
+        return json.dumps({f.name: getattr(self, f.name) for f in fields(self)}, indent=indent)
 
 
 @dataclass(frozen=True)

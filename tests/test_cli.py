@@ -506,6 +506,16 @@ def test_eval_constant_predictions_exits_3(capsys, tmp_path):
     assert json.loads(err)["error"] == "FitError"
 
 
+def test_eval_overflowing_mos_exits_3_with_json_error(capsys, tmp_path):
+    # MOS at +-1e308 overflows the fit: no NaN or Infinity may reach stdout
+    p = tmp_path / "preds.csv"
+    write_predictions(p, [1, 2, 3, 4, 5], [1e308, -1e308, 3, 4, 5])
+    with np.errstate(all="ignore"):
+        code, out, err = run_cli(capsys, "eval", str(p))
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "FitError"
+
+
 def test_eval_writes_out_file(capsys, tmp_path):
     p = tmp_path / "preds.csv"
     write_predictions(p, np.arange(10.0), 2 * np.arange(10.0) + 1)

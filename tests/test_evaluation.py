@@ -88,6 +88,11 @@ def test_fit_rejects_too_few_records():
         fit_logistic(records([1, 2, 3], [1, 2, 3]))
 
 
+def test_fit_rejects_non_finite_parameters():
+    with np.errstate(all="ignore"), pytest.raises(FitError, match="finite"):
+        fit_logistic(records([1, 2, 3, 4, 5], [1e308, -1e308, 3, 4, 5]))
+
+
 # --- correlations ------------------------------------------------------------
 
 def test_perfect_monotone_correlations():
@@ -117,6 +122,12 @@ def test_correlation_zero_variance_raises():
         correlation_suite(records([1, 1, 1], [1, 2, 3]), IDENTITY)
     with pytest.raises(CorrelationUndefined):
         correlation_suite(records([1, 2, 3], [5, 5, 5]), IDENTITY)
+
+
+def test_correlation_non_finite_raises():
+    # finite inputs whose squared residuals overflow
+    with np.errstate(all="ignore"), pytest.raises(CorrelationUndefined, match="finite"):
+        correlation_suite(records([1, 2, 3], [1e308, -1e308, 3]), IDENTITY)
 
 
 @given(st.integers(0, 9999))

@@ -1,0 +1,171 @@
+"""``ranked_knn`` against the kernel it replaced, bit for bit.
+
+``lexsort_ranked_knn`` is that kernel: it gathers a (rows, kq, d) difference
+array and ranks every row with a full ``np.lexsort``. The kernel under test
+builds distances one coordinate at a time and sorts only the rows whose
+candidates the tree did not already return in (squared distance, index)
+order, so both must give the same indices on any input.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import cKDTree
+
+import phm.patches
+from phm.cloud import SpatialIndex, ranked_knn
+from phm.patches import build_patch_graph
+
+
+def lexsort_ranked_knn(tree, data, pts, k, own):
+    """The all-rows-lexsort kernel: same contract as ``ranked_knn``."""
+    m, n = len(pts), len(data)
+    kr = min(k, n - 1) if own is not None else min(k, n)
+    out = np.empty((m, kr), dtype=np.intp)
+    if kr == 0:
+        return out
+    for first in range(0, m, 1 << 16):
+        rows = np.arange(first, min(first + (1 << 16), m))
+        kq = min(kr + (1 if own is None else 2), n)
+        while len(rows):
+            _, idx = tree.query(pts[rows], k=kq)
+            idx = idx.reshape(len(rows), kq)
+            diff = data[idx] - pts[rows, None, :]
+            d2 = (diff * diff).sum(axis=-1)
+            rim = d2.max(axis=1)
+            if own is not None:
+                d2[idx == own[rows, None]] = np.inf
+            order = np.lexsort((idx, d2), axis=1)[:, :kr]
+            out[rows] = np.take_along_axis(idx, order, axis=1)
+            if kq == n:
+                break
+            rows = rows[np.take_along_axis(d2, order[:, -1:], axis=1)[:, 0] >= rim]
+            kq = min(kq * 2, n)
+    return out
+
+
+def assert_parity(data, pts, k, own):
+    tree = cKDTree(data)
+    got = ranked_knn(tree, data, pts, k, own)
+    assert got.dtype == np.intp
+    np.testing.assert_array_equal(got, lexsort_ranked_knn(tree, data, pts, k, own))
+
+
+def duplicated_lattice(seed):
+    """An integer lattice with every third point repeated, shuffled."""
+    g = np.arange(6.0)
+    pts = np.array([[x, y, z] for x in g for y in g for z in g])
+    pts = np.vstack([pts, pts[::3]])
+    return pts[np.random.default_rng(seed).permutation(len(pts))]
+
+
+@pytest.mark.parametrize("k", [1, 7, 20])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_random_clouds(k, seed):
+    rng = np.random.default_rng(seed)
+    data = rng.uniform(0, 10, size=(3000, 3))
+    assert_parity(data, data, k, np.arange(len(data)))
+    assert_parity(data, rng.uniform(-1, 11, size=(500, 3)), k, None)
+
+
+def test_duplicated_lattice_where_own_is_not_first():
+    pts = duplicated_lattice(3)
+    own = np.arange(len(pts))
+    # the tree returns some duplicate ahead of the row's own index
+    assert (cKDTree(pts).query(pts, k=1)[1] != own).any()
+    for k in (1, 4, 6, 19, 26):
+        assert_parity(pts, pts, k, own)
+        assert_parity(pts, pts, k, None)
+
+
+@pytest.mark.parametrize("k", [28, 29, 30, 45])
+def test_k_at_least_n_minus_one_reaches_every_point(k):
+    pts = np.random.default_rng(5).uniform(0, 3, size=(30, 3))
+    pts[7] = pts[2]
+    assert_parity(pts, pts, k, np.arange(30))
+    assert_parity(pts, pts, k, None)
+
+
+def test_rows_across_two_blocks():
+    rng = np.random.default_rng(6)
+    data = np.round(rng.uniform(0, 40, size=(70_000, 3)))  # duplicates and ties in both blocks
+    assert_parity(data, data, 3, np.arange(len(data)))
+    assert_parity(data[:2000], data, 2, None)
+
+
+class ReversedTree:
+    """A cKDTree whose query returns each row's candidates farthest first."""
+
+    def __init__(self, data):
+        self.tree = cKDTree(data)
+
+    def query(self, pts, k):
+        dist, idx = self.tree.query(pts, k=k)
+        return dist[:, ::-1], idx[:, ::-1]
+
+
+@pytest.mark.parametrize("k", [1, 4, 19])
+def test_rows_the_tree_returns_out_of_order(k):
+    # every row takes the sorting path, ties and rim re-queries included
+    pts = duplicated_lattice(7)
+    for own in (np.arange(len(pts)), None):
+        got = ranked_knn(ReversedTree(pts), pts, pts, k, own)
+        np.testing.assert_array_equal(got, lexsort_ranked_knn(cKDTree(pts), pts, pts, k, own))
+
+
+def test_lifted_cells_of_build_patch_graph(monkeypatch):
+    calls = []
+
+    def checked(tree, data, pts, k, own):
+        got = ranked_knn(tree, data, pts, k, own)
+        np.testing.assert_array_equal(got, lexsort_ranked_knn(tree, data, pts, k, own))
+        calls.append((data.shape[1], k))
+        return got
+
+    monkeypatch.setattr(phm.patches, "ranked_knn", checked)
+    rng = np.random.default_rng(9)
+    sizes = np.concatenate([np.arange(12), rng.integers(0, 60, size=30)])  # k = 1 .. 10
+    pos = rng.uniform(0, 5, size=(sizes.sum(), 3))
+    build_patch_graph(pos, sizes, k2=10)
+    lattice = duplicated_lattice(4)
+    build_patch_graph(lattice, [100, 0, len(lattice) - 100], k2=10)
+    assert {d for d, _ in calls} == {4} and {k for _, k in calls} == set(range(1, 11))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 12), st.booleans(), st.integers(0, 10_000))
+def test_small_clouds_with_ties(n, k, exclude_self, seed):
+    rng = np.random.default_rng(seed)
+    pts = rng.integers(0, 3, size=(n, 3)).astype(float)  # few positions: ties and duplicates
+    assert_parity(pts, pts, k, np.arange(n) if exclude_self else None)
+
+
+def test_most_rows_skip_the_sort(monkeypatch):
+    sorted_rows = []
+    lexsort = np.lexsort
+
+    def counting(keys, axis=-1):
+        sorted_rows.append(len(keys[0]))
+        return lexsort(keys, axis=axis)
+
+    monkeypatch.setattr(np, "lexsort", counting)
+    pts = np.random.default_rng(10).uniform(0, 10, size=(5000, 3))
+    for k in (1, 10, 20):
+        SpatialIndex(pts).query_bulk(pts, k, exclude_self=True)
+    assert sum(sorted_rows) < 0.01 * 3 * len(pts)
+
+
+def test_bulk_query_peak_memory():
+    # at most 25 MB of temporaries for 20,000 rows of k = 20; ranking every
+    # row on a (rows, kq, 3) difference array took 35 MB
+    pts = np.random.default_rng(11).uniform(0, 10, size=(20_000, 3))
+    tracemalloc.start()
+    try:
+        SpatialIndex(pts).query_bulk(pts, 20, exclude_self=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 25e6
