@@ -133,9 +133,9 @@ def sgwt_decompose(
     own lambda_max, and lambda_min = lambda_max / SCALE_SPAN: row 0 is the
     low-pass GAMMA * exp(-(lam / (0.6 lambda_min))^4), rows 1..C the
     band-pass g(t lam) at scales t log-equispaced from 2/lambda_max to
-    2/lambda_min. Row c of block b is f_c(0) mean_b + sum_j basis[j]
-    z[c, b, j], z = S (f_c(theta) * coefficients), summed elementwise in a
-    fixed order, so a block's bands read only its own values.
+    2/lambda_min. Block b of c = steps[b] basis rows Q gets f(0) mean_b +
+    (f(theta) * coefficients) S^T Q, two products over its own c rows and
+    columns only, so a block's bands read only its own values.
     """
     lam, lambda_max = spectrum.theta, spectrum.lambda_max[:, None]
     lambda_min = lambda_max / SCALE_SPAN
@@ -143,13 +143,13 @@ def sgwt_decompose(
         band_pass(t * lam, continuous_tail)
         for t in np.geomspace(2.0 / lambda_max, 2.0 / lambda_min, num_bandpass)]
     weighted = spectrum.coefficients * np.array(kernels)  # (C + 1, B, k)
-    z = np.zeros((weighted.shape[2],) + weighted.shape[:2])  # (k, C + 1, B)
-    for j in range(len(z)):
-        z += spectrum.ritz_vectors[:, :, j].T[:, None, :] * weighted[:, :, j]
-    out = np.zeros((num_bandpass + 1, spectrum.sizes.sum()))
-    out[0] = GAMMA * np.repeat(spectrum.means, spectrum.sizes)  # the mean passes: g(0) = 0
-    for q, zq in zip(spectrum.basis, z):
-        out += q * np.repeat(zq, spectrum.sizes, axis=1)
+    out = np.empty((num_bandpass + 1, spectrum.sizes.sum()))
+    lo = 0
+    for b, (n, c) in enumerate(zip(spectrum.sizes, spectrum.steps)):
+        z = weighted[:, b, :c] @ spectrum.ritz_vectors[b, :c, :c].T
+        out[:, lo:lo + n] = z @ spectrum.basis[:c, lo:lo + n]
+        lo += n
+    out[0] += GAMMA * np.repeat(spectrum.means, spectrum.sizes)  # the mean passes: g(0) = 0
     return out
 
 

@@ -12,6 +12,7 @@ import json
 import os
 import sys
 import traceback
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import fields
@@ -210,8 +211,11 @@ def cmd_eval(args) -> int:
     from .evaluation import correlation_suite, fit_logistic, read_records_csv
 
     records = read_records_csv(args.predictions)
-    params = fit_logistic(records)
-    plcc, srocc, rmse = correlation_suite(records, params)
+    # A fit that overflows ends in FitError; its JSON error is all stderr gets.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        params = fit_logistic(records)
+        plcc, srocc, rmse = correlation_suite(records, params)
     doc = {"plcc": plcc, "srocc": srocc, "rmse": rmse, "fit": params.to_dict()}
     payload = json.dumps(doc, indent=2) + "\n"
     if args.out:

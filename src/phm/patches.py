@@ -22,8 +22,9 @@ from .cloud import PointCloud, SpatialIndex, farthest_point_sample, ranked_knn
 from .errors import ShapeError, SpectralError
 
 DEFAULT_GRAPH_KNN = 10
-# Lanczos steps for a patch of more than KRYLOV_STEPS + 1 points, and for smaller ones.
-KRYLOV_STEPS = 200
+# Lanczos steps for a patch of more than LARGE_SIDE points, and for smaller ones.
+LARGE_SIDE = 201
+KRYLOV_STEPS = 120
 SMALL_SIDE_STEPS = 40
 # Most points in one chunk of ``eigendecompose``; its basis is steps x points.
 CHUNK_POINTS = 16384
@@ -169,7 +170,7 @@ def spectral_chunks(sizes) -> list[list[int]]:
     """Group the cells of nonzero ``sizes`` into chunks for ``eigendecompose``.
 
     A chunk holds at most CHUNK_POINTS points, or one larger side alone, of
-    one class: above KRYLOV_STEPS + 1 points, at most SMALL_SIDE_STEPS + 1 (a
+    one class: above LARGE_SIDE points, at most SMALL_SIDE_STEPS + 1 (a
     whole Krylov space), or in between. Sides go in by size, so the sides of
     a chunk of whole Krylov spaces stop after similar step counts.
     """
@@ -178,7 +179,7 @@ def spectral_chunks(sizes) -> list[list[int]]:
     order = np.argsort(sizes, kind="stable")
     for i in order[sizes[order] > 0]:
         n = int(sizes[i])
-        kind = (n > KRYLOV_STEPS + 1, n <= SMALL_SIDE_STEPS + 1)
+        kind = (n > LARGE_SIDE, n <= SMALL_SIDE_STEPS + 1)
         if kind != last or points + n > CHUNK_POINTS:
             chunks.append([])
             points, last = 0, kind
@@ -192,14 +193,15 @@ class Spectrum:
     """Lanczos spectra of a signal on the blocks of a block-diagonal graph.
 
     Block b holds sizes[b] points; its signal is means[b] plus a centred r.
-    Lanczos from r / ||r|| gives basis rows Q (0 past the block's last step)
-    and T = S diag(theta) S^T, so f applies as f(0) means[b] + Q^T S (f(theta)
-    * coefficients), coefficients = ||r|| S[0] (Susnjara et al., 2015); theta,
-    S and coefficients are zero-padded.
+    Lanczos from r / ||r|| gives steps[b] basis rows Q (0 past them) and
+    T = S diag(theta) S^T, so f applies as f(0) means[b] + Q^T S (f(theta) *
+    coefficients), coefficients = ||r|| S[0] (Susnjara et al., 2015); theta,
+    S and coefficients are zero-padded past steps[b].
     """
 
     sizes: np.ndarray  # (B,)
     means: np.ndarray  # (B,)
+    steps: np.ndarray  # (B,)
     basis: np.ndarray  # (k, N)
     theta: np.ndarray  # (B, k)
     ritz_vectors: np.ndarray  # (B, k, k)
@@ -212,7 +214,7 @@ def eigendecompose(graph: PatchGraph, signal: np.ndarray, sizes) -> Spectrum:
 
     ``graph`` is their ``chunk_graph`` and ``sizes`` their point counts.
     They run together, one sparse matvec per step: KRYLOV_STEPS steps for sides
-    above KRYLOV_STEPS + 1 points, else SMALL_SIDE_STEPS. There is no
+    above LARGE_SIDE points, else SMALL_SIDE_STEPS. There is no
     reorthogonalisation (accurate for f(L) r, Musco et al., SODA 2018) unless
     every side spans its whole Krylov space, whose spectrum is then exact. A
     side's arithmetic reads only its points.
@@ -225,7 +227,7 @@ def eigendecompose(graph: PatchGraph, signal: np.ndarray, sizes) -> Spectrum:
     u = np.asarray(signal, dtype=np.float64)
     if u.shape != (graph.n,) or sizes.sum() != graph.n:
         raise ShapeError(f"signal length {u.shape} or block sizes do not match n={graph.n}")
-    steps = KRYLOV_STEPS if sizes.max() > KRYLOV_STEPS + 1 else SMALL_SIDE_STEPS
+    steps = KRYLOV_STEPS if sizes.max() > LARGE_SIDE else SMALL_SIDE_STEPS
     starts = np.cumsum(sizes) - sizes
     block = np.repeat(np.arange(len(sizes)), sizes)
     means = np.add.reduceat(u, starts) / sizes
@@ -247,7 +249,8 @@ def eigendecompose(graph: PatchGraph, signal: np.ndarray, sizes) -> Spectrum:
             top[rerun] = np.maximum(top[rerun], again[np.arange(len(ran)), ran - 1])
     except np.linalg.LinAlgError as e:
         raise SpectralError(f"eigendecomposition failed: {e}") from None
-    return Spectrum(sizes, means, basis, theta, vectors, norm[:, None] * vectors[:, 0, :], top)
+    return Spectrum(sizes, means, count, basis, theta, vectors, norm[:, None] * vectors[:, 0, :],
+                    top)
 
 
 def _lanczos(graph: PatchGraph, sizes, start, steps: int, reorthogonalise=False):

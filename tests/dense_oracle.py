@@ -40,9 +40,10 @@ def dense_spectrum(graph, signal):
 def as_spectrum(spectra):
     """Dense (eigenvalues, vectors, coefficients) spectra as the blocks of one ``Spectrum``.
 
-    Block b's basis rows are its eigenvectors and its Ritz vectors the
-    identity, so ``sgwt_decompose`` applies f as vectors @ (f(eigenvalues) *
-    coefficients), with lambda_max = the last eigenvalue.
+    Block b's basis rows are its eigenvectors, one step per eigenvalue, and
+    its Ritz vectors the identity, so ``sgwt_decompose`` applies f as
+    vectors @ (f(eigenvalues) * coefficients), with lambda_max = the last
+    eigenvalue.
     """
     sizes = np.array([len(vec) for _, vec, _ in spectra])
     k = max(len(lam) for lam, _, _ in spectra)
@@ -53,8 +54,8 @@ def as_spectrum(spectra):
         basis[:len(lam), lo:lo + len(vec)] = vec.T
         theta[b, :len(lam)], coefficients[b, :len(lam)] = lam, coef
         lo += len(vec)
-    return Spectrum(sizes, np.zeros(len(spectra)), basis, theta,
-                    np.broadcast_to(np.eye(k), (len(spectra), k, k)), coefficients,
+    return Spectrum(sizes, np.zeros(len(spectra)), np.array([len(lam) for lam, _, _ in spectra]),
+                    basis, theta, np.broadcast_to(np.eye(k), (len(spectra), k, k)), coefficients,
                     np.array([lam[-1] for lam, _, _ in spectra]))
 
 

@@ -1,10 +1,14 @@
 import csv
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import phm
 from phm.cli import main
 from phm.cloud import load_ply, save_ply
 from phm.evaluation import FitParams, logistic_map
@@ -510,10 +514,22 @@ def test_eval_overflowing_mos_exits_3_with_json_error(capsys, tmp_path):
     # MOS at +-1e308 overflows the fit: no NaN or Infinity may reach stdout
     p = tmp_path / "preds.csv"
     write_predictions(p, [1, 2, 3, 4, 5], [1e308, -1e308, 3, 4, 5])
-    with np.errstate(all="ignore"):
-        code, out, err = run_cli(capsys, "eval", str(p))
+    code, out, err = run_cli(capsys, "eval", str(p))
     assert code == 3 and out == ""
     assert json.loads(err)["error"] == "FitError"
+
+
+def test_eval_overflow_leaves_one_json_object_on_stderr(tmp_path):
+    # A fresh interpreter: pytest records warnings before they reach stderr.
+    p = tmp_path / "preds.csv"
+    write_predictions(p, [1, 2, 3, 4, 5], [1e308, -1e308, 3, 4, 5])
+    src = str(Path(phm.__file__).resolve().parent.parent)
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); from phm.cli import main; "
+            "sys.exit(main(sys.argv[2:]))")
+    proc = subprocess.run([sys.executable, "-c", code, src, "eval", str(p)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert json.loads(proc.stderr)["error"] == "FitError"
 
 
 def test_eval_writes_out_file(capsys, tmp_path):

@@ -11,7 +11,7 @@ import pytest
 from phm.appearance import GAMMA, sgwt_decompose
 from phm.errors import ShapeError
 from phm.metric import MetricConfig, phm_score
-from phm.patches import KRYLOV_STEPS, SMALL_SIDE_STEPS, eigendecompose
+from phm.patches import KRYLOV_STEPS, LARGE_SIDE, SMALL_SIDE_STEPS, eigendecompose, spectral_chunks
 from phm.synthetic import synthetic_cloud
 
 from dense_oracle import (dense_bands, dense_spectrum, lanczos_bands, laplacian, stack_graphs,
@@ -34,10 +34,10 @@ def side(n, seed):
     return side_graph(cloud.positions), cloud.luminance
 
 
-@pytest.mark.parametrize("n", [300, 1100, 3200])
+@pytest.mark.parametrize("n", [LARGE_SIDE + 1, 300, 1100, 3200])
 def test_random_patch_bands_match_dense(n):
     g, u = side(n, seed=n)
-    assert g.n > KRYLOV_STEPS + 1
+    assert g.n > LARGE_SIDE
     want = dense_spectrum(g, u)
     assert eigendecompose(g, u, [n]).lambda_max[0] == pytest.approx(want[0][-1], rel=1e-9)
     assert_bands_close(lanczos_bands(g, u), dense_bands(want))
@@ -55,8 +55,8 @@ def test_exhausted_krylov_space_matches_dense(n):
 
 @pytest.mark.parametrize("sizes", [
     [2, 9, 30, SMALL_SIDE_STEPS + 1, 17],  # exhausted Krylov spaces
-    [SMALL_SIDE_STEPS + 2, 90, 150, KRYLOV_STEPS + 1, 60],  # SMALL_SIDE_STEPS steps
-    [KRYLOV_STEPS + 2, 450, 260],  # KRYLOV_STEPS steps
+    [SMALL_SIDE_STEPS + 2, 90, 150, LARGE_SIDE, 60],  # SMALL_SIDE_STEPS steps
+    [LARGE_SIDE + 1, 450, 260],  # KRYLOV_STEPS steps
 ])
 def test_side_bands_do_not_depend_on_the_chunk(sizes):
     # Identity pairs score exactly 1.0 and reports are deterministic only if
@@ -74,6 +74,17 @@ def test_side_bands_do_not_depend_on_the_chunk(sizes):
             alone = lanczos_bands(*sides[i])
             np.testing.assert_array_equal(bands[:, lo:lo + sizes[i]], alone)
             lo += sizes[i]
+
+
+def test_step_class_boundary_is_large_side():
+    # The side classes split at LARGE_SIDE points, not at KRYLOV_STEPS + 1.
+    sizes = np.array([LARGE_SIDE + 1, LARGE_SIDE, SMALL_SIDE_STEPS + 1])
+    assert spectral_chunks(sizes) == [[2], [1], [0]]
+    for n, steps in [(LARGE_SIDE, SMALL_SIDE_STEPS), (LARGE_SIDE + 1, KRYLOV_STEPS)]:
+        g, u = side(n, seed=5 * n)
+        spectrum = eigendecompose(g, u, [n])
+        assert spectrum.steps.tolist() == [steps]
+        assert spectrum.basis.shape == (steps, n)
 
 
 @pytest.mark.parametrize("n", [25, 150])

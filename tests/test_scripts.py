@@ -1,6 +1,7 @@
 """Smoke runs of the experiment scripts, so an API change cannot break them unseen."""
 
 import csv
+import json
 import runpy
 import sys
 from pathlib import Path
@@ -40,3 +41,12 @@ def test_make_synthetic_writes_clouds_and_a_manifest(tmp_path, monkeypatch, caps
         f"jitter_{s:g}" for s in (0.1, 0.5, 1.0, 2.0)]
     for r in rows:
         assert len(load_ply(r["ref_path"])) == len(load_ply(r["dist_path"])) == 300
+
+
+def test_profile_pair_prints_one_json_line(monkeypatch, capsys):
+    run_script("profile_pair.py", monkeypatch, "--points", "3000", "--seed", "5")
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    doc = json.loads(lines[0])
+    assert 0.0 < doc["score"] < 1.0
+    assert doc["timing"]["prepare_reference"] > 0.0 and doc["peak_rss_mb"] > 0.0
