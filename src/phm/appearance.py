@@ -2,9 +2,10 @@
 
 ``prepare_sides`` builds what each side of every patch pair of a cloud
 contributes, on its own graph and spectrum: per-axis coordinate smoothness
-and the spectral graph wavelet sub-bands of luminance. Geometry degradation
-compares the two sides' smoothness; texture degradation compares weighted
-co-occurrence matrices of their sub-bands.
+and the spectral graph wavelet sub-bands of luminance. ``filter_sides`` is
+its second half: the sub-bands of a luminance on graphs already built.
+Geometry degradation compares the two sides' smoothness; texture
+degradation compares weighted co-occurrence matrices of their sub-bands.
 """
 
 from __future__ import annotations
@@ -35,15 +36,24 @@ def prepare_sides(
     num_bandpass: int = DEFAULT_NUM_BANDPASS,
     continuous_tail: bool = True,
 ) -> CloudSides:
-    """Gather, graph and filter every cell of a cloud in one pass.
+    """Gather and graph every cell of a cloud in one pass, then ``filter_sides``."""
+    idx = np.concatenate(cells)
+    sides = build_patch_graph(cloud.positions[idx], [len(i) for i in cells], k2)
+    return filter_sides(sides, cloud.luminance[idx], num_bandpass, continuous_tail)
+
+
+def filter_sides(
+    sides: CloudSides,
+    luminance: np.ndarray,
+    num_bandpass: int = DEFAULT_NUM_BANDPASS,
+    continuous_tail: bool = True,
+) -> CloudSides:
+    """``sides`` with the SGWT sub-bands of ``luminance``, given in their point order.
 
     Sides are filtered one ``spectral_chunks`` chunk at a time; a side's
     bands do not depend on its chunk.
     """
-    idx = np.concatenate(cells)
-    sides = build_patch_graph(cloud.positions[idx], [len(i) for i in cells], k2)
-    luminance = cloud.luminance[idx]
-    bands = np.zeros((num_bandpass + 1, len(idx)))
+    bands = np.zeros((num_bandpass + 1, len(luminance)))
     for chunk in spectral_chunks(np.where(sides.valid, sides.sizes, 0)):
         graph, points = chunk_graph(sides, chunk)
         spectrum = eigendecompose(graph, luminance[points], sides.sizes[chunk])

@@ -8,7 +8,10 @@ import numbers
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 
+import numpy as np
+
 from .appearance import (
+    filter_sides,
     fuse_appearance,
     geometry_degradation,
     prepare_pairs,
@@ -18,7 +21,7 @@ from .appearance import (
 from .cloud import PointCloud, SpatialIndex
 from .errors import CloudTooSmall, DomainError, NoValidPatches, ParseError
 from .patches import CloudSides, ReferenceCells, partition_into_patch_pairs, reference_cells
-from .visible import reference_masking, upsilon, visible_difference
+from .visible import VisibleDifference, reference_masking, upsilon, visible_difference
 
 _FUSION_MODES = ("multiply", "average")
 # The MetricConfig fields that the reference-only work depends on.
@@ -196,6 +199,10 @@ def phm_score(
     when ``config`` is None, and raises ValueError when ``config`` differs
     from it in a REFERENCE_FIELDS value.
 
+    A ``dist`` with the reference's positions in its order takes the
+    reference's nearest map, cells and graphs, and only its luminance is
+    filtered; the report is the same as by the general path.
+
     Deterministic for fixed inputs and config. If every patch pair is
     degenerate the report carries status "no_valid_patches" and a None
     score instead of a fabricated value.
@@ -215,17 +222,31 @@ def phm_score(
         reference = prepare_reference(ref, cfg)
         timing["prepare_reference"] = time.perf_counter() - t0
 
+    # Positions alone set the nearest maps, cells and graphs.
+    same_points = np.array_equal(reference.cloud.positions, dist.positions)
     t0 = time.perf_counter()
     vd = visible_difference(reference.cloud, dist, reference.index, reference.complexity,
-                            cfg.alpha)
+                            cfg.alpha, same_points)
     timing["visible_difference"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    pairs = partition_into_patch_pairs(reference.cells, dist)
-    prepared = prepare_pairs(reference.sides, dist, pairs, cfg.k2, cfg.num_bandpass,
-                             cfg.continuous_tail)
+    if same_points:
+        pairs = [(members, members) for members in reference.cells.members]
+        prepared = reference.sides, filter_sides(
+            reference.sides, dist.luminance[np.concatenate(reference.cells.members)],
+            cfg.num_bandpass, cfg.continuous_tail)
+    else:
+        pairs = partition_into_patch_pairs(reference.cells, dist)
+        prepared = prepare_pairs(reference.sides, dist, pairs, cfg.k2, cfg.num_bandpass,
+                                 cfg.continuous_tail)
     timing["partition_and_graphs"] = time.perf_counter() - t0
+    return _report(reference, dist, cfg, vd, pairs, prepared, timing)
 
+
+def _report(reference: PreparedReference, dist: PointCloud, cfg: MetricConfig,
+            vd: VisibleDifference, pairs: list[tuple[np.ndarray, np.ndarray]],
+            prepared: tuple[CloudSides, CloudSides], timing: dict[str, float]) -> QualityReport:
+    """The report of ``phm_score`` from its visible difference and its prepared patch pairs."""
     ref_sides, dist_sides = prepared
     compared = ref_sides.valid & dist_sides.valid
     per_patch = [dict(cell_id=cell, n_ref=len(ref_idx), n_dist=len(dist_idx),

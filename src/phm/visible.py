@@ -39,16 +39,26 @@ class VisibleDifference:
     d_h: float  # in (0, 1]
 
 
-def _directed_mse(src: PointCloud, dst: PointCloud, dst_index: SpatialIndex) -> float:
-    nn = dst_index.query_bulk(src.positions, 1)[:, 0]
+def _directed_mse(src: PointCloud, dst: PointCloud, nn: np.ndarray) -> float:
     diff = src.luminance - dst.luminance[nn]
     return float(np.mean(diff * diff))
 
 
-def symmetric_mse(ref: PointCloud, dist: PointCloud, ref_index: SpatialIndex) -> float:
-    """max of the two directed mean squared luminance errors under exact NN matching."""
-    dist_idx = SpatialIndex(dist.positions)
-    return max(_directed_mse(ref, dist, dist_idx), _directed_mse(dist, ref, ref_index))
+def symmetric_mse(ref: PointCloud, dist: PointCloud, ref_index: SpatialIndex,
+                  same_points: bool = False) -> float:
+    """max of the two directed mean squared luminance errors under exact NN matching.
+
+    ``same_points`` says that dist holds ref's positions in ref's order. Then
+    a point's nearest in the other cloud is its nearest in its own, so one
+    query of ref against ``ref_index`` serves both directions and dist gets
+    no index.
+    """
+    if same_points:
+        to_dist = to_ref = ref_index.query_bulk(ref.positions, 1)[:, 0]
+    else:
+        to_dist = SpatialIndex(dist.positions).query_bulk(ref.positions, 1)[:, 0]
+        to_ref = ref_index.query_bulk(dist.positions, 1)[:, 0]
+    return max(_directed_mse(ref, dist, to_dist), _directed_mse(dist, ref, to_ref))
 
 
 def ar_texture_complexity(
@@ -92,16 +102,18 @@ def visible_difference(
     ref_index: SpatialIndex,
     complexity: float,
     alpha: float = DEFAULT_ALPHA,
+    same_points: bool = False,
 ) -> VisibleDifference:
     """Masking-compensated visible difference D_H in (0, 1].
 
-    ``ref_index`` and ``complexity`` come from ``reference_masking(ref, k1)``.
+    ``ref_index`` and ``complexity`` come from ``reference_masking(ref, k1)``;
+    ``same_points`` is passed on to ``symmetric_mse``.
     d_h = (PSNR_Y + alpha * C(ref)) / upsilon, clamped to 1 when the raw
     value exceeds 1 or the symmetric MSE is below the unity floor.
     """
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
-    d = symmetric_mse(ref, dist, ref_index)
+    d = symmetric_mse(ref, dist, ref_index, same_points)
     perfect = d < 1.0
     if perfect:
         return VisibleDifference(None, True, d, complexity, 1.0)

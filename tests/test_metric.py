@@ -7,10 +7,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import phm.appearance
+from phm.appearance import prepare_pairs
+from phm.cloud import PointCloud, SpatialIndex
 from phm.errors import CloudTooSmall, DomainError, ParseError
 from phm.metric import MetricConfig, combine_adaptive, phm_score, prepare_reference
 from phm.patches import partition_into_patch_pairs
-from phm.synthetic import synthetic_cloud, with_luminance_noise
+from phm.synthetic import synthetic_cloud, with_geometry_jitter, with_luminance_noise
+from phm.visible import visible_difference
 
 from conftest import random_cloud
 
@@ -160,28 +163,96 @@ def test_prepared_reference_takes_other_pair_fields(textured_cloud, name, value)
                                                           want.score)
 
 
-def test_prepared_reference_features_are_not_recomputed(textured_cloud, monkeypatch):
-    # Scoring builds graphs, smoothness and spectra for the distorted sides
-    # only; the reference sides bring theirs from prepare_reference.
+@pytest.mark.parametrize("moved", [False, True], ids=["noise", "jitter"])
+def test_prepared_reference_features_are_not_recomputed(textured_cloud, monkeypatch, moved):
+    # Scoring filters the distorted sides only; the reference sides bring
+    # theirs from prepare_reference. A noise copy keeps the reference's
+    # points, so it also takes the reference's nearest map, cells and graphs;
+    # a jittered copy gets its own index and one bulk graph pass.
     cfg = MetricConfig(patch_divisor=100)
     prepared = prepare_reference(textured_cloud, cfg)
-    noisy = with_luminance_noise(textured_cloud, 20.0, seed=6)
+    dist = with_luminance_noise(textured_cloud, 20.0, seed=6)
+    if moved:
+        dist = with_geometry_jitter(dist, 0.5, seed=7)
     calls = {"build_patch_graph": [], "eigendecompose": []}
     for name, seen in calls.items():
         def counted(points, *args, fn=getattr(phm.appearance, name), seen=seen):
             seen.append(points)
             return fn(points, *args)
         monkeypatch.setattr(phm.appearance, name, counted)
-    report = phm_score(prepared, noisy, cfg)
+    indexes = []
+    def counted_index(self, positions, init=SpatialIndex.__init__):
+        indexes.append(positions)
+        init(self, positions)
+    monkeypatch.setattr(SpatialIndex, "__init__", counted_index)
+    report = phm_score(prepared, dist, cfg)
     sides = report.diagnostics["valid_patch_count"]
     assert report.diagnostics["degenerate_patch_count"] == 0 and sides > 1
-    # One bulk graph pass over the distorted cloud's points, cell by cell.
-    [points] = calls["build_patch_graph"]
-    cells = [di for _, di in partition_into_patch_pairs(prepared.cells, noisy)]
-    np.testing.assert_array_equal(points, noisy.positions[np.concatenate(cells)])
+    if moved:
+        # One bulk graph pass over the distorted cloud's points, cell by cell.
+        [points] = calls["build_patch_graph"]
+        cells = [di for _, di in partition_into_patch_pairs(prepared.cells, dist)]
+        np.testing.assert_array_equal(points, dist.positions[np.concatenate(cells)])
+        [positions] = indexes
+        np.testing.assert_array_equal(positions, dist.positions)
+    else:
+        assert calls["build_patch_graph"] == [] and indexes == []
     # One lockstep pass covers every distorted side, and no reference side.
     points = sum(entry["n_dist"] for entry in report.diagnostics["per_patch"])
     assert sum(graph.n for graph in calls["eigendecompose"]) == points
+
+
+def _shared_pair(kind: str) -> tuple[PointCloud, PointCloud]:
+    """A reference and a copy with its points in its order."""
+    rng = np.random.default_rng(8)
+    if kind == "lattice":
+        pos = np.stack(np.meshgrid(*[np.arange(8.0)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+    else:
+        pos = rng.uniform(0.0, 10.0, size=(600, 3))
+    if kind == "duplicates":  # each later copy matches the lower index first
+        pos[300:] = pos[rng.integers(0, 300, 300)]
+    if kind == "signed_zero":
+        pos[rng.random(pos.shape) < 0.3] = 0.0
+    ref = PointCloud.from_arrays(pos, rng.integers(0, 256, size=(len(pos), 3), dtype=np.uint8))
+    if kind == "identity":
+        return ref, ref
+    dist = with_luminance_noise(ref, 20.0, seed=9)
+    if kind == "signed_zero":
+        dist = PointCloud.from_arrays(np.where(pos == 0.0, -0.0, pos), dist.colors)
+        assert np.signbit(dist.positions).any() and not np.signbit(ref.positions).any()
+    return ref, dist
+
+
+def _general_report(prepared, dist):
+    """The report of the path for any distorted cloud: its own index, cells and graphs."""
+    cfg = prepared.config
+    vd = visible_difference(prepared.cloud, dist, SpatialIndex(prepared.cloud.positions),
+                            prepared.complexity, cfg.alpha)
+    pairs = partition_into_patch_pairs(prepared.cells, dist)
+    sides = prepare_pairs(prepared.sides, dist, pairs, cfg.k2, cfg.num_bandpass,
+                          cfg.continuous_tail)
+    return phm.metric._report(prepared, dist, cfg, vd, pairs, sides, {})
+
+
+@pytest.mark.parametrize("as_prepared", [False, True], ids=["cloud", "prepared"])
+@pytest.mark.parametrize("kind", ["duplicates", "signed_zero", "lattice", "identity"])
+def test_shared_geometry_matches_the_general_path(monkeypatch, kind, as_prepared):
+    cfg = MetricConfig(patch_divisor=100)
+    ref, dist = _shared_pair(kind)
+    prepared = prepare_reference(ref, cfg)
+    expected = _general_report(prepared, dist).to_dict()
+
+    def general(*args):
+        raise AssertionError("a copy with the reference's points took the general path")
+    for name in ("partition_into_patch_pairs", "prepare_pairs"):
+        monkeypatch.setattr(phm.metric, name, general)
+    report = phm_score(prepared if as_prepared else ref, dist, cfg).to_dict()
+    report["diagnostics"].pop("timing")
+    expected["diagnostics"].pop("timing")
+    assert json.dumps(report) == json.dumps(expected)
+    assert report["diagnostics"]["valid_patch_count"] > 1
+    if kind == "identity":
+        assert report["score"] == 1.0
 
 
 def test_phm_deterministic_repeat(textured_cloud):

@@ -50,3 +50,14 @@ def test_profile_pair_prints_one_json_line(monkeypatch, capsys):
     doc = json.loads(lines[0])
     assert 0.0 < doc["score"] < 1.0
     assert doc["timing"]["prepare_reference"] > 0.0 and doc["peak_rss_mb"] > 0.0
+
+
+def test_profile_pair_jitter_moves_the_distorted_points(monkeypatch, capsys):
+    docs = []
+    for jitter in ("0", "0.5"):
+        run_script("profile_pair.py", monkeypatch, "--points", "3000", "--seed", "5",
+                   "--jitter", jitter)
+        docs.append(json.loads(capsys.readouterr().out))
+    assert [doc["jitter"] for doc in docs] == [0.0, 0.5]
+    # Jitter costs the copy geometry on top of the same luminance noise.
+    assert 0.0 < docs[1]["score"] < docs[0]["score"] < 1.0
