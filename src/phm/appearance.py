@@ -16,7 +16,6 @@ from dataclasses import replace
 import numpy as np
 
 from .cloud import PointCloud
-from .errors import NoValidPatches
 from .patches import (PatchGraph, Spectrum, build_patch_graph, chunk_graph, eigendecompose,
                       spectral_chunks)
 
@@ -79,37 +78,21 @@ def prepare_pairs(
                                     continuous_tail)
 
 
-def _compare(prepared: tuple[CloudSides, CloudSides], similarity, row_type):
-    """(per-pair rows, mean of all values) of ``similarity(cells)`` over compared cells.
-
-    A cell is compared when both its sides have a graph; the others get None
-    rows. Raises NoValidPatches when no cell is compared.
-    """
-    ref, dist = prepared
-    cells = np.flatnonzero(ref.valid & dist.valid)
-    if not len(cells):
-        raise NoValidPatches("every patch pair was degenerate")
-    values = similarity(cells)
-    rows = dict(zip(cells.tolist(), map(row_type, values.tolist())))
-    return [rows.get(cell) for cell in range(len(ref.sizes))], float(values.mean())
-
-
 def _smoothness_similarity(sx: float, sy: float, t: float) -> float:
     return (2.0 * sx * sy + t) / (sx * sx + sy * sy + t)
 
 
 def geometry_degradation(
     prepared: tuple[CloudSides, CloudSides],
+    cells: np.ndarray,
     stabilizer: float = DEFAULT_STABILIZER,
-) -> tuple[list[tuple[float, float, float] | None], float]:
-    """Per-patch smoothness similarity over x/y/z and its global mean.
+) -> np.ndarray:
+    """(cells, 3) x/y/z smoothness similarity of the two sides of each of ``cells``.
 
-    Pairs with a degenerate side are excluded from the mean (None in the
-    per-patch list). Raises NoValidPatches when nothing survives.
+    ``cells`` are cells where both sides have a graph.
     """
     ref, dist = prepared
-    return _compare(prepared, lambda cells: _smoothness_similarity(
-        ref.smoothness[cells], dist.smoothness[cells], stabilizer), tuple)
+    return _smoothness_similarity(ref.smoothness[cells], dist.smoothness[cells], stabilizer)
 
 
 def band_pass(x: np.ndarray, continuous_tail: bool = True) -> np.ndarray:
@@ -202,18 +185,15 @@ def _pearson(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def texture_degradation(
     prepared: tuple[CloudSides, CloudSides],
+    cells: np.ndarray,
     num_bins: int = DEFAULT_NUM_BINS,
-) -> tuple[list[list[float] | None], float]:
-    """Per-(patch, band) WCM correlation of the sides' sub-bands and its mean.
+) -> np.ndarray:
+    """(cells, C + 1) WCM correlations of the two sides' sub-bands, band by band.
 
-    Each band pair shares one quantization range. Degenerate pairs
-    contribute None rows and are left out of the mean.
+    ``cells`` are cells where both sides have a graph. Each band pair shares
+    one quantization range. The WCMs are built one band and at most
+    WCM_CHUNK_ENTRIES entries per side at a time.
     """
-    return _compare(prepared, lambda cells: _wcm_correlations(prepared, cells, num_bins), list)
-
-
-def _wcm_correlations(prepared, cells: np.ndarray, num_bins: int) -> np.ndarray:
-    """(cells, C + 1) WCM correlations, one band and WCM_CHUNK_ENTRIES entries at a time."""
     step = max(1, WCM_CHUNK_ENTRIES // (num_bins * num_bins))
     out = np.empty((len(cells), len(prepared[0].bands)))
     for a in range(0, len(cells), step):

@@ -260,9 +260,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as e:
-        _emit_error(e)
-        return 1
     except PhmError as e:
         _emit_error(e)
         return e.exit_code

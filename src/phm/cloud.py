@@ -320,14 +320,13 @@ def load_ply(path) -> PointCloud:
     ignored_elements = [e[0] for i, e in enumerate(elements) if i != vidx]
     if ignored_elements:
         warnings.warn(f"ignoring elements {ignored_elements}", stacklevel=2)
+    for name, _, props in elements[:vidx]:
+        if any(p[0] == "list" for p in props):
+            raise ParseError(f"cannot skip list-typed element {name!r} before vertices")
 
     if fmt == "ascii":
         rows = data[body_start:].decode("ascii", errors="replace").split("\n")
-        cursor = 0
-        for name, count, props in elements[:vidx]:
-            if any(p[0] == "list" for p in props):
-                raise ParseError(f"cannot skip list-typed element {name!r} before vertices")
-            cursor += count
+        cursor = sum(count for _, count, _ in elements[:vidx])
         lines = rows[cursor:cursor + nverts]
         if len(lines) < nverts:
             raise ParseError("ascii payload truncated")
@@ -348,11 +347,8 @@ def load_ply(path) -> PointCloud:
             raise ParseError(f"ascii vertex block has {len(rec)} non-blank lines, expected {nverts}")
     else:
         offset = body_start
-        for name, count, props in elements[:vidx]:
-            if any(p[0] == "list" for p in props):
-                raise ParseError(f"cannot skip list-typed element {name!r} before vertices")
-            stride = sum(np.dtype(_PLY_SCALAR[p[0]]).itemsize for p in props)
-            offset += count * stride
+        for _, count, props in elements[:vidx]:
+            offset += count * sum(np.dtype(_PLY_SCALAR[p[0]]).itemsize for p in props)
         # Positional field names: a property name may repeat in the header.
         dt = np.dtype([(f"c{i}", _PLY_SCALAR[p[0]]) for i, p in enumerate(vprops)])
         if offset + nverts * dt.itemsize > len(data):

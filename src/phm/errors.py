@@ -58,12 +58,6 @@ class SpectralError(PhmError):
     exit_code = 3
 
 
-class NoValidPatches(PhmError):
-    """Every patch pair was degenerate; appearance stage has no data."""
-
-    exit_code = 3
-
-
 class FitError(PhmError):
     """Logistic fit impossible (degenerate predictions or too few records)."""
 

@@ -19,7 +19,7 @@ from .appearance import (
     texture_degradation,
 )
 from .cloud import PointCloud, SpatialIndex
-from .errors import CloudTooSmall, DomainError, NoValidPatches, ParseError
+from .errors import CloudTooSmall, DomainError, ParseError
 from .patches import CloudSides, ReferenceCells, partition_into_patch_pairs, reference_cells
 from .visible import VisibleDifference, reference_masking, upsilon, visible_difference
 
@@ -199,9 +199,9 @@ def phm_score(
     when ``config`` is None, and raises ValueError when ``config`` differs
     from it in a REFERENCE_FIELDS value.
 
-    A ``dist`` with the reference's positions in its order takes the
-    reference's nearest map, cells and graphs, and only its luminance is
-    filtered; the report is the same as by the general path.
+    A ``dist`` with the reference's positions in its order matches point i
+    to point i, takes the reference's cells and graphs, and only its
+    luminance is filtered.
 
     Deterministic for fixed inputs and config. If every patch pair is
     degenerate the report carries status "no_valid_patches" and a None
@@ -231,7 +231,6 @@ def phm_score(
 
     t0 = time.perf_counter()
     if same_points:
-        pairs = [(members, members) for members in reference.cells.members]
         prepared = reference.sides, filter_sides(
             reference.sides, dist.luminance[np.concatenate(reference.cells.members)],
             cfg.num_bandpass, cfg.continuous_tail)
@@ -240,47 +239,51 @@ def phm_score(
         prepared = prepare_pairs(reference.sides, dist, pairs, cfg.k2, cfg.num_bandpass,
                                  cfg.continuous_tail)
     timing["partition_and_graphs"] = time.perf_counter() - t0
-    return _report(reference, dist, cfg, vd, pairs, prepared, timing)
+    return _report(reference, dist, cfg, vd, prepared, timing)
 
 
 def _report(reference: PreparedReference, dist: PointCloud, cfg: MetricConfig,
-            vd: VisibleDifference, pairs: list[tuple[np.ndarray, np.ndarray]],
-            prepared: tuple[CloudSides, CloudSides], timing: dict[str, float]) -> QualityReport:
-    """The report of ``phm_score`` from its visible difference and its prepared patch pairs."""
+            vd: VisibleDifference, prepared: tuple[CloudSides, CloudSides],
+            timing: dict[str, float]) -> QualityReport:
+    """The report of ``phm_score`` from its visible difference and its prepared sides.
+
+    A cell is compared when both its sides have a graph; D_L^O and D_L^I are
+    the means over the compared cells, and without any the report has
+    status "no_valid_patches".
+    """
     ref_sides, dist_sides = prepared
-    compared = ref_sides.valid & dist_sides.valid
-    per_patch = [dict(cell_id=cell, n_ref=len(ref_idx), n_dist=len(dist_idx),
-                      degenerate=not compared[cell], f_s=None, f_w=None)
-                 for cell, (ref_idx, dist_idx) in enumerate(pairs)]
+    cells = np.flatnonzero(ref_sides.valid & dist_sides.valid)
+    sizes = zip(ref_sides.sizes.tolist(), dist_sides.sizes.tolist())
+    per_patch = [dict(cell_id=cell, n_ref=n_ref, n_dist=n_dist, degenerate=True, f_s=None, f_w=None)
+                 for cell, (n_ref, n_dist) in enumerate(sizes)]
     diagnostics = {
         "n_ref": len(reference.cloud),
         "n_dist": len(dist),
-        "patch_count": len(pairs),
-        "degenerate_patch_count": sum(1 for e in per_patch if e["degenerate"]),
+        "patch_count": len(per_patch),
+        "degenerate_patch_count": len(per_patch) - len(cells),
         "psnr_y": vd.psnr_y,
         "perfect": vd.perfect,
         "raw_mse": vd.raw_mse,
         "complexity": vd.complexity,
         "per_patch": per_patch,
         "timing": timing,
+        "valid_patch_count": len(cells),
     }
-    diagnostics["valid_patch_count"] = diagnostics["patch_count"] - diagnostics["degenerate_patch_count"]
-
-    t0 = time.perf_counter()
-    try:
-        fs_rows, d_l_o = geometry_degradation(prepared, cfg.stabilizer)
-        timing["geometry_degradation"] = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        fw_rows, d_l_i = texture_degradation(prepared, cfg.nb_bins)
-        timing["texture_degradation"] = time.perf_counter() - t0
-    except NoValidPatches:
+    if not len(cells):
         return QualityReport(
             d_h=vd.d_h, d_l_o=None, d_l_i=None, d_l=None, omega=None, score=None,
             status="no_valid_patches", diagnostics=diagnostics)
-    for entry, fs, fw in zip(per_patch, fs_rows, fw_rows):
-        entry["f_s"] = list(fs) if fs is not None else None
-        entry["f_w"] = fw
 
+    t0 = time.perf_counter()
+    f_s = geometry_degradation(prepared, cells, cfg.stabilizer)
+    timing["geometry_degradation"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    f_w = texture_degradation(prepared, cells, cfg.nb_bins)
+    timing["texture_degradation"] = time.perf_counter() - t0
+    for cell, fs, fw in zip(cells.tolist(), f_s.tolist(), f_w.tolist()):
+        per_patch[cell].update(degenerate=False, f_s=fs, f_w=fw)
+
+    d_l_o, d_l_i = float(f_s.mean()), float(f_w.mean())
     d_l = fuse_appearance(d_l_o, d_l_i, cfg.inner_fusion)
     omega, score = combine_adaptive(vd.d_h, d_l, cfg.mu, cfg.outer_fusion)
     return QualityReport(

@@ -49,15 +49,14 @@ def symmetric_mse(ref: PointCloud, dist: PointCloud, ref_index: SpatialIndex,
     """max of the two directed mean squared luminance errors under exact NN matching.
 
     ``same_points`` says that dist holds ref's positions in ref's order. Then
-    a point's nearest in the other cloud is its nearest in its own, so one
-    query of ref against ``ref_index`` serves both directions and dist gets
-    no index.
+    point i of each cloud is the other's match, coincident points included,
+    so both directions read mean((ref.luminance - dist.luminance)^2) and
+    nothing is queried.
     """
     if same_points:
-        to_dist = to_ref = ref_index.query_bulk(ref.positions, 1)[:, 0]
-    else:
-        to_dist = SpatialIndex(dist.positions).query_bulk(ref.positions, 1)[:, 0]
-        to_ref = ref_index.query_bulk(dist.positions, 1)[:, 0]
+        return _directed_mse(ref, dist, np.arange(len(ref)))
+    to_dist = SpatialIndex(dist.positions).query_bulk(ref.positions, 1)[:, 0]
+    to_ref = ref_index.query_bulk(dist.positions, 1)[:, 0]
     return max(_directed_mse(ref, dist, to_dist), _directed_mse(dist, ref, to_ref))
 
 

@@ -31,3 +31,18 @@ def small_cloud() -> PointCloud:
 @pytest.fixture
 def textured_cloud() -> PointCloud:
     return synthetic_cloud(400, seed=5)
+
+
+def compared_rows(stage, prepared, *args):
+    """(rows, mean) of ``geometry_degradation`` or ``texture_degradation``, as reports hold them.
+
+    The stage runs on the cells where both sides have a graph; the rows are
+    laid out per cell, None for a cell not compared, and the mean is over
+    every value of the compared cells.
+    """
+    cells = np.flatnonzero(prepared[0].valid & prepared[1].valid)
+    values = stage(prepared, cells, *args)
+    rows = [None] * len(prepared[0].sizes)
+    for cell, row in zip(cells.tolist(), values.tolist()):
+        rows[cell] = row
+    return rows, float(values.mean())

@@ -15,6 +15,7 @@ from phm.patches import (build_patch_graph, chunk_graph, partition_into_patch_pa
                          reference_cells)
 from phm.synthetic import synthetic_cloud, with_geometry_jitter, with_luminance_noise
 
+from conftest import compared_rows
 from side_oracle import DegeneratePatch, build_wcm, graph_smoothness
 from side_oracle import _pearson as oracle_pearson
 from side_oracle import build_patch_graph as oracle_graph
@@ -126,7 +127,7 @@ def test_texture_matches_the_oracle(num_bins, monkeypatch):
     monkeypatch.setattr(phm.appearance, "WCM_CHUNK_ENTRIES", 3 * 50 * 50)
     for dist in (jittered, noisy, ref):
         prepared = pairs_of(ref, dist, 12)
-        rows, mean = texture_degradation(prepared, num_bins)
+        rows, mean = compared_rows(texture_degradation, prepared, num_bins)
         want = oracle_rows(prepared, num_bins)
         assert rows == want
         assert mean == float(np.mean([v for row in want if row is not None for v in row]))
@@ -142,7 +143,7 @@ def test_texture_leaves_out_pairs_without_a_graph():
     pos = ref.positions[:60] * 0.2
     dist = PointCloud.from_arrays(pos, ref.colors[:60])
     prepared = pairs_of(ref, dist, 6)
-    rows, _ = texture_degradation(prepared, 50)
+    rows, _ = compared_rows(texture_degradation, prepared, 50)
     assert None in rows
     assert rows == oracle_rows(prepared, 50)
 

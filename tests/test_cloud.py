@@ -508,6 +508,22 @@ def test_list_element_before_vertex_rejected(tmp_path):
             load_ply(p)
 
 
+def test_binary_list_element_before_vertex_rejected(tmp_path):
+    body = (
+        b"ply\nformat binary_little_endian 1.0\n"
+        b"element face 1\nproperty list uchar int vertex_indices\n"
+        b"element vertex 1\n"
+        b"property float x\nproperty float y\nproperty float z\n"
+        b"property uchar red\nproperty uchar green\nproperty uchar blue\n"
+        b"end_header\n" + bytes(13) + bytes(15))
+    p = tmp_path / "list.ply"
+    p.write_bytes(body)
+    with pytest.raises(ParseError, match="cannot skip list-typed element 'face'"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            load_ply(p)
+
+
 def test_binary_ply_double_positions(tmp_path):
     header = (
         b"ply\nformat binary_little_endian 1.0\nelement vertex 2\n"

@@ -16,6 +16,9 @@ from phm.synthetic import synthetic_cloud, with_geometry_jitter, with_luminance_
 from phm.visible import visible_difference
 
 from conftest import random_cloud
+from side_oracle import DegeneratePatch, graph_smoothness
+from side_oracle import build_patch_graph as oracle_graph
+from test_bulk_parity import oracle_rows
 
 
 # --- adaptive combination ----------------------------------------------------
@@ -231,7 +234,7 @@ def _general_report(prepared, dist):
     pairs = partition_into_patch_pairs(prepared.cells, dist)
     sides = prepare_pairs(prepared.sides, dist, pairs, cfg.k2, cfg.num_bandpass,
                           cfg.continuous_tail)
-    return phm.metric._report(prepared, dist, cfg, vd, pairs, sides, {})
+    return phm.metric._report(prepared, dist, cfg, vd, sides, {})
 
 
 @pytest.mark.parametrize("as_prepared", [False, True], ids=["cloud", "prepared"])
@@ -249,10 +252,82 @@ def test_shared_geometry_matches_the_general_path(monkeypatch, kind, as_prepared
     report = phm_score(prepared if as_prepared else ref, dist, cfg).to_dict()
     report["diagnostics"].pop("timing")
     expected["diagnostics"].pop("timing")
+    if kind in ("duplicates", "signed_zero"):
+        # Coincident points of other colours: the copy matches point i to
+        # point i, where a nearest-neighbour query sends each to the lowest
+        # index at its position. Only the visible difference moves.
+        diff = ref.luminance - dist.luminance
+        assert report["diagnostics"]["raw_mse"] == float(np.mean(diff * diff))
+        assert report["diagnostics"]["raw_mse"] != expected["diagnostics"]["raw_mse"]
+        for doc in (report, expected):
+            for key in ("d_h", "omega", "score"):
+                doc.pop(key)
+            for key in ("raw_mse", "psnr_y", "perfect"):
+                doc["diagnostics"].pop(key)
     assert json.dumps(report) == json.dumps(expected)
     assert report["diagnostics"]["valid_patch_count"] > 1
     if kind == "identity":
         assert report["score"] == 1.0
+
+
+@pytest.mark.parametrize("as_prepared", [False, True], ids=["cloud", "prepared"])
+def test_identity_with_coincident_points_of_other_colours_scores_one(as_prepared):
+    cloud = synthetic_cloud(3000, seed=7)
+    pos = cloud.positions.copy()
+    pos[:600] = pos[0]  # 600 points at one position, each keeping its own colour
+    cloud = PointCloud.from_arrays(pos, cloud.colors)
+    cfg = MetricConfig(patch_divisor=200)
+    report = phm_score(prepare_reference(cloud, cfg) if as_prepared else cloud, cloud, cfg)
+    assert report.diagnostics["raw_mse"] == 0.0
+    assert (report.d_h, report.d_l, report.score) == (1.0, 1.0, 1.0)
+
+
+def test_report_scores_only_cells_where_both_sides_have_a_graph():
+    # Three kinds of cells: compared ones, ones whose distorted side is empty
+    # (the distorted cloud keeps only x < 4), and the cell of a distant
+    # cluster of one repeated point, which takes its own FPS seed.
+    rng = np.random.default_rng(21)
+    pos = np.vstack([rng.uniform(0.0, 10.0, (600, 3)), np.full((6, 3), 100.0)])
+    ref = PointCloud.from_arrays(pos, rng.integers(0, 256, (606, 3), dtype=np.uint8))
+    kept = pos[:, 0] < 4.0
+    dist = with_luminance_noise(PointCloud.from_arrays(pos[kept], ref.colors[kept]), 20.0,
+                                seed=22)
+    cfg = MetricConfig(patch_divisor=50)
+    report = phm_score(ref, dist, cfg)
+    assert report.status == "ok"
+
+    prepared = prepare_reference(ref, cfg)
+    pairs = partition_into_patch_pairs(prepared.cells, dist)
+    sides = prepare_pairs(prepared.sides, dist, pairs, cfg.k2)
+    want_fw = oracle_rows(sides, cfg.nb_bins)
+    kinds = set()
+    for entry, (ri, di), fw in zip(report.diagnostics["per_patch"], pairs, want_fw):
+        assert (entry["n_ref"], entry["n_dist"]) == (len(ri), len(di))
+        smoothness = []
+        for cloud, idx in ((ref, ri), (dist, di)):
+            try:
+                g, _ = oracle_graph(cloud.positions[idx], cfg.k2)
+            except DegeneratePatch:
+                break
+            smoothness.append([graph_smoothness(g, cloud.positions[idx, axis]) / len(idx)
+                               for axis in range(3)])
+        if len(smoothness) < 2:
+            kinds.add("coincident" if len(ri) and (pos[ri] == pos[ri[0]]).all() else
+                      "empty" if not len(di) else "other")
+            assert entry["degenerate"] and entry["f_s"] is None and entry["f_w"] is None
+            assert fw is None
+            continue
+        kinds.add("compared")
+        assert not entry["degenerate"]
+        sx, sy = smoothness
+        t = cfg.stabilizer
+        assert entry["f_s"] == [(2.0 * a * b + t) / (a * a + b * b + t) for a, b in zip(sx, sy)]
+        assert entry["f_w"] == fw
+    assert {"compared", "empty", "coincident"} <= kinds
+    rows = [e for e in report.diagnostics["per_patch"] if not e["degenerate"]]
+    assert report.diagnostics["valid_patch_count"] == len(rows)
+    assert report.d_l_o == float(np.mean([v for e in rows for v in e["f_s"]]))
+    assert report.d_l_i == float(np.mean([v for e in rows for v in e["f_w"]]))
 
 
 def test_phm_deterministic_repeat(textured_cloud):
