@@ -18,6 +18,7 @@ from contextlib import nullcontext
 from dataclasses import fields
 from typing import NamedTuple
 
+from . import cloud
 from .cloud import load_ply
 from .errors import ParseError, PhmError
 from .metric import REFERENCE_FIELDS, MetricConfig, phm_score, prepare_reference
@@ -190,12 +191,18 @@ def cmd_batch(args) -> int:
 
     # Opened before scoring, so an unwritable --out costs no work.
     out = open(args.out, "w", encoding="utf-8", newline="") if args.out else nullcontext(sys.stdout)
+    workers = cloud.TREE_WORKERS
     with out as fh:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            tasks = [pool.submit(_score_reference, key[0], group) for key, group in groups.items()]
-            for task in tasks:
-                for i, result in task.result():
-                    results[i] = result
+        cloud.TREE_WORKERS = max(1, workers // args.jobs)  # the jobs share the tree threads
+        try:
+            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+                tasks = [pool.submit(_score_reference, key[0], group)
+                         for key, group in groups.items()]
+                for task in tasks:
+                    for i, result in task.result():
+                        results[i] = result
+        finally:
+            cloud.TREE_WORKERS = workers
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("pair_id",) + _REPORT_COLUMNS + ("error",))
         for pair_id, report, err in results:

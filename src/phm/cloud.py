@@ -8,6 +8,7 @@ with ties broken by lower point index.
 
 from __future__ import annotations
 
+import os
 import re
 import warnings
 from dataclasses import dataclass
@@ -21,6 +22,12 @@ from .errors import ColorMissing, DomainError, EmptyCloud, ParseError, TooManySe
 LUMA_R, LUMA_G, LUMA_B = 0.2126, 0.7152, 0.0722
 # Largest |coordinate|: PLY's float32 range, where squared distances stay finite.
 MAX_COORDINATE = float(np.finfo(np.float32).max)
+# Query rows per ``ranked_knn`` block: its (rows, kq) temporaries stay in cache.
+KNN_BLOCK_ROWS = 4096
+# Threads of each KD-tree query: the CPUs this process may run on. ``phm batch``
+# divides them among its jobs. A row's answer does not depend on the count.
+TREE_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
 
 
 def rgb_to_luminance(rgb) -> np.ndarray | float:
@@ -134,19 +141,20 @@ def ranked_knn(tree: cKDTree, data: np.ndarray, pts: np.ndarray, k: int,
     are not sorted. A row is final once its kr-th distance lies below the
     rim, the farthest candidate before masking, since no unseen point is
     closer than that; the rows that tie the rim go to the next round
-    together, with kq doubled. Rows go in blocks of 65,536.
+    together, with kq doubled. Rows go in blocks of KNN_BLOCK_ROWS, and the
+    tree queries on TREE_WORKERS threads.
     """
     m, n, skip = len(pts), len(data), int(own is not None)
     kr = min(k, n - skip)
     out = np.empty((m, kr), dtype=np.intp)
     if kr == 0:
         return out
-    for first in range(0, m, 1 << 16):  # row blocks bound the (rows, kq) temporaries
-        rows = np.arange(first, min(first + (1 << 16), m))
+    for first in range(0, m, KNN_BLOCK_ROWS):  # row blocks bound the (rows, kq) temporaries
+        rows = np.arange(first, min(first + KNN_BLOCK_ROWS, m))
         kq = min(kr + 1 + skip, n)
         while len(rows):
             q = pts[rows]
-            idx = tree.query(q, k=kq)[1].reshape(len(rows), kq)
+            idx = tree.query(q, k=kq, workers=TREE_WORKERS)[1].reshape(len(rows), kq)
             d2 = np.zeros(idx.shape)  # column by column, summed as (diff * diff).sum(-1) sums
             for c, col in enumerate(data.T):
                 d2 += (col[idx] - q[:, c, None]) ** 2

@@ -26,8 +26,9 @@ DEFAULT_GRAPH_KNN = 10
 LARGE_SIDE = 201
 KRYLOV_STEPS = 120
 SMALL_SIDE_STEPS = 40
-# Most points in one chunk of ``eigendecompose``; its basis is steps x points.
-CHUNK_POINTS = 16384
+# Most points in one chunk of ``eigendecompose``, whose basis is steps x points;
+# chunks this small keep it and the Lanczos vectors in cache.
+CHUNK_POINTS = 4096
 
 
 @dataclass(frozen=True)

@@ -234,6 +234,42 @@ def test_batch_deterministic_across_jobs(ply_pair, capsys, tmp_path):
     assert out1.read_bytes() == out8.read_bytes()
 
 
+def test_batch_jobs_divide_the_tree_workers(ply_pair, capsys, tmp_path, monkeypatch):
+    import phm.cli
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert phm.cloud.TREE_WORKERS == cpus
+    seen, score = [], phm.cli.phm_score
+
+    def spy(ref, dist, cfg):
+        seen.append(phm.cloud.TREE_WORKERS)
+        return score(ref, dist, cfg)
+
+    monkeypatch.setattr(phm.cli, "phm_score", spy)
+    ref, dist = ply_pair
+    manifest = tmp_path / "m.csv"
+    write_manifest(manifest, [["a", ref, dist], ["bad", ref, str(tmp_path / "missing.ply")],
+                              ["b", dist, ref], ["c", ref, ref]])
+    outs = {}
+    for jobs in ("1", "2"):
+        seen.clear()
+        outs[jobs] = tmp_path / f"o{jobs}.csv"
+        assert run_cli(capsys, "batch", "--manifest", str(manifest), "--jobs", jobs,
+                       "--out", str(outs[jobs]))[0] == 0
+        assert seen == [max(1, cpus // int(jobs))] * 3
+        assert phm.cloud.TREE_WORKERS == cpus
+    assert outs["1"].read_bytes() == outs["2"].read_bytes()
+    assert "missing file" in outs["2"].read_text()
+
+    def broken(ref_path, rows):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(phm.cli, "_score_reference", broken)  # a task that raises
+    with pytest.raises(RuntimeError):
+        main(["batch", "--manifest", str(manifest), "--jobs", "2"])
+    assert phm.cloud.TREE_WORKERS == cpus
+
+
 def test_batch_bad_rows_do_not_stop_the_batch(ply_pair, capsys, tmp_path):
     ref, dist = ply_pair
     nan_ply = tmp_path / "nan.ply"

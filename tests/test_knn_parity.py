@@ -15,8 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
+import phm.cloud
 import phm.patches
-from phm.cloud import SpatialIndex, ranked_knn
+from phm.cloud import KNN_BLOCK_ROWS, SpatialIndex, ranked_knn
 from phm.patches import build_patch_graph
 
 
@@ -91,7 +92,7 @@ def test_k_at_least_n_minus_one_reaches_every_point(k):
 
 def test_rows_across_two_blocks():
     rng = np.random.default_rng(6)
-    data = np.round(rng.uniform(0, 40, size=(70_000, 3)))  # duplicates and ties in both blocks
+    data = np.round(rng.uniform(0, 40, size=(70_000, 3)))  # duplicates and ties in every block
     assert_parity(data, data, 3, np.arange(len(data)))
     assert_parity(data[:2000], data, 2, None)
 
@@ -102,8 +103,8 @@ class ReversedTree:
     def __init__(self, data):
         self.tree = cKDTree(data)
 
-    def query(self, pts, k):
-        dist, idx = self.tree.query(pts, k=k)
+    def query(self, pts, k, workers=1):
+        dist, idx = self.tree.query(pts, k=k, workers=workers)
         return dist[:, ::-1], idx[:, ::-1]
 
 
@@ -159,8 +160,9 @@ def test_most_rows_skip_the_sort(monkeypatch):
 
 
 def test_bulk_query_peak_memory():
-    # at most 25 MB of temporaries for 20,000 rows of k = 20; ranking every
-    # row on a (rows, kq, 3) difference array took 35 MB
+    # at most 10 MB of temporaries for 20,000 rows of k = 20: blocks of
+    # KNN_BLOCK_ROWS rows peaked at 8.0 MB, one block of 65,536 rows at 18.2 MB,
+    # and ranking every row on a (rows, kq, 3) difference array at 35 MB
     pts = np.random.default_rng(11).uniform(0, 10, size=(20_000, 3))
     tracemalloc.start()
     try:
@@ -168,4 +170,24 @@ def test_bulk_query_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 25e6
+    assert peak < 10e6
+
+
+@pytest.mark.parametrize("cloud", ["lattice", "three_blocks"])
+def test_answers_do_not_depend_on_the_tree_workers(cloud, monkeypatch):
+    if cloud == "lattice":
+        pts = duplicated_lattice(8)
+    else:  # three blocks of query rows, the last one partial; ties throughout
+        pts = np.round(np.random.default_rng(12).uniform(0, 20, size=(10_000, 3)))
+        assert 2 * KNN_BLOCK_ROWS < len(pts) < 3 * KNN_BLOCK_ROWS
+    sizes = [len(pts) - 108, 0, 1, 7, 100]
+    results = []
+    for workers in (1, 2):
+        monkeypatch.setattr(phm.cloud, "TREE_WORKERS", workers)
+        index = SpatialIndex(pts)
+        graph = build_patch_graph(pts, sizes, k2=10)
+        results.append([index.query_bulk(pts, 20), index.query_bulk(pts, 20, exclude_self=True),
+                         graph.edges_i, graph.edges_j, graph.weights, graph.sigma2,
+                         graph.smoothness])
+    for one, two in zip(*results):
+        np.testing.assert_array_equal(one, two)

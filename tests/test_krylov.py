@@ -8,10 +8,12 @@ the same wavelet kernels with the side's own lambda_max.
 import numpy as np
 import pytest
 
-from phm.appearance import GAMMA, sgwt_decompose
+import phm.patches
+from phm.appearance import GAMMA, filter_sides, sgwt_decompose
 from phm.errors import ShapeError
 from phm.metric import MetricConfig, phm_score
-from phm.patches import KRYLOV_STEPS, LARGE_SIDE, SMALL_SIDE_STEPS, eigendecompose, spectral_chunks
+from phm.patches import (KRYLOV_STEPS, LARGE_SIDE, SMALL_SIDE_STEPS, build_patch_graph,
+                         eigendecompose, reference_cells, spectral_chunks)
 from phm.synthetic import synthetic_cloud
 
 from dense_oracle import (dense_bands, dense_spectrum, lanczos_bands, laplacian, stack_graphs,
@@ -74,6 +76,34 @@ def test_side_bands_do_not_depend_on_the_chunk(sizes):
             alone = lanczos_bands(*sides[i])
             np.testing.assert_array_equal(bands[:, lo:lo + sizes[i]], alone)
             lo += sizes[i]
+
+
+def test_cloud_bands_do_not_depend_on_the_chunk_size(monkeypatch):
+    # Cells of about 60 points, as patch_divisor=60 gives, then cells of about
+    # 300 points (above LARGE_SIDE) and of about 25 (whole Krylov spaces): each
+    # size class fills several chunks of CHUNK_POINTS.
+    points, luminance, sizes = [], [], []
+    for n, num_cells, seed in [(20_000, 20_000 // 60, 3), (12_000, 40, 4), (10_000, 400, 5)]:
+        cloud = synthetic_cloud(n, seed=seed)
+        cells = reference_cells(cloud, num_cells).members
+        idx = np.concatenate(cells)
+        points.append(cloud.positions[idx])
+        luminance.append(cloud.luminance[idx])
+        sizes += [len(c) for c in cells]
+    sides = build_patch_graph(np.vstack(points), sizes)
+    sizes = np.where(sides.valid, sides.sizes, 0)
+
+    def chunks_per_class():
+        first = [int(sizes[chunk[0]]) for chunk in spectral_chunks(sizes)]
+        return [sum(n <= SMALL_SIDE_STEPS + 1 for n in first),
+                sum(SMALL_SIDE_STEPS + 1 < n <= LARGE_SIDE for n in first),
+                sum(n > LARGE_SIDE for n in first)]
+
+    assert min(chunks_per_class()) >= 3
+    bands = filter_sides(sides, np.concatenate(luminance)).bands
+    monkeypatch.setattr(phm.patches, "CHUNK_POINTS", int(sizes.sum()))
+    assert chunks_per_class() == [1, 1, 1]
+    np.testing.assert_array_equal(bands, filter_sides(sides, np.concatenate(luminance)).bands)
 
 
 def test_step_class_boundary_is_large_side():
