@@ -24,10 +24,10 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def last_json_lines(stdout: str) -> tuple[dict, dict]:
-    """(provenance, result): the provenance line and the final result object."""
+    """(provenance, result): the provenance line and the last result object."""
     docs = [json.loads(line) for line in stdout.splitlines() if line.startswith("{")]
     provenance = next(d["provenance"] for d in docs if "provenance" in d)
-    return provenance, docs[-1]
+    return provenance, next(d for d in reversed(docs) if "metrics" in d)
 
 
 def git(*args: str) -> str:

@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 
 from .cloud import PointCloud
-from .patches import (PatchGraph, Spectrum, build_patch_graph, chunk_graph, eigendecompose,
+from .patches import (CloudSides, Spectrum, build_patch_graph, chunk_graph, eigendecompose,
                       spectral_chunks)
 
 DEFAULT_STABILIZER = 1e-6
@@ -53,10 +53,10 @@ def filter_sides(
     bands do not depend on its chunk.
     """
     bands = np.zeros((num_bandpass + 1, len(luminance)))
-    for chunk in spectral_chunks(np.where(sides.valid, sides.sizes, 0)):
-        graph, points = chunk_graph(sides, chunk)
-        spectrum = eigendecompose(graph, luminance[points], sides.sizes[chunk])
-        bands[:, points] = sgwt_decompose(spectrum, num_bandpass, continuous_tail)
+    for cells in spectral_chunks(np.where(sides.valid, sides.sizes, 0)):
+        chunk, points = chunk_graph(sides, cells)
+        bands[:, points] = sgwt_decompose(eigendecompose(chunk, luminance[points]), num_bandpass,
+                                          continuous_tail)
     return replace(sides, bands=bands)
 
 
@@ -152,20 +152,20 @@ def quantize(band: np.ndarray, lo, span, sizes, num_bins: int) -> np.ndarray:
     return np.clip(scaled.astype(np.intp), 0, num_bins - 1)
 
 
-def build_wcm(graph: PatchGraph, bins: np.ndarray, sizes, num_bins: int) -> np.ndarray:
-    """Normalized (B, Nb * Nb) WCMs of the blocks of ``graph``, of ``sizes`` points each.
+def build_wcm(chunk: CloudSides, bins: np.ndarray, num_bins: int) -> np.ndarray:
+    """Normalized (B, Nb * Nb) WCMs of the B sides of ``chunk``.
 
     bins[i] is point i's bin. Each undirected edge adds its weight at (m, n)
     and, when m != n, at (n, m), in edge order; each matrix is then
     normalized to unit mass.
     """
-    size = num_bins * num_bins
-    slot = np.repeat(np.arange(len(sizes)) * size, sizes)[graph.edges_i]
-    m, n = bins[graph.edges_i], bins[graph.edges_j]
-    acc = np.bincount(slot + m * num_bins + n, graph.weights, len(sizes) * size)
+    size, sides = num_bins * num_bins, len(chunk.sizes)
+    slot = np.repeat(np.arange(sides) * size, chunk.sizes)[chunk.edges_i]
+    m, n = bins[chunk.edges_i], bins[chunk.edges_j]
+    acc = np.bincount(slot + m * num_bins + n, chunk.weights, sides * size)
     off = m != n
-    acc += np.bincount((slot + n * num_bins + m)[off], graph.weights[off], len(sizes) * size)
-    acc = acc.reshape(len(sizes), size)
+    acc += np.bincount((slot + n * num_bins + m)[off], chunk.weights[off], sides * size)
+    acc = acc.reshape(sides, size)
     return acc / acc.sum(axis=1, keepdims=True)
 
 
@@ -197,17 +197,17 @@ def texture_degradation(
     step = max(1, WCM_CHUNK_ENTRIES // (num_bins * num_bins))
     out = np.empty((len(cells), len(prepared[0].bands)))
     for a in range(0, len(cells), step):
-        sides = []  # (graph, sizes, bands) of the chunk's cells
+        sides = []  # (chunk, bands) of each side of the chunk's cells
         for side in prepared:
-            graph, points = chunk_graph(side, cells[a:a + step])
-            sides.append((graph, side.sizes[cells[a:a + step]], side.bands[:, points]))
-        lo = np.minimum(*(np.minimum.reduceat(b, np.cumsum(n) - n, axis=1) for _, n, b in sides))
-        hi = np.maximum(*(np.maximum.reduceat(b, np.cumsum(n) - n, axis=1) for _, n, b in sides))
+            chunk, points = chunk_graph(side, cells[a:a + step])
+            sides.append((chunk, side.bands[:, points]))
+        lo = np.minimum(*(np.minimum.reduceat(b, g.starts, axis=1) for g, b in sides))
+        hi = np.maximum(*(np.maximum.reduceat(b, g.starts, axis=1) for g, b in sides))
         span = np.where(hi > lo, hi - lo, 1.0)  # a flat band pair sits at lo: bin 0
         for c in range(len(out[0])):
             out[a:a + step, c] = _pearson(*(
-                build_wcm(g, quantize(b[c], lo[c], span[c], n, num_bins), n, num_bins)
-                for g, n, b in sides))
+                build_wcm(g, quantize(b[c], lo[c], span[c], g.sizes, num_bins), num_bins)
+                for g, b in sides))
     return out
 
 

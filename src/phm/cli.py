@@ -16,7 +16,6 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import fields
-from typing import NamedTuple
 
 from . import cloud
 from .cloud import load_ply
@@ -117,32 +116,6 @@ def _reference_key(ref_path: str, cfg: MetricConfig) -> tuple:
     return (ref_path, *(getattr(cfg, name) for name in REFERENCE_FIELDS))
 
 
-class _Unprepared(NamedTuple):
-    """Why a reference key has no prepared reference: the error, its traceback, and
-    whether the reference had loaded before it was raised."""
-
-    error: Exception
-    tb: object
-    loaded: bool
-
-
-def _load_and_prepare(ref_path: str, cfg: MetricConfig):
-    """The prepared reference, or an _Unprepared if loading or preparing it raised.
-
-    Each row of the key raises the error itself, in the order one pair scored
-    alone meets it: a load failure before the row loads its distorted cloud,
-    a preparation failure after. The traceback is kept apart because every
-    raise of the shared error prepends the raising frame.
-    """
-    loaded = False
-    try:
-        ref = load_ply(ref_path)
-        loaded = True
-        return prepare_reference(ref, cfg)
-    except Exception as e:
-        return _Unprepared(e, e.__traceback__, loaded)
-
-
 def _error_cell(pair_id, e: Exception) -> str:
     if isinstance(e, FileNotFoundError):
         return f"missing file: {e.filename}"
@@ -152,14 +125,15 @@ def _error_cell(pair_id, e: Exception) -> str:
 
 
 def _batch_row(pair_id, dist, cfg, reference):
-    """(pair_id, report or None, error cell); never raises, so one row cannot stop a batch."""
+    """(pair_id, report or None, error cell); never raises, so one row cannot stop a batch.
+
+    ``reference`` is the prepared reference, or what its preparation raised. That
+    fails the row after its distorted cloud loads, as it would for a pair scored alone.
+    """
     try:
-        failed = reference if isinstance(reference, _Unprepared) else None
-        if failed and not failed.loaded:
-            raise failed.error.with_traceback(failed.tb)
         dist_cloud = load_ply(dist)
-        if failed:
-            raise failed.error.with_traceback(failed.tb)
+        if isinstance(reference, Exception):
+            return pair_id, None, _error_cell(pair_id, reference)
         report = phm_score(reference, dist_cloud, cfg)
         if report.status != "ok":
             return pair_id, None, report.status
@@ -169,8 +143,18 @@ def _batch_row(pair_id, dist, cfg, reference):
 
 
 def _score_reference(ref_path: str, rows) -> list:
-    """Load and prepare one reference key's reference once, then score its rows in order."""
-    reference = _load_and_prepare(ref_path, rows[0][2])
+    """Load and prepare one reference key's reference once, then score its rows in order.
+
+    A reference that fails to load fails every row before its distorted file is read.
+    """
+    try:
+        ref = load_ply(ref_path)
+    except Exception as e:
+        return [(i, (pid, None, _error_cell(pid, e))) for pid, _, _, i in rows]
+    try:
+        reference = prepare_reference(ref, rows[0][2])
+    except Exception as e:
+        reference = e
     return [(i, _batch_row(pid, dist, cfg, reference)) for pid, dist, cfg, i in rows]
 
 

@@ -76,18 +76,8 @@ def partition_into_patch_pairs(
 
 
 @dataclass(frozen=True)
-class PatchGraph:
-    """Undirected Gaussian-weighted graph as an edge list."""
-
-    n: int
-    edges_i: np.ndarray  # (E,) with edges_i < edges_j
-    edges_j: np.ndarray
-    weights: np.ndarray  # (E,) in (0, 1]
-
-
-@dataclass(frozen=True)
 class CloudSides:
-    """The patch sides of one cloud: its cells' points one after another.
+    """Patch sides, such as those of one cloud: their cells' points one after another.
 
     Cell c holds points starts[c]:starts[c] + sizes[c] and the edges
     edge_starts[c]:edge_starts[c + 1] of its KNN graph, ascending, with
@@ -108,6 +98,10 @@ class CloudSides:
     sigma2: np.ndarray  # (P,)
     smoothness: np.ndarray  # (P, 3)
     bands: np.ndarray | None = None  # (C + 1, N)
+
+    @property
+    def n(self) -> int:
+        return int(self.sizes.sum())
 
     @property
     def valid(self) -> np.ndarray:
@@ -157,14 +151,17 @@ def concat_ranges(starts, counts) -> np.ndarray:
     return np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
 
 
-def chunk_graph(sides: CloudSides, cells) -> tuple[PatchGraph, np.ndarray]:
-    """(graph, points): the block-diagonal graph of ``cells`` and their points."""
+def chunk_graph(sides: CloudSides, cells) -> tuple[CloudSides, np.ndarray]:
+    """(chunk, points): the ascending ``cells`` of ``sides`` renumbered from 0, without
+    bands, and the positions of their points in ``sides``."""
     sizes, counts = sides.sizes[cells], np.diff(sides.edge_starts)[cells]
+    starts = np.cumsum(sizes) - sizes
     edges = concat_ranges(sides.edge_starts[cells], counts)
-    shift = np.repeat(np.cumsum(sizes) - sizes - sides.starts[cells], counts)
-    graph = PatchGraph(int(sizes.sum()), sides.edges_i[edges] + shift,
-                       sides.edges_j[edges] + shift, sides.weights[edges])
-    return graph, concat_ranges(sides.starts[cells], sizes)
+    shift = np.repeat(starts - sides.starts[cells], counts)
+    chunk = CloudSides(starts, sizes, sides.edges_i[edges] + shift, sides.edges_j[edges] + shift,
+                       sides.weights[edges], np.append(0, np.cumsum(counts)),
+                       sides.sigma2[cells], sides.smoothness[cells])
+    return chunk, concat_ranges(sides.starts[cells], sizes)
 
 
 def spectral_chunks(sizes) -> list[list[int]]:
@@ -210,43 +207,38 @@ class Spectrum:
     lambda_max: np.ndarray  # (B,)
 
 
-def eigendecompose(graph: PatchGraph, signal: np.ndarray, sizes) -> Spectrum:
+def eigendecompose(chunk: CloudSides, signal: np.ndarray) -> Spectrum:
     """Lockstep Lanczos spectra of ``signal`` on a ``spectral_chunks`` chunk of sides.
 
-    ``graph`` is their ``chunk_graph`` and ``sizes`` their point counts.
-    They run together, one sparse matvec per step: KRYLOV_STEPS steps for sides
-    above LARGE_SIDE points, else SMALL_SIDE_STEPS. There is no
-    reorthogonalisation (accurate for f(L) r, Musco et al., SODA 2018) unless
-    every side spans its whole Krylov space, whose spectrum is then exact. A
-    side's arithmetic reads only its points.
+    ``chunk`` is their ``chunk_graph``. They run together, one sparse matvec
+    per step: KRYLOV_STEPS steps for sides above LARGE_SIDE points, else
+    SMALL_SIDE_STEPS. There is no reorthogonalisation (accurate for f(L) r,
+    Musco et al., SODA 2018) unless every side spans its whole Krylov space,
+    whose spectrum is then exact. A side's arithmetic reads only its points.
 
     lambda_max is the top Ritz value of a side that ran every step or at least
     n - 1. Any other, a constant signal (no step) included, takes the larger of
     that and the top of a run from ``default_rng(0).standard_normal(n)``.
     """
-    sizes = np.asarray(sizes, dtype=np.intp)
+    sizes, starts = chunk.sizes, chunk.starts
     u = np.asarray(signal, dtype=np.float64)
-    if u.shape != (graph.n,) or sizes.sum() != graph.n:
-        raise ShapeError(f"signal length {u.shape} or block sizes do not match n={graph.n}")
+    if u.shape != (chunk.n,):
+        raise ShapeError(f"signal length {u.shape} does not match n={chunk.n}")
     steps = KRYLOV_STEPS if sizes.max() > LARGE_SIDE else SMALL_SIDE_STEPS
-    starts = np.cumsum(sizes) - sizes
     block = np.repeat(np.arange(len(sizes)), sizes)
     means = np.add.reduceat(u, starts) / sizes
     # An exactly constant signal has no centred part, whatever the roundoff of its mean.
     flat = (np.maximum.reduceat(u, starts) == np.minimum.reduceat(u, starts))[block]
     try:
         norm, basis, theta, vectors, count = _lanczos(
-            graph, sizes, np.where(flat, 0.0, u - means[block]), steps, sizes.max() <= steps + 1)
+            chunk, np.where(flat, 0.0, u - means[block]), steps, sizes.max() <= steps + 1)
         top = theta[np.arange(len(sizes)), np.maximum(count, 1) - 1]
         rerun = (count < steps) & (count < sizes - 1)
         if rerun.any():
-            keep = rerun[block]
-            renumber, edges = np.cumsum(keep) - 1, keep[graph.edges_i]
-            sub = PatchGraph(int(keep.sum()), renumber[graph.edges_i[edges]],
-                             renumber[graph.edges_j[edges]], graph.weights[edges])
             start = np.concatenate([np.random.default_rng(0).standard_normal(n)
                                     for n in sizes[rerun]])
-            _, _, again, _, ran = _lanczos(sub, sizes[rerun], start, steps)
+            sub, _ = chunk_graph(chunk, np.flatnonzero(rerun))
+            _, _, again, _, ran = _lanczos(sub, start, steps)
             top[rerun] = np.maximum(top[rerun], again[np.arange(len(ran)), ran - 1])
     except np.linalg.LinAlgError as e:
         raise SpectralError(f"eigendecomposition failed: {e}") from None
@@ -254,20 +246,21 @@ def eigendecompose(graph: PatchGraph, signal: np.ndarray, sizes) -> Spectrum:
                     top)
 
 
-def _lanczos(graph: PatchGraph, sizes, start, steps: int, reorthogonalise=False):
-    """Lockstep Lanczos on each block's Laplacian: (||start||, basis, theta, S, steps).
+def _lanczos(chunk: CloudSides, start, steps: int, reorthogonalise=False):
+    """Lockstep Lanczos on each side's Laplacian: (||start||, basis, theta, S, steps).
 
-    A block stops when its residual falls to 1e-10 times its largest degree (an
+    A side stops when its residual falls to 1e-10 times its largest degree (an
     invariant subspace: ||L|| <= 2 max degree) or its steps reach its size; one
     whose start is 0 runs none. ``reorthogonalise`` takes w's mean and its
     parts along earlier vectors out of w (classical Gram-Schmidt).
     """
-    n, starts = graph.n, np.cumsum(sizes) - sizes
+    n, sizes, starts = chunk.n, chunk.sizes, chunk.starts
+    ei, ej, weights = chunk.edges_i, chunk.edges_j, chunk.weights
     block = np.repeat(np.arange(len(sizes)), sizes)
-    degree = np.bincount(graph.edges_i, graph.weights, n) + np.bincount(graph.edges_j, graph.weights, n)
-    lap = csr_matrix((np.concatenate([-graph.weights, -graph.weights, degree]),
-                      (np.concatenate([graph.edges_i, graph.edges_j, np.arange(n)]),
-                       np.concatenate([graph.edges_j, graph.edges_i, np.arange(n)]))), shape=(n, n))
+    degree = np.bincount(ei, weights, n) + np.bincount(ej, weights, n)
+    lap = csr_matrix((np.concatenate([-weights, -weights, degree]),
+                      (np.concatenate([ei, ej, np.arange(n)]),
+                       np.concatenate([ej, ei, np.arange(n)]))), shape=(n, n))
     tol = 1e-10 * np.maximum.reduceat(degree, starts)
     norm = np.sqrt(np.add.reduceat(start * start, starts))
     q = start / np.where(norm > 0, norm, np.inf)[block]
@@ -290,7 +283,7 @@ def _lanczos(graph: PatchGraph, sizes, start, steps: int, reorthogonalise=False)
         if not running.any():
             break
         beta[:, j] = b = np.where(running, b, 0.0)
-        # A stopped block's q becomes 0 (w / inf), and so does all it adds later.
+        # A stopped side's q becomes 0 (w / inf), and so does all it adds later.
         prev, q = q, w / np.where(running, b, np.inf)[block]
     theta, vectors = np.zeros((len(sizes), j + 1)), np.zeros((len(sizes), j + 1, j + 1))
     for i, c in enumerate(count):

@@ -14,7 +14,7 @@ import numpy as np
 
 import phm.appearance
 from phm.appearance import sgwt_decompose
-from phm.patches import PatchGraph, Spectrum
+from phm.patches import CloudSides, Spectrum, chunk_graph
 
 
 def laplacian(graph):
@@ -64,37 +64,39 @@ def dense_bands(spectrum, num_bandpass=3, continuous_tail=True):
     return sgwt_decompose(as_spectrum([spectrum]), num_bandpass, continuous_tail)
 
 
+def one_side(n, edges_i, edges_j, weights):
+    """A ``CloudSides`` of one side: n points and the given edge list.
+
+    Its sigma2 of 1 only marks it valid, and its smoothness is 0.
+    """
+    return CloudSides(np.array([0]), np.array([n]), np.asarray(edges_i, dtype=np.intp),
+                      np.asarray(edges_j, dtype=np.intp), np.asarray(weights, dtype=np.float64),
+                      np.array([0, len(weights)]), np.ones(1), np.zeros((1, 3)))
+
+
 def stack_graphs(graphs):
-    """The block-diagonal union of the graphs, in order."""
+    """The sides of every ``CloudSides`` in ``graphs``, in order, as one ``CloudSides``."""
+    sizes = np.concatenate([g.sizes for g in graphs])
+    counts = np.concatenate([np.diff(g.edge_starts) for g in graphs])
     offsets = np.repeat(np.cumsum([0] + [g.n for g in graphs[:-1]]), [len(g.weights) for g in graphs])
-    return PatchGraph(sum(g.n for g in graphs),
+    return CloudSides(np.cumsum(sizes) - sizes, sizes,
                       np.concatenate([g.edges_i for g in graphs]) + offsets,
                       np.concatenate([g.edges_j for g in graphs]) + offsets,
-                      np.concatenate([g.weights for g in graphs]))
-
-
-def blocks(graph, sizes):
-    """The sides of a block-diagonal graph, such as ``stack_graphs`` gives, as PatchGraphs."""
-    out, lo = [], 0
-    for n in sizes:
-        keep = (graph.edges_i >= lo) & (graph.edges_i < lo + n)
-        out.append(PatchGraph(int(n), graph.edges_i[keep] - lo, graph.edges_j[keep] - lo,
-                              graph.weights[keep]))
-        lo += n
-    return out
+                      np.concatenate([g.weights for g in graphs]), np.append(0, np.cumsum(counts)),
+                      np.concatenate([g.sigma2 for g in graphs]),
+                      np.concatenate([g.smoothness for g in graphs]))
 
 
 def use_dense_oracle(monkeypatch):
     """Make ``phm.appearance`` filter every side through its dense spectrum."""
-    def spectra(graph, signal, sizes):
-        bounds = np.cumsum([0, *sizes])
-        return as_spectrum([dense_spectrum(g, signal[lo:hi])
-                            for g, lo, hi in zip(blocks(graph, sizes), bounds[:-1], bounds[1:])])
+    def spectra(chunk, signal):
+        sides = (chunk_graph(chunk, [c]) for c in range(len(chunk.sizes)))
+        return as_spectrum([dense_spectrum(side, signal[points]) for side, points in sides])
 
     monkeypatch.setattr(phm.appearance, "eigendecompose", spectra)
 
 
 def lanczos_bands(graph, signal, num_bandpass=3, continuous_tail=True):
     """Sub-bands of one side alone through phm's lockstep kernel."""
-    spectrum = phm.appearance.eigendecompose(graph, signal, [graph.n])
+    spectrum = phm.appearance.eigendecompose(graph, signal)
     return phm.appearance.sgwt_decompose(spectrum, num_bandpass, continuous_tail)

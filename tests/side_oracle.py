@@ -18,8 +18,10 @@ from phm.appearance import build_wcm as bulk_wcm
 from phm.appearance import quantize
 from phm.cloud import SpatialIndex
 from phm.errors import PhmError, ShapeError
-from phm.patches import DEFAULT_GRAPH_KNN, PatchGraph
+from phm.patches import DEFAULT_GRAPH_KNN
 from phm.patches import build_patch_graph as bulk_graph
+
+from dense_oracle import one_side
 
 
 class DegeneratePatch(PhmError):
@@ -49,7 +51,7 @@ def build_patch_graph(points, k2=DEFAULT_GRAPH_KNN):
     sigma2 = float(d2.mean())
     if sigma2 == 0.0:
         raise DegeneratePatch("all selected neighbor pairs are coincident")
-    return PatchGraph(n, ei, ej, np.exp(-d2 / sigma2)), sigma2
+    return one_side(n, ei, ej, np.exp(-d2 / sigma2)), sigma2
 
 
 def graph_smoothness(graph, signal):
@@ -94,7 +96,7 @@ def _pearson(a, b):
 
 
 def side_graph(points, k2=DEFAULT_GRAPH_KNN):
-    """One side's graph from phm's bulk ``build_patch_graph``, as a PatchGraph.
+    """One side's graph: the ``CloudSides`` of phm's bulk ``build_patch_graph``.
 
     Raises DegeneratePatch where the bulk kernel marks the side invalid.
     """
@@ -102,7 +104,7 @@ def side_graph(points, k2=DEFAULT_GRAPH_KNN):
     sides = bulk_graph(pos, [len(pos)], k2)
     if not sides.valid[0]:
         raise DegeneratePatch("side has no graph")
-    return PatchGraph(len(pos), sides.edges_i, sides.edges_j, sides.weights)
+    return sides
 
 
 def side_wcm(graph, band, partner_band, num_bins=50):
@@ -111,7 +113,7 @@ def side_wcm(graph, band, partner_band, num_bins=50):
     hi = max(band.max(), partner_band.max())
     bins = quantize(np.asarray(band, dtype=np.float64), [lo], [hi - lo if hi > lo else 1.0],
                     [graph.n], num_bins)
-    return bulk_wcm(graph, bins, [graph.n], num_bins).reshape(num_bins, num_bins)
+    return bulk_wcm(graph, bins, num_bins).reshape(num_bins, num_bins)
 
 
 def pearson(a, b):

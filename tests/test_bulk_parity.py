@@ -90,6 +90,28 @@ def test_prepare_sides_matches_the_oracle():
     assert_cells_match_oracle(sides, cloud.positions, 10)
 
 
+def test_a_chunk_of_sides_is_the_graph_of_its_points_alone():
+    # The spectral and WCM chunks, and the lambda_max re-run, read their sides
+    # through chunk_graph: it must give what the bulk pass gives on the chunk's
+    # points and sizes alone, an empty and a one-point cell included.
+    cloud = synthetic_cloud(6000, seed=11)
+    cells = reference_cells(cloud, 60).members
+    cells[20:20], cells[40:40] = [np.empty(0, np.intp)], [cells[7][:1]]
+    points = cloud.positions[np.concatenate(cells)]
+    sides = build_patch_graph(points, [len(c) for c in cells])
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        picked = rng.choice(len(cells), int(rng.integers(1, len(cells))), replace=False)
+        picked = np.union1d(picked, [20, 40])
+        chunk, where = chunk_graph(sides, picked)
+        want = build_patch_graph(points[where], sides.sizes[picked])
+        assert chunk.bands is None
+        for name in ("starts", "sizes", "edges_i", "edges_j", "weights", "edge_starts", "sigma2",
+                     "smoothness"):
+            got, expected = getattr(chunk, name), getattr(want, name)
+            assert got.dtype == expected.dtype and np.array_equal(got, expected), name
+
+
 def oracle_rows(prepared, num_bins):
     """Per-pair WCM correlations from the per-side oracle, None for pairs not compared."""
     rows = []

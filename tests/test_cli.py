@@ -413,10 +413,14 @@ def test_batch_failed_preparation_fills_each_row_of_its_reference(ply_pair, caps
     monkeypatch.setattr(phm.cli, "prepare_reference", broken)
     ref, dist = ply_pair
     manifest = tmp_path / "m.csv"
-    write_manifest(manifest, [["a", ref, dist], ["b", ref, ref], ["c", ref, dist]])
+    missing = str(tmp_path / "missing.ply")
+    write_manifest(manifest, [["a", ref, dist], ["b", ref, ref], ["gone", ref, missing],
+                              ["c", ref, dist]])
     code, out, err = run_cli(capsys, "batch", "--manifest", str(manifest), "--jobs", "2")
     assert code == 0
-    assert [r["error"] for r in csv.DictReader(out.splitlines())] == ["ZeroDivisionError: boom"] * 3
+    # a missing distorted file is met first, as it is for a pair scored alone
+    assert [r["error"] for r in csv.DictReader(out.splitlines())] == [
+        "ZeroDivisionError: boom"] * 2 + [f"missing file: {missing}", "ZeroDivisionError: boom"]
     tracebacks = [block.split("\n", 1)[1] for block in err.split("pair ")[1:]]
     assert len(tracebacks) == 3 and len(set(tracebacks)) == 1  # no row's frames pile onto the next
 

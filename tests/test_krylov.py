@@ -41,7 +41,7 @@ def test_random_patch_bands_match_dense(n):
     g, u = side(n, seed=n)
     assert g.n > LARGE_SIDE
     want = dense_spectrum(g, u)
-    assert eigendecompose(g, u, [n]).lambda_max[0] == pytest.approx(want[0][-1], rel=1e-9)
+    assert eigendecompose(g, u).lambda_max[0] == pytest.approx(want[0][-1], rel=1e-9)
     assert_bands_close(lanczos_bands(g, u), dense_bands(want))
 
 
@@ -70,7 +70,7 @@ def test_side_bands_do_not_depend_on_the_chunk(sizes):
         order = list(order)
         graph = stack_graphs([sides[i][0] for i in order])
         signal = np.concatenate([sides[i][1] for i in order])
-        bands = sgwt_decompose(eigendecompose(graph, signal, [sizes[i] for i in order]))
+        bands = sgwt_decompose(eigendecompose(graph, signal))
         lo = 0
         for i in order:
             alone = lanczos_bands(*sides[i])
@@ -112,7 +112,7 @@ def test_step_class_boundary_is_large_side():
     assert spectral_chunks(sizes) == [[2], [1], [0]]
     for n, steps in [(LARGE_SIDE, SMALL_SIDE_STEPS), (LARGE_SIDE + 1, KRYLOV_STEPS)]:
         g, u = side(n, seed=5 * n)
-        spectrum = eigendecompose(g, u, [n])
+        spectrum = eigendecompose(g, u)
         assert spectrum.steps.tolist() == [steps]
         assert spectrum.basis.shape == (steps, n)
 
@@ -128,7 +128,7 @@ def test_constant_side_below_cutoff_passes_its_mean_exactly(n):
 def test_constant_luminance_above_cutoff():
     rng = np.random.default_rng(1)
     g = side_graph(rng.uniform(0, 10, (500, 3)))
-    spectrum = eigendecompose(g, np.full(500, 87.3), [500])
+    spectrum = eigendecompose(g, np.full(500, 87.3))
     sub = sgwt_decompose(spectrum)
     np.testing.assert_allclose(sub[0], GAMMA * 87.3, rtol=1e-12)
     assert np.all(sub[1:] == 0.0)
@@ -144,16 +144,14 @@ def test_disconnected_clusters_with_constant_luminance():
     u = np.r_[np.full(250, 50.0), np.full(250, 200.0)]
     want = dense_spectrum(g, u)
     assert np.linalg.eigvalsh(laplacian(g))[1] <= 1e-8  # two components
-    assert eigendecompose(g, u, [500]).lambda_max[0] == pytest.approx(want[0][-1], rel=1e-9)
+    assert eigendecompose(g, u).lambda_max[0] == pytest.approx(want[0][-1], rel=1e-9)
     np.testing.assert_allclose(lanczos_bands(g, u), dense_bands(want), atol=1e-9)
 
 
 def test_signal_length_is_checked():
     g = side_graph(np.random.default_rng(3).uniform(0, 1, (20, 3)))
     with pytest.raises(ShapeError):
-        eigendecompose(g, np.zeros(19), [20])
-    with pytest.raises(ShapeError):
-        eigendecompose(g, np.zeros(20), [19])
+        eigendecompose(g, np.zeros(19))
 
 
 def assert_within_gate_of_dense_oracle(monkeypatch, config):

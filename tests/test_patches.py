@@ -4,20 +4,20 @@ import numpy as np
 import pytest
 
 from phm.cloud import PointCloud
-from phm.patches import PatchGraph, partition_into_patch_pairs, reference_cells
+from phm.patches import partition_into_patch_pairs, reference_cells
 
 from conftest import random_cloud
-from dense_oracle import dense_spectrum, laplacian
+from dense_oracle import dense_spectrum, laplacian, one_side
 from side_oracle import DegeneratePatch, side_graph
 from side_oracle import build_patch_graph as oracle_graph
 
 
 def make_graph(edges, n, weights=None):
-    """Hand-assemble a PatchGraph from an undirected edge list."""
+    """Hand-assemble a one-side graph from an undirected edge list."""
     ei = np.array([e[0] for e in edges], dtype=np.intp)
     ej = np.array([e[1] for e in edges], dtype=np.intp)
     w = np.ones(len(edges)) if weights is None else np.asarray(weights, dtype=float)
-    return PatchGraph(n, ei, ej, w)
+    return one_side(n, ei, ej, w)
 
 
 def edge_set_oracle(points, k2):

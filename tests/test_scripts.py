@@ -1,10 +1,14 @@
-"""Smoke runs of the experiment scripts, so an API change cannot break them unseen."""
+"""Smoke runs of the scripts, so an API change cannot break them unseen."""
 
 import csv
+import importlib.util
 import json
 import runpy
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from phm.cloud import load_ply
 
@@ -61,3 +65,72 @@ def test_profile_pair_jitter_moves_the_distorted_points(monkeypatch, capsys):
     assert [doc["jitter"] for doc in docs] == [0.0, 0.5]
     # Jitter costs the copy geometry on top of the same luminance noise.
     assert 0.0 < docs[1]["score"] < docs[0]["score"] < 1.0
+
+
+# --- bench_snapshot.py, with every process it starts answered in-process -----
+
+WORKLOADS = [w["name"] for w in json.loads((SCRIPTS.parent / "BENCHMARK.json").read_text())["workloads"]]
+
+
+def fake_snapshot(monkeypatch, status, runs):
+    """bench_snapshot as a module whose git and benchmark processes answer from ``runs``.
+
+    ``runs`` maps a workload to its (exit code, stdout); no process starts.
+    """
+    spec = importlib.util.spec_from_file_location("bench_snapshot", SCRIPTS / "bench_snapshot.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+
+    def run(cmd, **kwargs):
+        if cmd[0] == "git":
+            answer = {"rev-parse": "abc1234", "status": status}[cmd[3]]
+            return subprocess.CompletedProcess(cmd, 0, answer + "\n", "")
+        code, stdout = runs[cmd[cmd.index("--workload") + 1]]
+        return subprocess.CompletedProcess(cmd, code, stdout, "")
+
+    monkeypatch.setattr(module.subprocess, "run", run)
+    return module
+
+
+def bench_output(workload, correct=True):
+    """(provenance, result, stdout) of one benchmark run, as ``perfbench/run.py`` prints them."""
+    provenance = {"git_commit": "abc1234", "workload": workload}
+    result = {"correct": correct, "attempted": 6, "failed": 0 if correct else 1,
+              "metrics": {"pairs_per_s": {"value": 1.5, "unit": "1/s"}}}
+    lines = ["warming up", json.dumps({"provenance": provenance}), f"{workload} pairs_per_s = 1.5",
+             json.dumps({"note": "not the result"}), json.dumps(result)]
+    return provenance, result, "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("status, name", [("", "BENCH_abc1234.json"),
+                                          (" M src/phm/cli.py", "BENCH_abc1234-dirty.json")],
+                         ids=["clean", "dirty"])
+def test_bench_snapshot_keeps_each_provenance_and_result(monkeypatch, tmp_path, capsys, status,
+                                                         name):
+    outputs = {w: bench_output(w) for w in WORKLOADS}
+    snapshot = fake_snapshot(monkeypatch, status, {w: (0, out) for w, (*_, out) in outputs.items()})
+    assert snapshot.main(["--out", str(tmp_path)]) == 0
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+    doc = json.loads((tmp_path / name).read_text())
+    assert (doc["commit"], doc["dirty"]) == ("abc1234", status != "")
+    assert doc["workloads"] == {w: {"provenance": provenance, "result": result}
+                                for w, (provenance, result, _) in outputs.items()}
+
+
+MISS = bench_output(WORKLOADS[0], correct=False)
+
+
+@pytest.mark.parametrize("code, stdout, want", [
+    (3, "Traceback (most recent call last):\n", {"exit": 3}),  # no JSON line
+    (1, json.dumps({"provenance": MISS[0]}) + "\nTraceback (most recent call last):\n",
+     {"exit": 1}),  # a crash after the provenance line
+    (1, MISS[2], {"provenance": MISS[0], "result": MISS[1]}),  # "correct": false
+], ids=["no-result", "crash-after-provenance", "miss"])
+def test_bench_snapshot_exits_1_for_a_run_without_a_result_or_a_miss(monkeypatch, tmp_path,
+                                                                      capsys, code, stdout, want):
+    runs = {w: (0, bench_output(w)[2]) for w in WORKLOADS[1:]}
+    snapshot = fake_snapshot(monkeypatch, "", {WORKLOADS[0]: (code, stdout), **runs})
+    assert snapshot.main(["--out", str(tmp_path)]) == 1
+    doc = json.loads((tmp_path / "BENCH_abc1234.json").read_text())
+    assert doc["workloads"][WORKLOADS[0]] == want
+    assert all("result" in doc["workloads"][w] for w in WORKLOADS[1:])
