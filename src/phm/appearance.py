@@ -19,9 +19,6 @@ from .cloud import PointCloud
 from .patches import (CloudSides, Spectrum, build_patch_graph, chunk_graph, eigendecompose,
                       spectral_chunks)
 
-DEFAULT_STABILIZER = 1e-6
-DEFAULT_NUM_BANDPASS = 3
-DEFAULT_NUM_BINS = 50
 # Most WCM entries one ``build_wcm`` call of ``texture_degradation`` holds.
 WCM_CHUNK_ENTRIES = 1 << 18
 # Scaling-function support relative to the spectrum: lambda_min = lambda_max / 20.
@@ -32,8 +29,8 @@ def prepare_sides(
     cloud: PointCloud,
     cells: list[np.ndarray],
     k2: int,
-    num_bandpass: int = DEFAULT_NUM_BANDPASS,
-    continuous_tail: bool = True,
+    num_bandpass: int,
+    continuous_tail: bool,
 ) -> CloudSides:
     """Gather and graph every cell of a cloud in one pass, then ``filter_sides``."""
     idx = np.concatenate(cells)
@@ -44,8 +41,8 @@ def prepare_sides(
 def filter_sides(
     sides: CloudSides,
     luminance: np.ndarray,
-    num_bandpass: int = DEFAULT_NUM_BANDPASS,
-    continuous_tail: bool = True,
+    num_bandpass: int,
+    continuous_tail: bool,
 ) -> CloudSides:
     """``sides`` with the SGWT sub-bands of ``luminance``, given in their point order.
 
@@ -65,8 +62,8 @@ def prepare_pairs(
     dist: PointCloud,
     pairs: list[tuple[np.ndarray, np.ndarray]],
     k2: int,
-    num_bandpass: int = DEFAULT_NUM_BANDPASS,
-    continuous_tail: bool = True,
+    num_bandpass: int,
+    continuous_tail: bool,
 ) -> tuple[CloudSides, CloudSides]:
     """The prepared reference sides and the distorted sides, prepared here.
 
@@ -85,7 +82,7 @@ def _smoothness_similarity(sx: float, sy: float, t: float) -> float:
 def geometry_degradation(
     prepared: tuple[CloudSides, CloudSides],
     cells: np.ndarray,
-    stabilizer: float = DEFAULT_STABILIZER,
+    stabilizer: float,
 ) -> np.ndarray:
     """(cells, 3) x/y/z smoothness similarity of the two sides of each of ``cells``.
 
@@ -95,7 +92,7 @@ def geometry_degradation(
     return _smoothness_similarity(ref.smoothness[cells], dist.smoothness[cells], stabilizer)
 
 
-def band_pass(x: np.ndarray, continuous_tail: bool = True) -> np.ndarray:
+def band_pass(x: np.ndarray, continuous_tail: bool) -> np.ndarray:
     """Band-pass g: x^2 below 1, cubic on [1, 2], 4/x^2 above (1/x^2 without continuous_tail)."""
     arr = np.asarray(x, dtype=np.float64)
     tail_scale = 4.0 if continuous_tail else 1.0
@@ -112,13 +109,13 @@ def band_pass(x: np.ndarray, continuous_tail: bool = True) -> np.ndarray:
 
 # Max of g: the cubic at the root of 3 x^2 - 12 x + 11 inside [1, 2]. It is
 # the low-pass kernel's height, so h(0) = max g.
-GAMMA = float(band_pass(np.array([2.0 - 1.0 / math.sqrt(3.0)]))[0])
+GAMMA = float(band_pass(np.array([2.0 - 1.0 / math.sqrt(3.0)]), True)[0])
 
 
 def sgwt_decompose(
     spectrum: Spectrum,
-    num_bandpass: int = DEFAULT_NUM_BANDPASS,
-    continuous_tail: bool = True,
+    num_bandpass: int,
+    continuous_tail: bool,
 ) -> np.ndarray:
     """Filter a chunk's signal through PHM's wavelet kernels: a (C + 1, N) array.
 
@@ -186,7 +183,7 @@ def _pearson(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def texture_degradation(
     prepared: tuple[CloudSides, CloudSides],
     cells: np.ndarray,
-    num_bins: int = DEFAULT_NUM_BINS,
+    num_bins: int,
 ) -> np.ndarray:
     """(cells, C + 1) WCM correlations of the two sides' sub-bands, band by band.
 
@@ -211,7 +208,7 @@ def texture_degradation(
     return out
 
 
-def fuse_appearance(d_l_o: float, d_l_i: float, mode: str = "multiply") -> float:
+def fuse_appearance(d_l_o: float, d_l_i: float, mode: str) -> float:
     """Combine geometry and texture degradation into D_L.
 
     multiply: sqrt(d_l_o * max(d_l_i, 0)) keeps the power at one; average

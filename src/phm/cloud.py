@@ -69,7 +69,13 @@ class PointCloud:
     def from_arrays(cls, positions, colors) -> "PointCloud":
         # Copies: the cloud makes its arrays read-only, the caller's stay writeable.
         pos = np.array(positions, dtype=np.float64, order="C")
-        col = np.array(colors, dtype=np.uint8, order="C")
+        col = np.asarray(colors)
+        if col.dtype != np.uint8:
+            # A uint8 cast would wrap 300 to 44 and -1 to 255, and truncate 1.5 to 1.
+            col = np.asarray(col, dtype=np.float64)
+            if not ((col >= 0) & (col <= 255) & (col == np.floor(col))).all():  # NaN fails too
+                raise DomainError("colors must be integers in [0, 255]")
+        col = np.array(col, dtype=np.uint8, order="C")
         lum = np.asarray(rgb_to_luminance(col), dtype=np.float64)
         return cls(pos, col, lum)
 
@@ -178,10 +184,10 @@ def ranked_knn(tree: cKDTree, data: np.ndarray, pts: np.ndarray, k: int,
     return out
 
 
-def farthest_point_sample(cloud: PointCloud, num_seeds: int, start: int = 0) -> np.ndarray:
+def farthest_point_sample(cloud: PointCloud, num_seeds: int) -> np.ndarray:
     """Greedy farthest point sampling over the cloud's positions.
 
-    seeds[0] = start; each next seed maximizes the minimum distance to the
+    seeds[0] = 0; each next seed maximizes the minimum distance to the
     seeds chosen so far, ties broken by lower index. Returned in selection
     order.
     """
@@ -191,15 +197,13 @@ def farthest_point_sample(cloud: PointCloud, num_seeds: int, start: int = 0) -> 
         raise ValueError("num_seeds must be >= 1")
     if num_seeds > n:
         raise TooManySeeds(f"requested {num_seeds} seeds from {n} points")
-    if not 0 <= start < n:
-        raise ValueError("start index out of range")
     # Contiguous columns and reused buffers; (dx^2 + dy^2) + dz^2 sums in the
     # same order as SpatialIndex's ranking, so both see the same distance ties.
     x, y, z = (np.ascontiguousarray(pos[:, ax]) for ax in range(3))
     min_d2 = np.full(n, np.inf)
     d2, tmp = np.empty(n), np.empty(n)
     seeds = np.empty(num_seeds, dtype=np.intp)
-    nxt = start
+    nxt = 0
     for s in range(num_seeds):
         seeds[s] = nxt
         np.subtract(x, x[nxt], out=d2)

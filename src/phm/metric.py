@@ -107,8 +107,8 @@ class MetricConfig:
 def combine_adaptive(
     d_h: float,
     d_l: float,
-    mu: float = 5.0,
-    outer: str = "multiply",
+    mu: float,
+    outer: str,
 ) -> tuple[float, float]:
     """(omega, score): blend D_H and D_L with weight omega = 1/(1 + mu D_H).
 
@@ -146,9 +146,9 @@ class QualityReport:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def to_json(self, indent: int | None = 2) -> str:
+    def to_json(self) -> str:
         # Dumps the fields as they are: asdict would deep-copy every per-patch dict first.
-        return json.dumps({f.name: getattr(self, f.name) for f in fields(self)}, indent=indent)
+        return json.dumps({f.name: getattr(self, f.name) for f in fields(self)}, indent=2)
 
 
 @dataclass(frozen=True)

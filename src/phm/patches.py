@@ -21,7 +21,6 @@ from scipy.spatial import cKDTree
 from .cloud import PointCloud, SpatialIndex, farthest_point_sample, ranked_knn
 from .errors import ShapeError, SpectralError
 
-DEFAULT_GRAPH_KNN = 10
 # Lanczos steps for a patch of more than LARGE_SIDE points, and for smaller ones.
 LARGE_SIDE = 201
 KRYLOV_STEPS = 120
@@ -48,7 +47,7 @@ def reference_cells(ref: PointCloud, num_cells: int) -> ReferenceCells:
 
     The partition is exhaustive and disjoint.
     """
-    seeds = farthest_point_sample(ref, num_cells, start=0)
+    seeds = farthest_point_sample(ref, num_cells)
     seed_index = SpatialIndex(ref.positions[seeds])
     return ReferenceCells(seed_index, _cell_members(seed_index, ref))
 
@@ -108,7 +107,7 @@ class CloudSides:
         return self.sigma2 > 0
 
 
-def build_patch_graph(points: np.ndarray, sizes, k2: int = DEFAULT_GRAPH_KNN) -> CloudSides:
+def build_patch_graph(points: np.ndarray, sizes, k2: int) -> CloudSides:
     """Each cell's KNN graph (union-symmetrized) with weights exp(-||d||^2 / sigma^2).
 
     ``points`` holds the cells one after another and ``sizes`` their point

@@ -18,8 +18,6 @@ from .errors import CloudTooSmall
 PEAK = 255.0
 # Normalizer assumes per-point MSE >= 1 and mean |residual| < 2^8.
 RESIDUAL_SPAN_BITS = 8.0
-DEFAULT_ALPHA = 4.5
-DEFAULT_AR_ORDER = 20
 
 
 @dataclass(frozen=True)
@@ -45,7 +43,7 @@ def _directed_mse(src: PointCloud, dst: PointCloud, nn: np.ndarray) -> float:
 
 
 def symmetric_mse(ref: PointCloud, dist: PointCloud, ref_index: SpatialIndex,
-                  same_points: bool = False) -> float:
+                  same_points: bool) -> float:
     """max of the two directed mean squared luminance errors under exact NN matching.
 
     ``same_points`` says that dist holds ref's positions in ref's order. Then
@@ -61,7 +59,7 @@ def symmetric_mse(ref: PointCloud, dist: PointCloud, ref_index: SpatialIndex,
 
 
 def ar_texture_complexity(
-    ref: PointCloud, ref_index: SpatialIndex, k1: int = DEFAULT_AR_ORDER,
+    ref: PointCloud, ref_index: SpatialIndex, k1: int,
 ) -> tuple[ARSolution, float]:
     """Fit one global AR model of luminance on the K1-NN neighborhood.
 
@@ -85,7 +83,7 @@ def upsilon(alpha: float) -> float:
     return 10.0 * math.log10(PEAK * PEAK) + alpha * RESIDUAL_SPAN_BITS
 
 
-def reference_masking(ref: PointCloud, k1: int = DEFAULT_AR_ORDER) -> tuple[SpatialIndex, float]:
+def reference_masking(ref: PointCloud, k1: int) -> tuple[SpatialIndex, float]:
     """The reference-only half of D_H: ref's exact NN index and its complexity C(ref).
 
     Both serve every distorted copy of ref; the AR fit runs over that index.
@@ -100,8 +98,8 @@ def visible_difference(
     dist: PointCloud,
     ref_index: SpatialIndex,
     complexity: float,
-    alpha: float = DEFAULT_ALPHA,
-    same_points: bool = False,
+    alpha: float,
+    same_points: bool,
 ) -> VisibleDifference:
     """Masking-compensated visible difference D_H in (0, 1].
 

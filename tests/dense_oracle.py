@@ -59,7 +59,7 @@ def as_spectrum(spectra):
                     np.array([lam[-1] for lam, _, _ in spectra]))
 
 
-def dense_bands(spectrum, num_bandpass=3, continuous_tail=True):
+def dense_bands(spectrum, num_bandpass, continuous_tail):
     """(C + 1, n) SGWT sub-bands of one dense spectrum."""
     return sgwt_decompose(as_spectrum([spectrum]), num_bandpass, continuous_tail)
 
@@ -96,7 +96,7 @@ def use_dense_oracle(monkeypatch):
     monkeypatch.setattr(phm.appearance, "eigendecompose", spectra)
 
 
-def lanczos_bands(graph, signal, num_bandpass=3, continuous_tail=True):
+def lanczos_bands(graph, signal, num_bandpass, continuous_tail):
     """Sub-bands of one side alone through phm's lockstep kernel."""
     spectrum = phm.appearance.eigendecompose(graph, signal)
     return phm.appearance.sgwt_decompose(spectrum, num_bandpass, continuous_tail)

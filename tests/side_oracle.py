@@ -18,7 +18,6 @@ from phm.appearance import build_wcm as bulk_wcm
 from phm.appearance import quantize
 from phm.cloud import SpatialIndex
 from phm.errors import PhmError, ShapeError
-from phm.patches import DEFAULT_GRAPH_KNN
 from phm.patches import build_patch_graph as bulk_graph
 
 from dense_oracle import one_side
@@ -30,7 +29,7 @@ class DegeneratePatch(PhmError):
     exit_code = 3
 
 
-def build_patch_graph(points, k2=DEFAULT_GRAPH_KNN):
+def build_patch_graph(points, k2):
     """(graph, sigma^2): the KNN graph (union-symmetrized) with weights exp(-||d||^2 / sigma^2).
 
     sigma^2 is the mean squared length over the undirected edge set, which
@@ -63,7 +62,7 @@ def graph_smoothness(graph, signal):
     return float(graph.weights @ (d * d))
 
 
-def build_wcm(graph, band, partner_band, num_bins=50):
+def build_wcm(graph, band, partner_band, num_bins):
     """Normalized (Nb, Nb) WCM of ``band`` on ``graph``, quantized over both bands' range."""
     lo = min(band.min(), partner_band.min())
     hi = max(band.max(), partner_band.max())
@@ -95,7 +94,7 @@ def _pearson(a, b):
     return float((ac @ bc) / np.sqrt(na * nb))
 
 
-def side_graph(points, k2=DEFAULT_GRAPH_KNN):
+def side_graph(points, k2):
     """One side's graph: the ``CloudSides`` of phm's bulk ``build_patch_graph``.
 
     Raises DegeneratePatch where the bulk kernel marks the side invalid.
@@ -107,7 +106,7 @@ def side_graph(points, k2=DEFAULT_GRAPH_KNN):
     return sides
 
 
-def side_wcm(graph, band, partner_band, num_bins=50):
+def side_wcm(graph, band, partner_band, num_bins):
     """(Nb, Nb) WCM of one side through phm's ``quantize`` and ``build_wcm``."""
     lo = min(band.min(), partner_band.min())
     hi = max(band.max(), partner_band.max())

@@ -1,17 +1,26 @@
 """The public top-level API and the import cost of the CLI."""
 
+import inspect
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import phm
+import phm.appearance
+import phm.cloud
+import phm.metric
+import phm.patches
+import phm.visible
 from phm.metric import MetricConfig
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 PUBLIC = ["MetricConfig", "QualityReport", "phm_score", "prepare_reference", "PointCloud",
           "load_ply", "save_ply", "PhmError"]
+# Parameters that carry a MetricConfig value into a stage function.
+CONFIG_PARAMETERS = {"k1", "k2", "alpha", "mu", "num_bandpass", "continuous_tail", "stabilizer",
+                     "num_bins", "nb_bins", "mode", "outer"}
 
 
 def test_public_names_are_exactly_the_documented_ones():
@@ -44,3 +53,22 @@ def test_readme_config_table_matches_the_defaults():
         key, default, _ = (cell.strip() for cell in line.strip("|").split("|"))
         table[key] = json.loads(default)
     assert json.dumps(table) == json.dumps(MetricConfig().to_dict())
+
+
+def test_only_metric_config_holds_the_operating_point():
+    # A default on a stage function would be a second copy of MetricConfig's
+    # defaults, one that phm_score never reads.
+    defaulted = []
+    for module in (phm.cloud, phm.visible, phm.patches, phm.appearance, phm.metric):
+        owners = [module] + [c for c in vars(module).values()
+                             if inspect.isclass(c) and c.__module__ == module.__name__
+                             and c is not MetricConfig]
+        for owner in owners:
+            for fn in vars(owner).values():
+                fn = getattr(fn, "__func__", fn)  # classmethods and staticmethods
+                if not inspect.isfunction(fn) or fn.__module__ != module.__name__:
+                    continue
+                defaulted += [f"{module.__name__}.{fn.__qualname__}({p.name})"
+                              for p in inspect.signature(fn).parameters.values()
+                              if p.name in CONFIG_PARAMETERS and p.default is not p.empty]
+    assert defaulted == []

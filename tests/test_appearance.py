@@ -27,8 +27,8 @@ from test_patches import make_graph
 def patch_pairs(ref, dist, cells, k2):
     """Prepared pairs as phm_score builds them: the reference sides, then dist."""
     rc = reference_cells(ref, cells)
-    sides = prepare_sides(ref, rc.members, k2)
-    return prepare_pairs(sides, dist, partition_into_patch_pairs(rc, dist), k2)
+    sides = prepare_sides(ref, rc.members, k2, 3, True)
+    return prepare_pairs(sides, dist, partition_into_patch_pairs(rc, dist), k2, 3, True)
 
 
 def random_connected_graph(seed, n_max=50):
@@ -89,7 +89,7 @@ def test_smoothness_translation_invariant():
 
 def test_identical_sides_give_unit_geometry_score():
     ref = random_cloud(300, seed=10)
-    per_patch, d_l_o = compared_rows(geometry_degradation, patch_pairs(ref, ref, 3, k2=6))
+    per_patch, d_l_o = compared_rows(geometry_degradation, patch_pairs(ref, ref, 3, k2=6), 1e-6)
     assert d_l_o == 1.0
     for fs in per_patch:
         assert fs == [1.0, 1.0, 1.0]
@@ -113,7 +113,7 @@ def test_degenerate_pairs_are_excluded():
     pairs = partition_into_patch_pairs(reference_cells(ref, 6), dist)
     empties = [di for _, di in pairs if len(di) < 2]
     assert empties, "fixture should produce at least one starved cell"
-    per_patch, d_l_o = compared_rows(geometry_degradation, patch_pairs(ref, dist, 6, k2=5))
+    per_patch, d_l_o = compared_rows(geometry_degradation, patch_pairs(ref, dist, 6, k2=5), 1e-6)
     for (_, di), fs in zip(pairs, per_patch):
         if len(di) < 2:
             assert fs is None
@@ -138,8 +138,8 @@ def test_geometry_score_translation_invariant():
     shift = np.array([123.0, -45.0, 8.0])
     ref_t = PointCloud.from_arrays(ref.positions + shift, ref.colors.copy())
     dist_t = PointCloud.from_arrays(dist.positions + shift, dist.colors.copy())
-    _, base = compared_rows(geometry_degradation, patch_pairs(ref, dist, 2, 6))
-    _, moved = compared_rows(geometry_degradation, patch_pairs(ref_t, dist_t, 2, 6))
+    _, base = compared_rows(geometry_degradation, patch_pairs(ref, dist, 2, 6), 1e-6)
+    _, moved = compared_rows(geometry_degradation, patch_pairs(ref_t, dist_t, 2, 6), 1e-6)
     assert moved == pytest.approx(base, rel=1e-9)
 
 
@@ -151,7 +151,7 @@ def delta_bands(lam_lo, lam_max, num_bandpass=3):
     Row c holds the kernel at lam_lo in column 0 and nothing in column 1.
     """
     return dense_bands((np.array([lam_lo, lam_max]), np.eye(2), np.array([1.0, 0.0])),
-                       num_bandpass)
+                       num_bandpass, True)
 
 
 def scales(lam_max, num_bandpass=3):
@@ -164,14 +164,14 @@ def low_pass(lam, lam_max):
 
 
 def test_filter_continuity_at_one_and_two():
-    assert band_pass(np.array([1.0]))[0] == pytest.approx(1.0, abs=1e-12)
+    assert band_pass(np.array([1.0]), True)[0] == pytest.approx(1.0, abs=1e-12)
     cubic_at_2 = ((2.0 - 6.0) * 2.0 + 11.0) * 2.0 - 5.0
     tail_at_2 = 4.0 / 4.0
     assert abs(cubic_at_2 - tail_at_2) <= 1e-12
     # sampled just around both knees
     for knee in (1.0, 2.0):
-        left = band_pass(np.array([knee - 1e-12]))[0]
-        right = band_pass(np.array([knee + 1e-12]))[0]
+        left = band_pass(np.array([knee - 1e-12]), True)[0]
+        right = band_pass(np.array([knee + 1e-12]), True)[0]
         assert abs(left - right) <= 1e-9
 
 
@@ -196,7 +196,7 @@ def test_gamma_from_cubic_root():
     assert GAMMA == pytest.approx(1.3849, abs=1e-4)
     # it is the max of g over a dense grid
     grid = np.linspace(0, 10, 50001)
-    assert band_pass(grid).max() <= GAMMA + 1e-9
+    assert band_pass(grid, True).max() <= GAMMA + 1e-9
     # and the low-pass height: h(0) = gamma exactly
     assert delta_bands(0.0, 2.0)[0, 0] == GAMMA
 
@@ -220,7 +220,7 @@ def test_scales_log_equispaced():
 def test_constant_signal_annihilated_by_bandpass():
     g = random_connected_graph(31)
     c = -7.5
-    sub = lanczos_bands(g, np.full(g.n, c))
+    sub = lanczos_bands(g, np.full(g.n, c), 3, True)
     np.testing.assert_allclose(sub[0], GAMMA * c, atol=1e-9)
     assert np.abs(sub[1:]).max() <= 1e-9
 
@@ -230,9 +230,9 @@ def test_two_node_closed_form():
     g = make_graph([(0, 1)], 2, weights=[w])
     a, b = 3.0, -1.0
     assert eigendecompose(g, np.array([a, b])).lambda_max[0] == pytest.approx(2 * w, rel=1e-12)
-    sub = lanczos_bands(g, np.array([a, b]))
+    sub = lanczos_bands(g, np.array([a, b]), 3, True)
     for c, t in enumerate(scales(2 * w), start=1):
-        gain = band_pass(np.array([t * 2 * w]))[0]
+        gain = band_pass(np.array([t * 2 * w]), True)[0]
         expect = gain * (a - b) / 2 * np.array([1.0, -1.0])
         np.testing.assert_allclose(sub[c], expect, atol=1e-12)
     mean_term = low_pass(0.0, 2 * w) * (a + b) / 2
@@ -247,9 +247,9 @@ def test_operator_form_equivalence():
     u = rng.normal(size=g.n)
     spectrum = dense_spectrum(g, u)
     lam, vec, _ = spectrum
-    sub = dense_bands(spectrum)
+    sub = dense_bands(spectrum, 3, True)
     for c, t in enumerate(scales(lam[-1]), start=1):
-        op = vec @ np.diag(band_pass(t * lam)) @ vec.T
+        op = vec @ np.diag(band_pass(t * lam, True)) @ vec.T
         np.testing.assert_allclose(sub[c], op @ u, atol=1e-9)
     op0 = vec @ np.diag(low_pass(lam, lam[-1])) @ vec.T
     np.testing.assert_allclose(sub[0], op0 @ u, atol=1e-9)
@@ -265,7 +265,7 @@ def test_sgwt_linearity(seed):
     a, b = rng.uniform(-3, 3, size=2)
 
     def bands(signal):
-        return dense_bands(dense_spectrum(g, signal))
+        return dense_bands(dense_spectrum(g, signal), 3, True)
 
     left = bands(a * u + b * v)
     right = a * bands(u) + b * bands(v)
@@ -348,7 +348,7 @@ def test_pearson_zero_variance_guards():
 
 def test_identical_sides_give_unit_texture_score():
     ref = random_cloud(300, seed=33)
-    per_patch, d_l_i = compared_rows(texture_degradation, patch_pairs(ref, ref, 3, k2=6))
+    per_patch, d_l_i = compared_rows(texture_degradation, patch_pairs(ref, ref, 3, k2=6), 50)
     assert d_l_i == 1.0
     for row in per_patch:
         assert row == [1.0, 1.0, 1.0, 1.0]
@@ -358,7 +358,7 @@ def test_texture_score_drops_under_color_noise():
     from phm.synthetic import synthetic_cloud, with_luminance_noise
     ref = synthetic_cloud(500, seed=3)
     dist = with_luminance_noise(ref, 40.0, seed=4)
-    _, d_l_i = compared_rows(texture_degradation, patch_pairs(ref, dist, 2, k2=8))
+    _, d_l_i = compared_rows(texture_degradation, patch_pairs(ref, dist, 2, k2=8), 50)
     assert d_l_i < 1.0
 
 
@@ -371,11 +371,12 @@ def test_flat_patch_against_jitters_of_itself_scores_one(n):
     colors = np.full((n, 3), 120)
     ref = PointCloud.from_arrays(pos, colors)
     whole = [(np.arange(n), np.arange(n))]
-    sides = prepare_sides(ref, [np.arange(n)], k2=10)
+    sides = prepare_sides(ref, [np.arange(n)], k2=10, num_bandpass=3, continuous_tail=True)
     for _ in range(4):
         dist = PointCloud.from_arrays(pos + rng.uniform(-0.05, 0.05, size=(n, 3)), colors)
-        per_patch, d_l_i = compared_rows(texture_degradation,
-                                         prepare_pairs(sides, dist, whole, k2=10))
+        per_patch, d_l_i = compared_rows(
+            texture_degradation,
+            prepare_pairs(sides, dist, whole, k2=10, num_bandpass=3, continuous_tail=True), 50)
         assert per_patch == [[1.0, 1.0, 1.0, 1.0]]
         assert d_l_i == 1.0
 
@@ -387,7 +388,7 @@ def test_disconnected_patch_is_legal_downstream():
     g = side_graph(pts, k2=3)
     u = rng.normal(size=24)
     assert dense_spectrum(g, u)[0][1] <= 1e-8  # disconnected: second eigenvalue ~0
-    sub = lanczos_bands(g, u)
+    sub = lanczos_bands(g, u, 3, True)
     assert sub.shape == (4, 24)
     wcm = side_wcm(g, sub[1], sub[1], num_bins=10)
     assert abs(wcm.sum() - 1.0) <= 1e-12

@@ -85,7 +85,7 @@ def test_prepare_sides_matches_the_oracle():
     # A cell above 3,000 points is graphed whole, like any other.
     cloud = synthetic_cloud(3600, seed=3)
     cells = [np.arange(3200), np.arange(3200, len(cloud))]
-    sides = prepare_sides(cloud, cells, k2=10)
+    sides = prepare_sides(cloud, cells, k2=10, num_bandpass=3, continuous_tail=True)
     assert sides.sizes.tolist() == [3200, 400]
     assert_cells_match_oracle(sides, cloud.positions, 10)
 
@@ -98,13 +98,13 @@ def test_a_chunk_of_sides_is_the_graph_of_its_points_alone():
     cells = reference_cells(cloud, 60).members
     cells[20:20], cells[40:40] = [np.empty(0, np.intp)], [cells[7][:1]]
     points = cloud.positions[np.concatenate(cells)]
-    sides = build_patch_graph(points, [len(c) for c in cells])
+    sides = build_patch_graph(points, [len(c) for c in cells], 10)
     rng = np.random.default_rng(12)
     for _ in range(20):
         picked = rng.choice(len(cells), int(rng.integers(1, len(cells))), replace=False)
         picked = np.union1d(picked, [20, 40])
         chunk, where = chunk_graph(sides, picked)
-        want = build_patch_graph(points[where], sides.sizes[picked])
+        want = build_patch_graph(points[where], sides.sizes[picked], 10)
         assert chunk.bands is None
         for name in ("starts", "sizes", "edges_i", "edges_j", "weights", "edge_starts", "sigma2",
                      "smoothness"):
@@ -128,8 +128,8 @@ def oracle_rows(prepared, num_bins):
 
 def pairs_of(ref, dist, cells):
     rc = reference_cells(ref, cells)
-    return prepare_pairs(prepare_sides(ref, rc.members, 10), dist,
-                         partition_into_patch_pairs(rc, dist), 10)
+    return prepare_pairs(prepare_sides(ref, rc.members, 10, 3, True), dist,
+                         partition_into_patch_pairs(rc, dist), 10, 3, True)
 
 
 def flat_patch_cloud(n, seed):

@@ -80,7 +80,7 @@ def test_score_precondition_exits_2(capsys, tmp_path):
 def test_score_non_finite_coordinates_exits_2(ply_pair, capsys, tmp_path):
     ref, _ = ply_pair
     bad = tmp_path / "nan.ply"
-    text = open(ref, "rb").read()
+    text = Path(ref).read_bytes()
     head, body = text.split(b"end_header\n")
     bad.write_bytes(head + b"end_header\nnan" + body[body.index(b" "):])
     code, out, err = run_cli(capsys, "score", "--ref", ref, "--dist", str(bad))
@@ -176,7 +176,7 @@ def test_batch_oversized_config_value_is_a_row_error(ply_pair, capsys, tmp_path,
                    extra_cols=(key,))
     out = tmp_path / "o.csv"
     assert run_cli(capsys, "batch", "--manifest", str(manifest), "--out", str(out))[0] == 0
-    rows = {r["pair_id"]: r for r in csv.DictReader(out.open())}
+    rows = {r["pair_id"]: r for r in csv.DictReader(out.read_text().splitlines())}
     assert rows["big"]["error"].startswith("ParseError") and rows["big"]["score"] == ""
     assert rows["ok"]["error"] == "" and rows["ok"]["score"] != ""
 
@@ -197,7 +197,7 @@ def test_batch_identity_rows(ply_pair, capsys, tmp_path):
     out_csv = tmp_path / "out.csv"
     code, _, _ = run_cli(capsys, "batch", "--manifest", str(manifest), "--out", str(out_csv))
     assert code == 0
-    rows = list(csv.DictReader(out_csv.open()))
+    rows = list(csv.DictReader(out_csv.read_text().splitlines()))
     assert [r["pair_id"] for r in rows] == ["a", "b"]
     assert all(float(r["score"]) == 1.0 for r in rows)
     assert all(r["error"] == "" for r in rows)
@@ -273,7 +273,7 @@ def test_batch_jobs_divide_the_tree_workers(ply_pair, capsys, tmp_path, monkeypa
 def test_batch_bad_rows_do_not_stop_the_batch(ply_pair, capsys, tmp_path):
     ref, dist = ply_pair
     nan_ply = tmp_path / "nan.ply"
-    head, body = open(ref, "rb").read().split(b"end_header\n")
+    head, body = Path(ref).read_bytes().split(b"end_header\n")
     nan_ply.write_bytes(head + b"end_header\nnan" + body[body.index(b" "):])
     manifest = tmp_path / "m.csv"
     write_manifest(manifest, [
@@ -286,7 +286,7 @@ def test_batch_bad_rows_do_not_stop_the_batch(ply_pair, capsys, tmp_path):
     assert run_cli(capsys, "batch", "--manifest", str(manifest), "--jobs", "1", "--out", str(out1))[0] == 0
     assert run_cli(capsys, "batch", "--manifest", str(manifest), "--jobs", "2", "--out", str(out2))[0] == 0
     assert out1.read_bytes() == out2.read_bytes()
-    rows = {r["pair_id"]: r for r in csv.DictReader(out1.open())}
+    rows = {r["pair_id"]: r for r in csv.DictReader(out1.read_text().splitlines())}
     assert rows["nan"]["error"].startswith("DomainError") and rows["nan"]["score"] == ""
     assert rows["k1"]["error"].startswith("ParseError") and rows["k1"]["score"] == ""
     assert rows["ok1"]["error"] == "" and float(rows["ok2"]["score"]) == 1.0
@@ -301,7 +301,7 @@ def test_batch_coordinates_beyond_float32_are_a_row_error(ply_pair, capsys, tmp_
     write_manifest(manifest, [["ok", ref, dist], ["huge", ref, str(huge)], ["ref", str(huge), ref]])
     out = tmp_path / "o.csv"
     assert run_cli(capsys, "batch", "--manifest", str(manifest), "--out", str(out))[0] == 0
-    rows = {r["pair_id"]: r for r in csv.DictReader(out.open())}
+    rows = {r["pair_id"]: r for r in csv.DictReader(out.read_text().splitlines())}
     assert rows["ok"]["error"] == "" and rows["ok"]["score"] != ""
     for pid in ("huge", "ref"):
         assert rows[pid]["error"].startswith("DomainError") and rows[pid]["score"] == ""
@@ -352,9 +352,9 @@ def test_batch_prepares_each_reference_key_once(capsys, tmp_path, monkeypatch):
         paths[name] = str(tmp_path / f"{name}.ply")
         cloud = load_ply(paths[ref])
         save_ply(with_luminance_noise(cloud, sigma, seed=2) if sigma else cloud, paths[name], binary=True)
-    head, body = open(paths["ref_a"], "rb").read().split(b"end_header\n")
+    head, body = Path(paths["ref_a"]).read_bytes().split(b"end_header\n")
     paths["nan"] = str(tmp_path / "nan.ply")
-    open(paths["nan"], "wb").write(head + b"end_header\nnan" + body[body.index(b" "):])
+    Path(paths["nan"]).write_bytes(head + b"end_header\nnan" + body[body.index(b" "):])
     rows = [  # pair_id, ref, dist, patch_divisor override
         ("a1", "ref_a", "dist_a", ""), ("b1", "ref_b", "dist_b", ""), ("a2", "ref_a", "copy_a", ""),
         ("bad1", "nan", "dist_a", ""), ("bad2", "nan", "copy_a", ""), ("bad3", "nan", "missing", ""),

@@ -217,7 +217,7 @@ def test_fps_square_picks_diagonal():
     pts = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]], dtype=float)
     col = np.zeros((4, 3), dtype=np.uint8)
     cloud = PointCloud.from_arrays(pts, col)
-    seeds = farthest_point_sample(cloud, 2, start=0)
+    seeds = farthest_point_sample(cloud, 2)
     assert list(seeds) == [0, 2]
 
 
@@ -560,6 +560,24 @@ def test_from_arrays_refuses_a_position_beyond_float32(bad):
     pos[1, 2] = bad
     with pytest.raises(DomainError):
         PointCloud.from_arrays(pos, np.zeros((4, 3), dtype=np.uint8))
+
+
+@pytest.mark.parametrize("bad", [300, -1, 1.5, math.nan])
+def test_from_arrays_refuses_a_colour_that_is_not_8_bit(bad):
+    # A uint8 cast would read 300 as 44, -1 as 255, 1.5 as 1 and NaN as 0.
+    col = np.zeros((4, 3))
+    col[1, 2] = bad
+    with pytest.raises(DomainError):
+        PointCloud.from_arrays(np.zeros((4, 3)), col)
+    with pytest.raises(DomainError):
+        PointCloud.from_arrays(np.zeros((4, 3)), col.tolist())
+
+
+def test_from_arrays_takes_integral_colours_of_any_dtype():
+    for col in (np.full((2, 3), 255.0), [[0, 128, 255]] * 2, np.full((2, 3), 7, np.int64)):
+        cloud = PointCloud.from_arrays(np.zeros((2, 3)), col)
+        assert cloud.colors.dtype == np.uint8
+        np.testing.assert_array_equal(cloud.colors, np.asarray(col))
 
 
 def test_positions_up_to_float32_range_score_as_at_any_scale():

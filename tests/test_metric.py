@@ -24,33 +24,33 @@ from test_bulk_parity import oracle_rows
 # --- adaptive combination ----------------------------------------------------
 
 def test_omega_at_unit_dh():
-    omega, score = combine_adaptive(1.0, 0.5, mu=5.0)
+    omega, score = combine_adaptive(1.0, 0.5, mu=5.0, outer="multiply")
     assert omega == pytest.approx(1.0 / 6.0, rel=1e-15)
     assert score == pytest.approx(0.5 ** (1.0 / 6.0), rel=1e-12)
 
 
 def test_omega_hand_value():
-    omega, _ = combine_adaptive(0.6894, 0.5, mu=5.0)
+    omega, _ = combine_adaptive(0.6894, 0.5, mu=5.0, outer="multiply")
     assert omega == pytest.approx(0.2249, abs=1e-4)
 
 
 def test_identity_score_is_one():
-    omega, score = combine_adaptive(1.0, 1.0)
+    omega, score = combine_adaptive(1.0, 1.0, 5.0, "multiply")
     assert score == 1.0
-    _, score_avg = combine_adaptive(1.0, 1.0, outer="average")
+    _, score_avg = combine_adaptive(1.0, 1.0, 5.0, "average")
     assert score_avg == 1.0
 
 
 def test_zero_appearance_zeroes_multiply_score():
-    _, score = combine_adaptive(0.5, 0.0)
+    _, score = combine_adaptive(0.5, 0.0, 5.0, "multiply")
     assert score == 0.0
 
 
 def test_nonpositive_dh_rejected():
     with pytest.raises(DomainError):
-        combine_adaptive(0.0, 0.5)
+        combine_adaptive(0.0, 0.5, 5.0, "multiply")
     with pytest.raises(DomainError):
-        combine_adaptive(-0.1, 0.5)
+        combine_adaptive(-0.1, 0.5, 5.0, "multiply")
 
 
 def test_average_mode_formula():
@@ -62,8 +62,8 @@ def test_average_mode_formula():
 @given(st.floats(0.01, 1.0), st.floats(0.01, 1.0))
 def test_omega_monotone_decreasing(a, b):
     mu = 5.0
-    oa, _ = combine_adaptive(a, 0.5, mu)
-    ob, _ = combine_adaptive(b, 0.5, mu)
+    oa, _ = combine_adaptive(a, 0.5, mu, "multiply")
+    ob, _ = combine_adaptive(b, 0.5, mu, "multiply")
     if a < b:
         assert oa > ob
     lo, hi = 1.0 / (1.0 + mu), 1.0
@@ -230,7 +230,7 @@ def _general_report(prepared, dist):
     """The report of the path for any distorted cloud: its own index, cells and graphs."""
     cfg = prepared.config
     vd = visible_difference(prepared.cloud, dist, SpatialIndex(prepared.cloud.positions),
-                            prepared.complexity, cfg.alpha)
+                            prepared.complexity, cfg.alpha, False)
     pairs = partition_into_patch_pairs(prepared.cells, dist)
     sides = prepare_pairs(prepared.sides, dist, pairs, cfg.k2, cfg.num_bandpass,
                           cfg.continuous_tail)
@@ -298,7 +298,8 @@ def test_report_scores_only_cells_where_both_sides_have_a_graph():
 
     prepared = prepare_reference(ref, cfg)
     pairs = partition_into_patch_pairs(prepared.cells, dist)
-    sides = prepare_pairs(prepared.sides, dist, pairs, cfg.k2)
+    sides = prepare_pairs(prepared.sides, dist, pairs, cfg.k2, cfg.num_bandpass,
+                          cfg.continuous_tail)
     want_fw = oracle_rows(sides, cfg.nb_bins)
     kinds = set()
     for entry, (ri, di), fw in zip(report.diagnostics["per_patch"], pairs, want_fw):

@@ -118,9 +118,9 @@ def test_graph_edges_match_bruteforce_union():
 
 def test_degenerate_patches_raise():
     with pytest.raises(DegeneratePatch):
-        side_graph(np.zeros((1, 3)))
+        side_graph(np.zeros((1, 3)), 10)
     with pytest.raises(DegeneratePatch):
-        side_graph(np.zeros((5, 3)))  # all coincident -> sigma2 == 0
+        side_graph(np.zeros((5, 3)), 10)  # all coincident -> sigma2 == 0
 
 
 def test_weight_formula_against_oracle():

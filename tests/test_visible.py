@@ -44,7 +44,7 @@ def ar_complexity(cloud, k1):
 
 def visible(ref, dist, k1=20):
     """D_H as phm_score computes it: the reference's masking, then the pair."""
-    return visible_difference(ref, dist, *reference_masking(ref, k1))
+    return visible_difference(ref, dist, *reference_masking(ref, k1), 4.5, False)
 
 
 # --- symmetric PSNR ----------------------------------------------------------
@@ -78,7 +78,7 @@ def test_psnr_asymmetric_takes_worse_direction():
 def test_symmetric_mse_matches_oracle():
     ref = random_cloud(40, seed=4)
     dist = random_cloud(35, seed=8)
-    got = symmetric_mse(ref, dist, SpatialIndex(ref.positions))
+    got = symmetric_mse(ref, dist, SpatialIndex(ref.positions), False)
     assert got == pytest.approx(mse_oracle(ref, dist), rel=1e-12)
 
 
