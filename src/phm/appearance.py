@@ -27,15 +27,15 @@ SCALE_SPAN = 20.0
 
 def prepare_sides(
     cloud: PointCloud,
-    cells: list[np.ndarray],
+    order: np.ndarray,
+    sizes: np.ndarray,
     k2: int,
     num_bandpass: int,
     continuous_tail: bool,
 ) -> CloudSides:
-    """Gather and graph every cell of a cloud in one pass, then ``filter_sides``."""
-    idx = np.concatenate(cells)
-    sides = build_patch_graph(cloud.positions[idx], [len(i) for i in cells], k2)
-    return filter_sides(sides, cloud.luminance[idx], num_bandpass, continuous_tail)
+    """Graph a cloud's cells, its points in ``order`` and ``sizes`` per cell, then filter them."""
+    sides = build_patch_graph(cloud.positions[order], sizes, k2)
+    return filter_sides(sides, cloud.luminance[order], num_bandpass, continuous_tail)
 
 
 def filter_sides(
@@ -60,19 +60,15 @@ def filter_sides(
 def prepare_pairs(
     ref_sides: CloudSides,
     dist: PointCloud,
-    pairs: list[tuple[np.ndarray, np.ndarray]],
+    dist_cells: tuple[np.ndarray, np.ndarray],
     k2: int,
     num_bandpass: int,
     continuous_tail: bool,
 ) -> tuple[CloudSides, CloudSides]:
-    """The prepared reference sides and the distorted sides, prepared here.
-
-    ``pairs`` comes from ``partition_into_patch_pairs`` over the cells that
-    ``ref_sides`` was prepared from, with the same ``k2``, ``num_bandpass``
-    and ``continuous_tail``.
-    """
-    return ref_sides, prepare_sides(dist, [di for _, di in pairs], k2, num_bandpass,
-                                    continuous_tail)
+    """The prepared reference sides and the distorted sides, prepared here from the
+    ``partition_into_patch_pairs`` cells ``dist_cells``, with the ``k2``, ``num_bandpass``
+    and ``continuous_tail`` that ``ref_sides`` was prepared with."""
+    return ref_sides, prepare_sides(dist, *dist_cells, k2, num_bandpass, continuous_tail)
 
 
 def _smoothness_similarity(sx: float, sy: float, t: float) -> float:

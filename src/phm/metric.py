@@ -183,7 +183,8 @@ def prepare_reference(ref: PointCloud, config: MetricConfig | None = None) -> Pr
             f"reference has {len(ref)} points; AR order {cfg.k1} needs more")
     index, complexity = reference_masking(ref, cfg.k1)
     cells = reference_cells(ref, max(1, len(ref) // cfg.patch_divisor))
-    sides = prepare_sides(ref, cells.members, cfg.k2, cfg.num_bandpass, cfg.continuous_tail)
+    sides = prepare_sides(ref, cells.order, cells.sizes, cfg.k2, cfg.num_bandpass,
+                          cfg.continuous_tail)
     return PreparedReference(ref, cfg, index, complexity, cells, sides)
 
 
@@ -232,11 +233,11 @@ def phm_score(
     t0 = time.perf_counter()
     if same_points:
         prepared = reference.sides, filter_sides(
-            reference.sides, dist.luminance[np.concatenate(reference.cells.members)],
-            cfg.num_bandpass, cfg.continuous_tail)
+            reference.sides, dist.luminance[reference.cells.order], cfg.num_bandpass,
+            cfg.continuous_tail)
     else:
-        pairs = partition_into_patch_pairs(reference.cells, dist)
-        prepared = prepare_pairs(reference.sides, dist, pairs, cfg.k2, cfg.num_bandpass,
+        dist_cells = partition_into_patch_pairs(reference.cells, dist)
+        prepared = prepare_pairs(reference.sides, dist, dist_cells, cfg.k2, cfg.num_bandpass,
                                  cfg.continuous_tail)
     timing["partition_and_graphs"] = time.perf_counter() - t0
     return _report(reference, dist, cfg, vd, prepared, timing)

@@ -1,8 +1,8 @@
 """Voronoi patch pairing, per-patch weighted graphs and their spectra.
 
 The reference cloud is split by farthest-point-sampled seeds, once per
-reference; each distorted cloud is then partitioned by nearest seed, so each
-cell yields a pair of reference and distorted point-index arrays. The
+reference; each distorted cloud is then partitioned by nearest seed. A
+cloud's cells are its points listed cell by cell and each cell's count. The
 patches of one cloud get their Gaussian-weighted KNN graphs in one pass, as
 one edge list. ``eigendecompose`` gives the Lanczos spectra of a signal on a
 chunk of such graphs at once, and the wavelet analysis downstream filters
@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import get_lapack_funcs
 from scipy.sparse import csr_matrix
 from scipy.spatial import cKDTree
 
@@ -34,12 +34,14 @@ CHUNK_POINTS = 4096
 class ReferenceCells:
     """Voronoi cells of FPS seeds drawn from a reference cloud.
 
-    ``members[c]`` holds the ascending reference point indices of cell c;
-    ``seed_index`` assigns the points of any other cloud to the same cells.
+    ``order`` lists the reference points cell by cell, ascending within each
+    cell, and ``sizes`` counts each cell's points; ``seed_index`` assigns
+    the points of any other cloud to the same cells.
     """
 
     seed_index: SpatialIndex
-    members: list[np.ndarray]
+    order: np.ndarray  # (N,)
+    sizes: np.ndarray  # (cells,)
 
 
 def reference_cells(ref: PointCloud, num_cells: int) -> ReferenceCells:
@@ -49,29 +51,21 @@ def reference_cells(ref: PointCloud, num_cells: int) -> ReferenceCells:
     """
     seeds = farthest_point_sample(ref, num_cells)
     seed_index = SpatialIndex(ref.positions[seeds])
-    return ReferenceCells(seed_index, _cell_members(seed_index, ref))
+    return ReferenceCells(seed_index, *_cell_order(seed_index, ref))
 
 
-def _cell_members(seed_index: SpatialIndex, cloud: PointCloud) -> list[np.ndarray]:
+def _cell_order(seed_index: SpatialIndex, cloud: PointCloud) -> tuple[np.ndarray, np.ndarray]:
     # query_bulk re-ranks by exact squared distance with ties to the lower
     # index, so a point on a cell boundary goes to the lower seed id.
     cell_of = seed_index.query_bulk(cloud.positions, 1)[:, 0]
-    members = np.argsort(cell_of, kind="stable")  # ascending point index per cell
-    bounds = np.searchsorted(cell_of[members], np.arange(seed_index.n + 1))
-    return [members[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    return np.argsort(cell_of, kind="stable"), np.bincount(cell_of, minlength=seed_index.n)
 
 
-def partition_into_patch_pairs(
-    cells: ReferenceCells,
-    dist: PointCloud,
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Pair each reference cell with the distorted points nearest its seed.
-
-    Returns one (ref_idx, dist_idx) pair of ascending point indices per cell,
-    with the cell id as the list position. The distorted side is split
-    exhaustively and disjointly too; its cells may be empty.
-    """
-    return list(zip(cells.members, _cell_members(cells.seed_index, dist)))
+def partition_into_patch_pairs(cells: ReferenceCells,
+                               dist: PointCloud) -> tuple[np.ndarray, np.ndarray]:
+    """(order, sizes) of the distorted points nearest each reference cell's seed; a cell may
+    be empty. The name stays while ``perfbench/tracer.py`` times it."""
+    return _cell_order(cells.seed_index, dist)
 
 
 @dataclass(frozen=True)
@@ -284,8 +278,15 @@ def _lanczos(chunk: CloudSides, start, steps: int, reorthogonalise=False):
         beta[:, j] = b = np.where(running, b, 0.0)
         # A stopped side's q becomes 0 (w / inf), and so does all it adds later.
         prev, q = q, w / np.where(running, b, np.inf)[block]
+    if not (np.isfinite(alpha).all() and np.isfinite(beta).all()):
+        raise np.linalg.LinAlgError("non-finite Lanczos coefficients")
+    stevd = get_lapack_funcs("stevd", dtype=np.float64)  # eigh_tridiagonal's, without its checks
     theta, vectors = np.zeros((len(sizes), j + 1)), np.zeros((len(sizes), j + 1, j + 1))
     for i, c in enumerate(count):
-        if c:
-            theta[i, :c], vectors[i, :c, :c] = eigh_tridiagonal(alpha[i, :c], beta[i, :c - 1])
+        if c > 1:
+            theta[i, :c], vectors[i, :c, :c], info = stevd(alpha[i, :c], beta[i, :c - 1])
+            if info:
+                raise np.linalg.LinAlgError(f"stevd failed with info {info}")
+        elif c:  # stevd refuses an empty off-diagonal
+            theta[i, 0], vectors[i, 0, 0] = alpha[i, 0], 1.0
     return norm, basis[:j + 1], theta, vectors, count

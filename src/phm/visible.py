@@ -70,8 +70,8 @@ def ar_texture_complexity(
     n = len(ref)
     if n <= k1:
         raise CloudTooSmall(f"AR of order {k1} needs more than {k1} points, got {n}")
-    nbrs = ref_index.query_bulk(ref.positions, k1, exclude_self=True)
-    design = ref.luminance[nbrs]
+    # Indexed at once, so the N x k1 neighbour array is freed before lstsq.
+    design = ref.luminance[ref_index.query_bulk(ref.positions, k1, exclude_self=True)]
     theta, *_ = np.linalg.lstsq(design, ref.luminance, rcond=None)
     residuals = ref.luminance - design @ theta
     complexity = math.log2(1.0 + float(np.mean(np.abs(residuals))))

@@ -46,3 +46,8 @@ def compared_rows(stage, prepared, *args):
     for cell, row in zip(cells.tolist(), values.tolist()):
         rows[cell] = row
     return rows, float(values.mean())
+
+
+def split_cells(order, sizes) -> list[np.ndarray]:
+    """The per-cell point indices of a partition held as (order, sizes)."""
+    return np.split(order, np.cumsum(sizes)[:-1])

@@ -1,5 +1,7 @@
-"""The public top-level API and the import cost of the CLI."""
+"""The public top-level API, the import cost of the CLI and the names the benchmark pins."""
 
+import csv
+import importlib.util
 import inspect
 import json
 import subprocess
@@ -8,13 +10,17 @@ from pathlib import Path
 
 import phm
 import phm.appearance
+import phm.cli
 import phm.cloud
 import phm.metric
 import phm.patches
 import phm.visible
+from phm.cloud import save_ply
 from phm.metric import MetricConfig
+from phm.synthetic import synthetic_cloud, with_geometry_jitter, with_luminance_noise
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 PUBLIC = ["MetricConfig", "QualityReport", "phm_score", "prepare_reference", "PointCloud",
           "load_ply", "save_ply", "PhmError"]
@@ -72,3 +78,44 @@ def test_only_metric_config_holds_the_operating_point():
                               for p in inspect.signature(fn).parameters.values()
                               if p.name in CONFIG_PARAMETERS and p.default is not p.empty]
     assert defaulted == []
+
+
+def _benchmark_tracer():
+    """``perfbench/tracer.py``, loaded by path and left as it is."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer",
+                                                  ROOT / "perfbench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_benchmark_tracer_finds_and_times_every_pinned_call(tmp_path):
+    # The tracer wraps phm's functions where their callers look them up, so a
+    # renamed function or a call moved to another module silently empties a span.
+    tracing = _benchmark_tracer()
+    ref = synthetic_cloud(2500, 3)
+    clouds = {"ref": ref, "noise": with_luminance_noise(ref, 20.0, seed=4),
+              "jitter": with_geometry_jitter(ref, 0.5, seed=5)}
+    for name, cloud in clouds.items():
+        save_ply(cloud, tmp_path / f"{name}.ply", binary=True)
+    manifest, out = tmp_path / "m.csv", tmp_path / "out.csv"
+    manifest.write_text("pair_id,ref_path,dist_path\n" + "".join(
+        f"{name},{tmp_path / 'ref.ply'},{tmp_path / f'{name}.ply'}\n"
+        for name in ("noise", "jitter")), encoding="utf-8")
+    tracer = tracing.Tracer()
+    replacements, missing = tracing.instrument(tracer)
+    assert missing == []
+    with tracing.patched(replacements):
+        assert phm.cli.main(["batch", "--manifest", str(manifest), "--out", str(out)]) == 0
+    with out.open(encoding="utf-8", newline="") as fh:
+        assert [(row["pair_id"], row["error"]) for row in csv.DictReader(fh)] == [
+            ("noise", ""), ("jitter", "")]
+    assert [name for _, _, name, _ in tracing.TARGETS if tracer.calls[name] == 0] == []
+    # The colour-only copy shares the reference's cells and graphs; only the
+    # jittered copy, the second row, is partitioned and graphed.
+    assert tracer.calls["patches.partition"] == tracer.calls["appearance.prepare"] == 1
+    assert tracer.calls["patches.graph_build"] == 2
+    rows = sorted((start, end) for _, _, _, name, start, end in tracer.spans if name == "cli.row")
+    for span in tracer.spans:
+        if span[3] in ("patches.partition", "appearance.prepare"):
+            assert rows[1][0] <= span[4] <= span[5] <= rows[1][1]

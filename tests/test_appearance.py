@@ -21,13 +21,13 @@ from phm.patches import eigendecompose, partition_into_patch_pairs, reference_ce
 from conftest import compared_rows, random_cloud
 from dense_oracle import dense_bands, dense_spectrum, lanczos_bands, laplacian
 from side_oracle import graph_smoothness, pearson, side_graph, side_wcm
-from test_patches import make_graph
+from test_patches import cell_pairs, make_graph
 
 
 def patch_pairs(ref, dist, cells, k2):
     """Prepared pairs as phm_score builds them: the reference sides, then dist."""
     rc = reference_cells(ref, cells)
-    sides = prepare_sides(ref, rc.members, k2, 3, True)
+    sides = prepare_sides(ref, rc.order, rc.sizes, k2, 3, True)
     return prepare_pairs(sides, dist, partition_into_patch_pairs(rc, dist), k2, 3, True)
 
 
@@ -110,7 +110,7 @@ def test_degenerate_pairs_are_excluded():
     from phm.cloud import PointCloud
     pos = rng.uniform(0, 1.5, size=(40, 3))  # clustered in one corner
     dist = PointCloud.from_arrays(pos, rng.integers(0, 256, (40, 3), dtype=np.uint8))
-    pairs = partition_into_patch_pairs(reference_cells(ref, 6), dist)
+    pairs = cell_pairs(ref, dist, 6)
     empties = [di for _, di in pairs if len(di) < 2]
     assert empties, "fixture should produce at least one starved cell"
     per_patch, d_l_o = compared_rows(geometry_degradation, patch_pairs(ref, dist, 6, k2=5), 1e-6)
@@ -370,8 +370,8 @@ def test_flat_patch_against_jitters_of_itself_scores_one(n):
     pos = rng.uniform(0, 5, size=(n, 3))
     colors = np.full((n, 3), 120)
     ref = PointCloud.from_arrays(pos, colors)
-    whole = [(np.arange(n), np.arange(n))]
-    sides = prepare_sides(ref, [np.arange(n)], k2=10, num_bandpass=3, continuous_tail=True)
+    whole = np.arange(n), np.array([n])
+    sides = prepare_sides(ref, *whole, k2=10, num_bandpass=3, continuous_tail=True)
     for _ in range(4):
         dist = PointCloud.from_arrays(pos + rng.uniform(-0.05, 0.05, size=(n, 3)), colors)
         per_patch, d_l_i = compared_rows(

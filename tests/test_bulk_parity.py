@@ -15,7 +15,7 @@ from phm.patches import (build_patch_graph, chunk_graph, partition_into_patch_pa
                          reference_cells)
 from phm.synthetic import synthetic_cloud, with_geometry_jitter, with_luminance_noise
 
-from conftest import compared_rows
+from conftest import compared_rows, split_cells
 from side_oracle import DegeneratePatch, build_wcm, graph_smoothness
 from side_oracle import _pearson as oracle_pearson
 from side_oracle import build_patch_graph as oracle_graph
@@ -84,8 +84,8 @@ def test_single_cell_cloud_matches_the_oracle(n, k2):
 def test_prepare_sides_matches_the_oracle():
     # A cell above 3,000 points is graphed whole, like any other.
     cloud = synthetic_cloud(3600, seed=3)
-    cells = [np.arange(3200), np.arange(3200, len(cloud))]
-    sides = prepare_sides(cloud, cells, k2=10, num_bandpass=3, continuous_tail=True)
+    sides = prepare_sides(cloud, np.arange(len(cloud)), np.array([3200, 400]), k2=10,
+                          num_bandpass=3, continuous_tail=True)
     assert sides.sizes.tolist() == [3200, 400]
     assert_cells_match_oracle(sides, cloud.positions, 10)
 
@@ -95,7 +95,8 @@ def test_a_chunk_of_sides_is_the_graph_of_its_points_alone():
     # through chunk_graph: it must give what the bulk pass gives on the chunk's
     # points and sizes alone, an empty and a one-point cell included.
     cloud = synthetic_cloud(6000, seed=11)
-    cells = reference_cells(cloud, 60).members
+    rc = reference_cells(cloud, 60)
+    cells = split_cells(rc.order, rc.sizes)
     cells[20:20], cells[40:40] = [np.empty(0, np.intp)], [cells[7][:1]]
     points = cloud.positions[np.concatenate(cells)]
     sides = build_patch_graph(points, [len(c) for c in cells], 10)
@@ -128,7 +129,7 @@ def oracle_rows(prepared, num_bins):
 
 def pairs_of(ref, dist, cells):
     rc = reference_cells(ref, cells)
-    return prepare_pairs(prepare_sides(ref, rc.members, 10, 3, True), dist,
+    return prepare_pairs(prepare_sides(ref, rc.order, rc.sizes, 10, 3, True), dist,
                          partition_into_patch_pairs(rc, dist), 10, 3, True)
 
 

@@ -5,12 +5,14 @@ The oracle (``dense_oracle``) is the exact spectrum: ``laplacian`` plus
 the same wavelet kernels with the side's own lambda_max.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import phm.patches
 from phm.appearance import GAMMA, filter_sides, sgwt_decompose
-from phm.errors import ShapeError
+from phm.errors import ShapeError, SpectralError
 from phm.metric import MetricConfig, phm_score
 from phm.patches import (KRYLOV_STEPS, LARGE_SIDE, SMALL_SIDE_STEPS, build_patch_graph,
                          eigendecompose, reference_cells, spectral_chunks)
@@ -85,11 +87,10 @@ def test_cloud_bands_do_not_depend_on_the_chunk_size(monkeypatch):
     points, luminance, sizes = [], [], []
     for n, num_cells, seed in [(20_000, 20_000 // 60, 3), (12_000, 40, 4), (10_000, 400, 5)]:
         cloud = synthetic_cloud(n, seed=seed)
-        cells = reference_cells(cloud, num_cells).members
-        idx = np.concatenate(cells)
-        points.append(cloud.positions[idx])
-        luminance.append(cloud.luminance[idx])
-        sizes += [len(c) for c in cells]
+        cells = reference_cells(cloud, num_cells)
+        points.append(cloud.positions[cells.order])
+        luminance.append(cloud.luminance[cells.order])
+        sizes += cells.sizes.tolist()
     sides = build_patch_graph(np.vstack(points), sizes, 10)
     sizes = np.where(sides.valid, sides.sizes, 0)
 
@@ -153,6 +154,23 @@ def test_signal_length_is_checked():
     g = side_graph(np.random.default_rng(3).uniform(0, 1, (20, 3)), 10)
     with pytest.raises(ShapeError):
         eigendecompose(g, np.zeros(19))
+
+
+def test_non_finite_lanczos_coefficients_raise_spectral_error():
+    g = side_graph(np.random.default_rng(3).uniform(0, 1, (20, 3)), 10)
+    weights = g.weights.copy()
+    weights[3] = np.nan
+    with pytest.raises(SpectralError, match="non-finite"):
+        eigendecompose(replace(g, weights=weights), np.arange(20.0))
+
+
+def test_a_failed_tridiagonal_solve_raises_spectral_error(monkeypatch):
+    def failing_stevd(d, e):
+        return d, np.eye(len(d)), 1  # LAPACK's info > 0: no convergence
+    monkeypatch.setattr(phm.patches, "get_lapack_funcs", lambda name, dtype: failing_stevd)
+    g = side_graph(np.random.default_rng(3).uniform(0, 1, (20, 3)), 10)
+    with pytest.raises(SpectralError, match="info 1"):
+        eigendecompose(g, np.arange(20.0))
 
 
 def assert_within_gate_of_dense_oracle(monkeypatch, config):

@@ -15,7 +15,7 @@ from phm.patches import partition_into_patch_pairs
 from phm.synthetic import synthetic_cloud, with_geometry_jitter, with_luminance_noise
 from phm.visible import visible_difference
 
-from conftest import random_cloud
+from conftest import random_cloud, split_cells
 from side_oracle import DegeneratePatch, graph_smoothness
 from side_oracle import build_patch_graph as oracle_graph
 from test_bulk_parity import oracle_rows
@@ -141,7 +141,7 @@ def test_phm_requires_enough_points():
 
 def test_prepare_reference_default_cell_count():
     # max(1, N // patch_divisor) cells: 2,500 points give 2 at the default 1000
-    assert len(prepare_reference(random_cloud(2500, seed=1)).cells.members) == 2
+    assert len(prepare_reference(random_cloud(2500, seed=1)).cells.sizes) == 2
 
 
 @pytest.mark.parametrize("name, value", [
@@ -194,8 +194,8 @@ def test_prepared_reference_features_are_not_recomputed(textured_cloud, monkeypa
     if moved:
         # One bulk graph pass over the distorted cloud's points, cell by cell.
         [points] = calls["build_patch_graph"]
-        cells = [di for _, di in partition_into_patch_pairs(prepared.cells, dist)]
-        np.testing.assert_array_equal(points, dist.positions[np.concatenate(cells)])
+        order, _ = partition_into_patch_pairs(prepared.cells, dist)
+        np.testing.assert_array_equal(points, dist.positions[order])
         [positions] = indexes
         np.testing.assert_array_equal(positions, dist.positions)
     else:
@@ -231,8 +231,8 @@ def _general_report(prepared, dist):
     cfg = prepared.config
     vd = visible_difference(prepared.cloud, dist, SpatialIndex(prepared.cloud.positions),
                             prepared.complexity, cfg.alpha, False)
-    pairs = partition_into_patch_pairs(prepared.cells, dist)
-    sides = prepare_pairs(prepared.sides, dist, pairs, cfg.k2, cfg.num_bandpass,
+    dist_cells = partition_into_patch_pairs(prepared.cells, dist)
+    sides = prepare_pairs(prepared.sides, dist, dist_cells, cfg.k2, cfg.num_bandpass,
                           cfg.continuous_tail)
     return phm.metric._report(prepared, dist, cfg, vd, sides, {})
 
@@ -297,9 +297,10 @@ def test_report_scores_only_cells_where_both_sides_have_a_graph():
     assert report.status == "ok"
 
     prepared = prepare_reference(ref, cfg)
-    pairs = partition_into_patch_pairs(prepared.cells, dist)
-    sides = prepare_pairs(prepared.sides, dist, pairs, cfg.k2, cfg.num_bandpass,
+    dist_cells = partition_into_patch_pairs(prepared.cells, dist)
+    sides = prepare_pairs(prepared.sides, dist, dist_cells, cfg.k2, cfg.num_bandpass,
                           cfg.continuous_tail)
+    pairs = zip(split_cells(prepared.cells.order, prepared.cells.sizes), split_cells(*dist_cells))
     want_fw = oracle_rows(sides, cfg.nb_bins)
     kinds = set()
     for entry, (ri, di), fw in zip(report.diagnostics["per_patch"], pairs, want_fw):

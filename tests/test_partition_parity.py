@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from phm.cloud import PointCloud, farthest_point_sample
 from phm.patches import partition_into_patch_pairs, reference_cells
 
+from conftest import split_cells
+
 
 def fps_loop_oracle(positions, num_seeds, start=0):
     """Greedy FPS keeping a running minimum of full-row squared distances."""
@@ -55,11 +57,12 @@ def check_parity(ref_pos, dist_pos, cells):
     ref, dist = cloud_of(ref_pos), cloud_of(dist_pos)
     seeds = farthest_point_sample(ref, cells)
     np.testing.assert_array_equal(seeds, fps_loop_oracle(ref.positions, cells))
-    pairs = partition_into_patch_pairs(reference_cells(ref, cells), dist)
-    assert len(pairs) == cells  # the cell id is the list position
+    rc = reference_cells(ref, cells)
+    partitions = (rc.order, rc.sizes), partition_into_patch_pairs(rc, dist)
     seed_pos = ref.positions[seeds]
-    for side, cloud in ((0, ref), (1, dist)):
-        sides = [p[side] for p in pairs]
+    for (order, sizes), cloud in zip(partitions, (ref, dist)):
+        assert len(sizes) == cells  # the cell id is the position in sizes
+        sides = split_cells(order, sizes)
         want = nearest_seed_oracle(cloud.positions, seed_pos)
         np.testing.assert_array_equal(cell_ids(sides, len(cloud)), want)
         for cell, idx in enumerate(sides):

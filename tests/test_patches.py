@@ -6,10 +6,17 @@ import pytest
 from phm.cloud import PointCloud
 from phm.patches import partition_into_patch_pairs, reference_cells
 
-from conftest import random_cloud
+from conftest import random_cloud, split_cells
 from dense_oracle import dense_spectrum, laplacian, one_side
 from side_oracle import DegeneratePatch, side_graph
 from side_oracle import build_patch_graph as oracle_graph
+
+
+def cell_pairs(ref, dist, cells):
+    """(ref_idx, dist_idx) point indices of each cell, the cell id as the list position."""
+    rc = reference_cells(ref, cells)
+    return list(zip(split_cells(rc.order, rc.sizes),
+                    split_cells(*partition_into_patch_pairs(rc, dist))))
 
 
 def make_graph(edges, n, weights=None):
@@ -38,7 +45,7 @@ def edge_set_oracle(points, k2):
 # --- partition ---------------------------------------------------------------
 
 def test_single_cell_holds_everything(small_cloud):
-    pairs = partition_into_patch_pairs(reference_cells(small_cloud, 1), small_cloud)
+    pairs = cell_pairs(small_cloud, small_cloud, 1)
     assert len(pairs) == 1
     ref_idx, dist_idx = pairs[0]
     np.testing.assert_array_equal(ref_idx, np.arange(len(small_cloud)))
@@ -48,7 +55,7 @@ def test_single_cell_holds_everything(small_cloud):
 def test_points_go_to_nearer_seed():
     pos = np.array([[0, 0, 0], [10, 0, 0], [1, 0, 0], [9, 0, 0]], dtype=float)
     cloud = PointCloud.from_arrays(pos, np.zeros((4, 3), dtype=np.uint8))
-    pairs = partition_into_patch_pairs(reference_cells(cloud, 2), cloud)
+    pairs = cell_pairs(cloud, cloud, 2)
     # FPS from index 0 picks the far end (index 1) as the second seed
     cell_of = {}
     for cell, (ref_idx, _) in enumerate(pairs):
@@ -61,7 +68,7 @@ def test_points_go_to_nearer_seed():
 def test_partition_matches_bruteforce_assignment():
     ref = random_cloud(500, seed=41)
     dist = random_cloud(480, seed=42)
-    pairs = partition_into_patch_pairs(reference_cells(ref, 5), dist)
+    pairs = cell_pairs(ref, dist, 5)
     from phm.cloud import farthest_point_sample
     seeds = ref.positions[farthest_point_sample(ref, 5)]
 
