@@ -92,7 +92,9 @@ class SpatialIndex:
     """
 
     def __init__(self, positions: np.ndarray):
-        pos = np.ascontiguousarray(positions, dtype=np.float64)
+        # A writable array could change under the tree: index a copy, and a read-only one as is.
+        frozen = isinstance(positions, np.ndarray) and not positions.flags.writeable
+        pos = np.array(positions, dtype=np.float64, order="C", copy=None if frozen else True)
         if pos.ndim != 2 or pos.shape[1] != 3:
             raise ValueError("positions must be (N, 3)")
         if len(pos) == 0:

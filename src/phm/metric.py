@@ -6,7 +6,7 @@ import json
 import math
 import numbers
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .appearance import (
 )
 from .cloud import PointCloud, SpatialIndex
 from .errors import CloudTooSmall, DomainError, ParseError
-from .patches import CloudSides, ReferenceCells, partition_into_patch_pairs, reference_cells
+from .patches import CloudSides, partition_into_patch_pairs, reference_cells
 from .visible import VisibleDifference, reference_masking, upsilon, visible_difference
 
 _FUSION_MODES = ("multiply", "average")
@@ -30,9 +30,9 @@ MAX_NUM_BANDPASS = 64
 MAX_NB_BINS = 1024
 
 
-@dataclass
+@dataclass(frozen=True)
 class MetricConfig:
-    """All tunable knobs of the metric with their default operating points."""
+    """All tunable knobs of the metric and their defaults, validated once: the config is frozen."""
 
     alpha: float = 4.5  # masking compensation strength
     mu: float = 5.0  # adaptive-combination steepness
@@ -78,8 +78,7 @@ class MetricConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "MetricConfig":
-        known = {f.name: f.type for f in fields(cls)}
-        unknown = sorted(set(data) - set(known))
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
         if unknown:
             raise ParseError(f"unknown config keys: {unknown}")
         try:
@@ -157,16 +156,17 @@ class PreparedReference:
 
     Built by ``prepare_reference`` and reusable for any number of distorted
     copies: the reference's exact NN index and texture complexity C(ref),
-    its Voronoi cells with their seed tree, and its ``CloudSides``
-    (graphs, coordinate smoothness and SGWT sub-bands). ``config`` is the
-    configuration it was built with; only its REFERENCE_FIELDS matter here.
+    its FPS seed tree, its points cell by cell, and its ``CloudSides`` (cell
+    counts, graphs, coordinate smoothness and SGWT sub-bands). ``config`` is
+    the configuration it was built with; only its REFERENCE_FIELDS matter here.
     """
 
     cloud: PointCloud
     config: MetricConfig
     index: SpatialIndex
     complexity: float
-    cells: ReferenceCells
+    seed_index: SpatialIndex
+    order: np.ndarray  # (N,)
     sides: CloudSides
 
 
@@ -176,16 +176,14 @@ def prepare_reference(ref: PointCloud, config: MetricConfig | None = None) -> Pr
     Raises CloudTooSmall when the reference has no more points than the AR
     order k1.
     """
-    # A copy: editing the caller's config later must not change what this records.
-    cfg = replace(config) if config is not None else MetricConfig()
+    cfg = config if config is not None else MetricConfig()
     if len(ref) <= cfg.k1:
         raise CloudTooSmall(
             f"reference has {len(ref)} points; AR order {cfg.k1} needs more")
     index, complexity = reference_masking(ref, cfg.k1)
-    cells = reference_cells(ref, max(1, len(ref) // cfg.patch_divisor))
-    sides = prepare_sides(ref, cells.order, cells.sizes, cfg.k2, cfg.num_bandpass,
-                          cfg.continuous_tail)
-    return PreparedReference(ref, cfg, index, complexity, cells, sides)
+    seed_index, order, sizes = reference_cells(ref, max(1, len(ref) // cfg.patch_divisor))
+    sides = prepare_sides(ref, order, sizes, cfg.k2, cfg.num_bandpass, cfg.continuous_tail)
+    return PreparedReference(ref, cfg, index, complexity, seed_index, order, sides)
 
 
 def phm_score(
@@ -233,10 +231,10 @@ def phm_score(
     t0 = time.perf_counter()
     if same_points:
         prepared = reference.sides, filter_sides(
-            reference.sides, dist.luminance[reference.cells.order], cfg.num_bandpass,
+            reference.sides, dist.luminance[reference.order], cfg.num_bandpass,
             cfg.continuous_tail)
     else:
-        dist_cells = partition_into_patch_pairs(reference.cells, dist)
+        dist_cells = partition_into_patch_pairs(reference.seed_index, dist)
         prepared = prepare_pairs(reference.sides, dist, dist_cells, cfg.k2, cfg.num_bandpass,
                                  cfg.continuous_tail)
     timing["partition_and_graphs"] = time.perf_counter() - t0

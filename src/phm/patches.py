@@ -30,28 +30,18 @@ SMALL_SIDE_STEPS = 40
 CHUNK_POINTS = 4096
 
 
-@dataclass(frozen=True)
-class ReferenceCells:
-    """Voronoi cells of FPS seeds drawn from a reference cloud.
-
-    ``order`` lists the reference points cell by cell, ascending within each
-    cell, and ``sizes`` counts each cell's points; ``seed_index`` assigns
-    the points of any other cloud to the same cells.
-    """
-
-    seed_index: SpatialIndex
-    order: np.ndarray  # (N,)
-    sizes: np.ndarray  # (cells,)
-
-
-def reference_cells(ref: PointCloud, num_cells: int) -> ReferenceCells:
+def reference_cells(ref: PointCloud,
+                    num_cells: int) -> tuple[SpatialIndex, np.ndarray, np.ndarray]:
     """Split the reference into the Voronoi cells of its FPS seeds.
 
-    The partition is exhaustive and disjoint.
+    Returns (seed_index, order, sizes): ``order`` lists the reference points
+    cell by cell, ascending within each cell, and ``sizes`` counts each
+    cell's points; ``seed_index`` assigns the points of any other cloud to
+    the same cells. The partition is exhaustive and disjoint.
     """
     seeds = farthest_point_sample(ref, num_cells)
     seed_index = SpatialIndex(ref.positions[seeds])
-    return ReferenceCells(seed_index, *_cell_order(seed_index, ref))
+    return seed_index, *_cell_order(seed_index, ref)
 
 
 def _cell_order(seed_index: SpatialIndex, cloud: PointCloud) -> tuple[np.ndarray, np.ndarray]:
@@ -61,11 +51,11 @@ def _cell_order(seed_index: SpatialIndex, cloud: PointCloud) -> tuple[np.ndarray
     return np.argsort(cell_of, kind="stable"), np.bincount(cell_of, minlength=seed_index.n)
 
 
-def partition_into_patch_pairs(cells: ReferenceCells,
+def partition_into_patch_pairs(seed_index: SpatialIndex,
                                dist: PointCloud) -> tuple[np.ndarray, np.ndarray]:
-    """(order, sizes) of the distorted points nearest each reference cell's seed; a cell may
-    be empty. The name stays while ``perfbench/tracer.py`` times it."""
-    return _cell_order(cells.seed_index, dist)
+    """(order, sizes) of the distorted points nearest each reference cell's seed in
+    ``seed_index``; a cell may be empty. The name stays while ``perfbench/tracer.py`` times it."""
+    return _cell_order(seed_index, dist)
 
 
 @dataclass(frozen=True)

@@ -26,9 +26,9 @@ from test_patches import cell_pairs, make_graph
 
 def patch_pairs(ref, dist, cells, k2):
     """Prepared pairs as phm_score builds them: the reference sides, then dist."""
-    rc = reference_cells(ref, cells)
-    sides = prepare_sides(ref, rc.order, rc.sizes, k2, 3, True)
-    return prepare_pairs(sides, dist, partition_into_patch_pairs(rc, dist), k2, 3, True)
+    seed_index, order, sizes = reference_cells(ref, cells)
+    sides = prepare_sides(ref, order, sizes, k2, 3, True)
+    return prepare_pairs(sides, dist, partition_into_patch_pairs(seed_index, dist), k2, 3, True)
 
 
 def random_connected_graph(seed, n_max=50):

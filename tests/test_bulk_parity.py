@@ -95,8 +95,8 @@ def test_a_chunk_of_sides_is_the_graph_of_its_points_alone():
     # through chunk_graph: it must give what the bulk pass gives on the chunk's
     # points and sizes alone, an empty and a one-point cell included.
     cloud = synthetic_cloud(6000, seed=11)
-    rc = reference_cells(cloud, 60)
-    cells = split_cells(rc.order, rc.sizes)
+    _, order, sizes = reference_cells(cloud, 60)
+    cells = split_cells(order, sizes)
     cells[20:20], cells[40:40] = [np.empty(0, np.intp)], [cells[7][:1]]
     points = cloud.positions[np.concatenate(cells)]
     sides = build_patch_graph(points, [len(c) for c in cells], 10)
@@ -128,9 +128,9 @@ def oracle_rows(prepared, num_bins):
 
 
 def pairs_of(ref, dist, cells):
-    rc = reference_cells(ref, cells)
-    return prepare_pairs(prepare_sides(ref, rc.order, rc.sizes, 10, 3, True), dist,
-                         partition_into_patch_pairs(rc, dist), 10, 3, True)
+    seed_index, order, sizes = reference_cells(ref, cells)
+    return prepare_pairs(prepare_sides(ref, order, sizes, 10, 3, True), dist,
+                         partition_into_patch_pairs(seed_index, dist), 10, 3, True)
 
 
 def flat_patch_cloud(n, seed):

@@ -193,6 +193,15 @@ def test_empty_index_raises():
         SpatialIndex(np.empty((0, 3)))
 
 
+def test_index_copies_a_writable_array_and_keeps_a_read_only_one():
+    pos = np.arange(12, dtype=np.float64).reshape(4, 3)
+    idx = SpatialIndex(pos)
+    pos[0, 0] = 100.0  # still the caller's to edit, and the index does not see it
+    assert idx.query([0.0, 1.0, 2.0], 1).tolist() == [0]
+    cloud = random_cloud(50, seed=3)
+    assert SpatialIndex(cloud.positions)._positions is cloud.positions
+
+
 def test_knn_exact_at_500_points():
     cloud = random_cloud(500, seed=55)
     idx = SpatialIndex(cloud.positions)

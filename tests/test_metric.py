@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -107,6 +108,25 @@ def test_config_rejects_ill_typed_values(bad):
         MetricConfig.from_dict(bad)
 
 
+def test_config_is_frozen_and_replace_validates_again():
+    cfg = MetricConfig()
+    for f in dataclasses.fields(cfg):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, f.name, getattr(cfg, f.name))
+    # A variant is a new config, checked as any other: no out-of-range value reaches phm_score.
+    with pytest.raises(ValueError, match="nb_bins"):
+        dataclasses.replace(cfg, nb_bins=5000)
+    assert dataclasses.replace(cfg, nb_bins=20).nb_bins == 20 and cfg.nb_bins == 50
+
+
+def test_prepared_reference_keeps_the_config_it_was_given(textured_cloud):
+    cfg = MetricConfig(patch_divisor=500)
+    prepared = prepare_reference(textured_cloud, cfg)
+    assert prepared.config is cfg
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        prepared.config.k2 = 3
+
+
 def test_config_file_roundtrip(tmp_path):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"mu": 3.0, "nb_bins": 20}))
@@ -141,7 +161,7 @@ def test_phm_requires_enough_points():
 
 def test_prepare_reference_default_cell_count():
     # max(1, N // patch_divisor) cells: 2,500 points give 2 at the default 1000
-    assert len(prepare_reference(random_cloud(2500, seed=1)).cells.sizes) == 2
+    assert len(prepare_reference(random_cloud(2500, seed=1)).sides.sizes) == 2
 
 
 @pytest.mark.parametrize("name, value", [
@@ -194,7 +214,7 @@ def test_prepared_reference_features_are_not_recomputed(textured_cloud, monkeypa
     if moved:
         # One bulk graph pass over the distorted cloud's points, cell by cell.
         [points] = calls["build_patch_graph"]
-        order, _ = partition_into_patch_pairs(prepared.cells, dist)
+        order, _ = partition_into_patch_pairs(prepared.seed_index, dist)
         np.testing.assert_array_equal(points, dist.positions[order])
         [positions] = indexes
         np.testing.assert_array_equal(positions, dist.positions)
@@ -231,7 +251,7 @@ def _general_report(prepared, dist):
     cfg = prepared.config
     vd = visible_difference(prepared.cloud, dist, SpatialIndex(prepared.cloud.positions),
                             prepared.complexity, cfg.alpha, False)
-    dist_cells = partition_into_patch_pairs(prepared.cells, dist)
+    dist_cells = partition_into_patch_pairs(prepared.seed_index, dist)
     sides = prepare_pairs(prepared.sides, dist, dist_cells, cfg.k2, cfg.num_bandpass,
                           cfg.continuous_tail)
     return phm.metric._report(prepared, dist, cfg, vd, sides, {})
@@ -297,10 +317,10 @@ def test_report_scores_only_cells_where_both_sides_have_a_graph():
     assert report.status == "ok"
 
     prepared = prepare_reference(ref, cfg)
-    dist_cells = partition_into_patch_pairs(prepared.cells, dist)
+    dist_cells = partition_into_patch_pairs(prepared.seed_index, dist)
     sides = prepare_pairs(prepared.sides, dist, dist_cells, cfg.k2, cfg.num_bandpass,
                           cfg.continuous_tail)
-    pairs = zip(split_cells(prepared.cells.order, prepared.cells.sizes), split_cells(*dist_cells))
+    pairs = zip(split_cells(prepared.order, prepared.sides.sizes), split_cells(*dist_cells))
     want_fw = oracle_rows(sides, cfg.nb_bins)
     kinds = set()
     for entry, (ri, di), fw in zip(report.diagnostics["per_patch"], pairs, want_fw):

@@ -57,8 +57,8 @@ def check_parity(ref_pos, dist_pos, cells):
     ref, dist = cloud_of(ref_pos), cloud_of(dist_pos)
     seeds = farthest_point_sample(ref, cells)
     np.testing.assert_array_equal(seeds, fps_loop_oracle(ref.positions, cells))
-    rc = reference_cells(ref, cells)
-    partitions = (rc.order, rc.sizes), partition_into_patch_pairs(rc, dist)
+    seed_index, *ref_cells = reference_cells(ref, cells)
+    partitions = ref_cells, partition_into_patch_pairs(seed_index, dist)
     seed_pos = ref.positions[seeds]
     for (order, sizes), cloud in zip(partitions, (ref, dist)):
         assert len(sizes) == cells  # the cell id is the position in sizes

@@ -14,9 +14,9 @@ from side_oracle import build_patch_graph as oracle_graph
 
 def cell_pairs(ref, dist, cells):
     """(ref_idx, dist_idx) point indices of each cell, the cell id as the list position."""
-    rc = reference_cells(ref, cells)
-    return list(zip(split_cells(rc.order, rc.sizes),
-                    split_cells(*partition_into_patch_pairs(rc, dist))))
+    seed_index, order, sizes = reference_cells(ref, cells)
+    return list(zip(split_cells(order, sizes),
+                    split_cells(*partition_into_patch_pairs(seed_index, dist))))
 
 
 def make_graph(edges, n, weights=None):
