@@ -52,10 +52,6 @@ def main():
             cfg = replace(base, inner_fusion=inner, outer_fusion=outer)
             show(f"[{inner[0]}, {outer[0]}]", phm_score(ref, dist, cfg))
 
-    print("\nband-pass tail")
-    for tail in (True, False):
-        show(f"continuous={tail}", phm_score(ref, dist, replace(base, continuous_tail=tail)))
-
 
 if __name__ == "__main__":
     main()

@@ -24,4 +24,4 @@ __all__ = [
     "PhmError",
 ]
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -31,18 +31,16 @@ def prepare_sides(
     sizes: np.ndarray,
     k2: int,
     num_bandpass: int,
-    continuous_tail: bool,
 ) -> CloudSides:
     """Graph a cloud's cells, its points in ``order`` and ``sizes`` per cell, then filter them."""
     sides = build_patch_graph(cloud.positions[order], sizes, k2)
-    return filter_sides(sides, cloud.luminance[order], num_bandpass, continuous_tail)
+    return filter_sides(sides, cloud.luminance[order], num_bandpass)
 
 
 def filter_sides(
     sides: CloudSides,
     luminance: np.ndarray,
     num_bandpass: int,
-    continuous_tail: bool,
 ) -> CloudSides:
     """``sides`` with the SGWT sub-bands of ``luminance``, given in their point order.
 
@@ -52,8 +50,7 @@ def filter_sides(
     bands = np.zeros((num_bandpass + 1, len(luminance)))
     for cells in spectral_chunks(np.where(sides.valid, sides.sizes, 0)):
         chunk, points = chunk_graph(sides, cells)
-        bands[:, points] = sgwt_decompose(eigendecompose(chunk, luminance[points]), num_bandpass,
-                                          continuous_tail)
+        bands[:, points] = sgwt_decompose(eigendecompose(chunk, luminance[points]), num_bandpass)
     return replace(sides, bands=bands)
 
 
@@ -63,12 +60,11 @@ def prepare_pairs(
     dist_cells: tuple[np.ndarray, np.ndarray],
     k2: int,
     num_bandpass: int,
-    continuous_tail: bool,
 ) -> tuple[CloudSides, CloudSides]:
     """The prepared reference sides and the distorted sides, prepared here from the
-    ``partition_into_patch_pairs`` cells ``dist_cells``, with the ``k2``, ``num_bandpass``
-    and ``continuous_tail`` that ``ref_sides`` was prepared with."""
-    return ref_sides, prepare_sides(dist, *dist_cells, k2, num_bandpass, continuous_tail)
+    ``partition_into_patch_pairs`` cells ``dist_cells``, with the ``k2`` and ``num_bandpass``
+    that ``ref_sides`` was prepared with."""
+    return ref_sides, prepare_sides(dist, *dist_cells, k2, num_bandpass)
 
 
 def _smoothness_similarity(sx: float, sy: float, t: float) -> float:
@@ -88,10 +84,9 @@ def geometry_degradation(
     return _smoothness_similarity(ref.smoothness[cells], dist.smoothness[cells], stabilizer)
 
 
-def band_pass(x: np.ndarray, continuous_tail: bool) -> np.ndarray:
-    """Band-pass g: x^2 below 1, cubic on [1, 2], 4/x^2 above (1/x^2 without continuous_tail)."""
+def band_pass(x: np.ndarray) -> np.ndarray:
+    """Band-pass g: x^2 below 1, cubic on [1, 2], 4/x^2 above; continuous at 1 and 2."""
     arr = np.asarray(x, dtype=np.float64)
-    tail_scale = 4.0 if continuous_tail else 1.0
     out = np.empty_like(arr)
     low = arr < 1.0
     high = arr > 2.0
@@ -99,19 +94,18 @@ def band_pass(x: np.ndarray, continuous_tail: bool) -> np.ndarray:
     out[low] = arr[low] ** 2
     lm = arr[mid]
     out[mid] = ((lm - 6.0) * lm + 11.0) * lm - 5.0
-    out[high] = tail_scale / (arr[high] ** 2)
+    out[high] = 4.0 / (arr[high] ** 2)
     return out
 
 
 # Max of g: the cubic at the root of 3 x^2 - 12 x + 11 inside [1, 2]. It is
 # the low-pass kernel's height, so h(0) = max g.
-GAMMA = float(band_pass(np.array([2.0 - 1.0 / math.sqrt(3.0)]), True)[0])
+GAMMA = float(band_pass(np.array([2.0 - 1.0 / math.sqrt(3.0)]))[0])
 
 
 def sgwt_decompose(
     spectrum: Spectrum,
     num_bandpass: int,
-    continuous_tail: bool,
 ) -> np.ndarray:
     """Filter a chunk's signal through PHM's wavelet kernels: a (C + 1, N) array.
 
@@ -126,7 +120,7 @@ def sgwt_decompose(
     lam, lambda_max = spectrum.theta, spectrum.lambda_max[:, None]
     lambda_min = lambda_max / SCALE_SPAN
     kernels = [GAMMA * np.exp(-((lam / (0.6 * lambda_min)) ** 4))] + [
-        band_pass(t * lam, continuous_tail)
+        band_pass(t * lam)
         for t in np.geomspace(2.0 / lambda_max, 2.0 / lambda_min, num_bandpass)]
     weighted = spectrum.coefficients * np.array(kernels)  # (C + 1, B, k)
     out = np.empty((num_bandpass + 1, spectrum.sizes.sum()))

@@ -57,14 +57,7 @@ def cmd_score(args) -> int:
     return 0
 
 
-_BOOL_STRINGS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
-
-
 def _convert_override(name: str, raw: str, kind: type):
-    if kind is bool:
-        if raw.lower() not in _BOOL_STRINGS:
-            raise ParseError(f"bad boolean {raw!r} for config key {name!r}")
-        return _BOOL_STRINGS[raw.lower()]
     try:
         return kind(raw)
     except ValueError:
@@ -119,6 +112,8 @@ def _reference_key(ref_path: str, cfg: MetricConfig) -> tuple:
 def _error_cell(pair_id, e: Exception) -> str:
     if isinstance(e, FileNotFoundError):
         return f"missing file: {e.filename}"
+    if isinstance(e, MemoryError):  # input too large for this machine, not a defect
+        return f"MemoryError: {str(e) or 'out of memory'}"
     if not isinstance(e, (PhmError, OSError)):  # a defect, not bad input: keep the traceback visible
         sys.stderr.write(f"pair {pair_id!r} failed:\n{''.join(traceback.format_exception(e))}")
     return f"{type(e).__name__}: {e}"
@@ -257,6 +252,9 @@ def main(argv=None) -> int:
     except OSError as e:
         _emit_error(e)
         return 1
+    except MemoryError as e:  # input too large for this machine: a numerical failure
+        _emit_error(MemoryError(str(e) or "out of memory"))
+        return 3
 
 
 if __name__ == "__main__":

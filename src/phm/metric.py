@@ -25,7 +25,7 @@ from .visible import VisibleDifference, reference_masking, upsilon, visible_diff
 
 _FUSION_MODES = ("multiply", "average")
 # The MetricConfig fields that the reference-only work depends on.
-REFERENCE_FIELDS = ("k1", "k2", "patch_divisor", "num_bandpass", "continuous_tail")
+REFERENCE_FIELDS = ("k1", "k2", "patch_divisor", "num_bandpass")
 MAX_NUM_BANDPASS = 64
 MAX_NB_BINS = 1024
 
@@ -44,7 +44,6 @@ class MetricConfig:
     stabilizer: float = 1e-6  # smoothness-similarity stabilizer T
     inner_fusion: str = "multiply"  # D_L^O with D_L^I
     outer_fusion: str = "multiply"  # D_H with D_L
-    continuous_tail: bool = True  # 4/lam^2 band-pass tail (continuous at 2)
 
     def __post_init__(self):
         # The upper bounds keep (C + 1) x N bands and Nb^2 WCMs within memory.
@@ -73,8 +72,6 @@ class MetricConfig:
         for name in ("inner_fusion", "outer_fusion"):
             if getattr(self, name) not in _FUSION_MODES:
                 raise ValueError(f"{name} must be one of {_FUSION_MODES}")
-        if not isinstance(self.continuous_tail, bool):
-            raise TypeError(f"continuous_tail must be a bool, got {self.continuous_tail!r}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "MetricConfig":
@@ -182,7 +179,7 @@ def prepare_reference(ref: PointCloud, config: MetricConfig | None = None) -> Pr
             f"reference has {len(ref)} points; AR order {cfg.k1} needs more")
     index, complexity = reference_masking(ref, cfg.k1)
     seed_index, order, sizes = reference_cells(ref, max(1, len(ref) // cfg.patch_divisor))
-    sides = prepare_sides(ref, order, sizes, cfg.k2, cfg.num_bandpass, cfg.continuous_tail)
+    sides = prepare_sides(ref, order, sizes, cfg.k2, cfg.num_bandpass)
     return PreparedReference(ref, cfg, index, complexity, seed_index, order, sides)
 
 
@@ -231,12 +228,10 @@ def phm_score(
     t0 = time.perf_counter()
     if same_points:
         prepared = reference.sides, filter_sides(
-            reference.sides, dist.luminance[reference.order], cfg.num_bandpass,
-            cfg.continuous_tail)
+            reference.sides, dist.luminance[reference.order], cfg.num_bandpass)
     else:
         dist_cells = partition_into_patch_pairs(reference.seed_index, dist)
-        prepared = prepare_pairs(reference.sides, dist, dist_cells, cfg.k2, cfg.num_bandpass,
-                                 cfg.continuous_tail)
+        prepared = prepare_pairs(reference.sides, dist, dist_cells, cfg.k2, cfg.num_bandpass)
     timing["partition_and_graphs"] = time.perf_counter() - t0
     return _report(reference, dist, cfg, vd, prepared, timing)
 

@@ -59,9 +59,9 @@ def as_spectrum(spectra):
                     np.array([lam[-1] for lam, _, _ in spectra]))
 
 
-def dense_bands(spectrum, num_bandpass, continuous_tail):
+def dense_bands(spectrum, num_bandpass):
     """(C + 1, n) SGWT sub-bands of one dense spectrum."""
-    return sgwt_decompose(as_spectrum([spectrum]), num_bandpass, continuous_tail)
+    return sgwt_decompose(as_spectrum([spectrum]), num_bandpass)
 
 
 def one_side(n, edges_i, edges_j, weights):
@@ -96,7 +96,7 @@ def use_dense_oracle(monkeypatch):
     monkeypatch.setattr(phm.appearance, "eigendecompose", spectra)
 
 
-def lanczos_bands(graph, signal, num_bandpass, continuous_tail):
+def lanczos_bands(graph, signal, num_bandpass):
     """Sub-bands of one side alone through phm's lockstep kernel."""
     spectrum = phm.appearance.eigendecompose(graph, signal)
-    return phm.appearance.sgwt_decompose(spectrum, num_bandpass, continuous_tail)
+    return phm.appearance.sgwt_decompose(spectrum, num_bandpass)

@@ -116,12 +116,12 @@ def test_criterion_4_sgwt_constants():
     for _ in range(100):
         g = random_connected_graph(rng)
         c = float(rng.uniform(-100, 100))
-        sub = lanczos_bands(g, np.full(g.n, c), 3, True)
+        sub = lanczos_bands(g, np.full(g.n, c), 3)
         assert np.abs(sub[1:]).max() <= 1e-9
         assert np.abs(sub[0] - GAMMA * c).max() <= 1e-9
     cubic_at_2 = ((2.0 - 6.0) * 2.0 + 11.0) * 2.0 - 5.0
     assert abs(cubic_at_2 - 4.0 / 2.0 ** 2) <= 1e-12
-    left, right = band_pass(np.array([2.0 - 1e-12, 2.0 + 1e-12]), True)
+    left, right = band_pass(np.array([2.0 - 1e-12, 2.0 + 1e-12]))
     assert abs(left - right) <= 1e-9
 
 
@@ -231,7 +231,6 @@ def test_criterion_9_spot_checks():
     omega, _ = combine_adaptive(0.6894, 0.5, mu=5.0, outer="multiply")
     assert abs(omega - 0.2249) <= 1e-4
     # a delta spectrum at 1e-3, below every knee of g = x^2, reads scale t as sqrt(band) / 1e-3
-    sub = dense_bands((np.array([1e-3, 2.0]), np.eye(2), np.array([1.0, 0.0])), num_bandpass=3,
-                      continuous_tail=True)
+    sub = dense_bands((np.array([1e-3, 2.0]), np.eye(2), np.array([1.0, 0.0])), num_bandpass=3)
     for got, want in zip(np.sqrt(sub[1:, 0]) / 1e-3, (1.0, 4.4721, 20.0)):
         assert abs(got - want) <= 1e-4

@@ -4,6 +4,7 @@ import csv
 import importlib.util
 import inspect
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -25,8 +26,8 @@ README = ROOT / "README.md"
 PUBLIC = ["MetricConfig", "QualityReport", "phm_score", "prepare_reference", "PointCloud",
           "load_ply", "save_ply", "PhmError"]
 # Parameters that carry a MetricConfig value into a stage function.
-CONFIG_PARAMETERS = {"k1", "k2", "alpha", "mu", "num_bandpass", "continuous_tail", "stabilizer",
-                     "num_bins", "nb_bins", "mode", "outer"}
+CONFIG_PARAMETERS = {"k1", "k2", "alpha", "mu", "num_bandpass", "stabilizer", "num_bins", "nb_bins",
+                     "mode", "outer"}
 
 
 def test_public_names_are_exactly_the_documented_ones():
@@ -35,6 +36,11 @@ def test_public_names_are_exactly_the_documented_ones():
     exec("from phm import *", namespace)
     assert sorted(k for k in namespace if not k.startswith("__")) == sorted(PUBLIC)
     assert isinstance(phm.__version__, str)
+
+
+def test_package_version_matches_pyproject():
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.findall(r'^version = "(.*)"$', pyproject, re.MULTILINE) == [phm.__version__]
 
 
 def test_cli_import_leaves_evaluation_and_scipy_stats_unloaded():

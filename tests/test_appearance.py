@@ -27,8 +27,8 @@ from test_patches import cell_pairs, make_graph
 def patch_pairs(ref, dist, cells, k2):
     """Prepared pairs as phm_score builds them: the reference sides, then dist."""
     seed_index, order, sizes = reference_cells(ref, cells)
-    sides = prepare_sides(ref, order, sizes, k2, 3, True)
-    return prepare_pairs(sides, dist, partition_into_patch_pairs(seed_index, dist), k2, 3, True)
+    sides = prepare_sides(ref, order, sizes, k2, 3)
+    return prepare_pairs(sides, dist, partition_into_patch_pairs(seed_index, dist), k2, 3)
 
 
 def random_connected_graph(seed, n_max=50):
@@ -151,7 +151,7 @@ def delta_bands(lam_lo, lam_max, num_bandpass=3):
     Row c holds the kernel at lam_lo in column 0 and nothing in column 1.
     """
     return dense_bands((np.array([lam_lo, lam_max]), np.eye(2), np.array([1.0, 0.0])),
-                       num_bandpass, True)
+                       num_bandpass)
 
 
 def scales(lam_max, num_bandpass=3):
@@ -164,27 +164,19 @@ def low_pass(lam, lam_max):
 
 
 def test_filter_continuity_at_one_and_two():
-    assert band_pass(np.array([1.0]), True)[0] == pytest.approx(1.0, abs=1e-12)
+    assert band_pass(np.array([1.0]))[0] == pytest.approx(1.0, abs=1e-12)
     cubic_at_2 = ((2.0 - 6.0) * 2.0 + 11.0) * 2.0 - 5.0
     tail_at_2 = 4.0 / 4.0
     assert abs(cubic_at_2 - tail_at_2) <= 1e-12
     # sampled just around both knees
     for knee in (1.0, 2.0):
-        left = band_pass(np.array([knee - 1e-12]), True)[0]
-        right = band_pass(np.array([knee + 1e-12]), True)[0]
+        left = band_pass(np.array([knee - 1e-12]))[0]
+        right = band_pass(np.array([knee + 1e-12]))[0]
         assert abs(left - right) <= 1e-9
-
-
-def test_plain_inverse_square_tail_is_discontinuous():
-    assert band_pass(np.array([2.0]), continuous_tail=False)[0] == pytest.approx(1.0)
-    assert band_pass(np.array([2.0 + 1e-9]), continuous_tail=False)[0] == pytest.approx(
-        0.25, rel=1e-6)
-    # sgwt_decompose passes the choice on: x = t * lambda above 2 reads 1/x^2, not 4/x^2
+    # sgwt_decompose applies the 4/x^2 tail: x = t * lambda above 2
     spectrum = (np.array([0.0, 2.0]), np.eye(2), np.array([0.0, 1.0]))
-    for tail, factor in ((True, 4.0), (False, 1.0)):
-        sub = dense_bands(spectrum, 3, tail)
-        x = scales(2.0)[1:] * 2.0
-        np.testing.assert_allclose(sub[2:, 1], factor / x**2, rtol=1e-12)
+    x = scales(2.0)[1:] * 2.0
+    np.testing.assert_allclose(dense_bands(spectrum, 3)[2:, 1], 4.0 / x**2, rtol=1e-12)
 
 
 def test_gamma_from_cubic_root():
@@ -196,7 +188,7 @@ def test_gamma_from_cubic_root():
     assert GAMMA == pytest.approx(1.3849, abs=1e-4)
     # it is the max of g over a dense grid
     grid = np.linspace(0, 10, 50001)
-    assert band_pass(grid, True).max() <= GAMMA + 1e-9
+    assert band_pass(grid).max() <= GAMMA + 1e-9
     # and the low-pass height: h(0) = gamma exactly
     assert delta_bands(0.0, 2.0)[0, 0] == GAMMA
 
@@ -220,7 +212,7 @@ def test_scales_log_equispaced():
 def test_constant_signal_annihilated_by_bandpass():
     g = random_connected_graph(31)
     c = -7.5
-    sub = lanczos_bands(g, np.full(g.n, c), 3, True)
+    sub = lanczos_bands(g, np.full(g.n, c), 3)
     np.testing.assert_allclose(sub[0], GAMMA * c, atol=1e-9)
     assert np.abs(sub[1:]).max() <= 1e-9
 
@@ -230,9 +222,9 @@ def test_two_node_closed_form():
     g = make_graph([(0, 1)], 2, weights=[w])
     a, b = 3.0, -1.0
     assert eigendecompose(g, np.array([a, b])).lambda_max[0] == pytest.approx(2 * w, rel=1e-12)
-    sub = lanczos_bands(g, np.array([a, b]), 3, True)
+    sub = lanczos_bands(g, np.array([a, b]), 3)
     for c, t in enumerate(scales(2 * w), start=1):
-        gain = band_pass(np.array([t * 2 * w]), True)[0]
+        gain = band_pass(np.array([t * 2 * w]))[0]
         expect = gain * (a - b) / 2 * np.array([1.0, -1.0])
         np.testing.assert_allclose(sub[c], expect, atol=1e-12)
     mean_term = low_pass(0.0, 2 * w) * (a + b) / 2
@@ -247,9 +239,9 @@ def test_operator_form_equivalence():
     u = rng.normal(size=g.n)
     spectrum = dense_spectrum(g, u)
     lam, vec, _ = spectrum
-    sub = dense_bands(spectrum, 3, True)
+    sub = dense_bands(spectrum, 3)
     for c, t in enumerate(scales(lam[-1]), start=1):
-        op = vec @ np.diag(band_pass(t * lam, True)) @ vec.T
+        op = vec @ np.diag(band_pass(t * lam)) @ vec.T
         np.testing.assert_allclose(sub[c], op @ u, atol=1e-9)
     op0 = vec @ np.diag(low_pass(lam, lam[-1])) @ vec.T
     np.testing.assert_allclose(sub[0], op0 @ u, atol=1e-9)
@@ -265,7 +257,7 @@ def test_sgwt_linearity(seed):
     a, b = rng.uniform(-3, 3, size=2)
 
     def bands(signal):
-        return dense_bands(dense_spectrum(g, signal), 3, True)
+        return dense_bands(dense_spectrum(g, signal), 3)
 
     left = bands(a * u + b * v)
     right = a * bands(u) + b * bands(v)
@@ -371,12 +363,12 @@ def test_flat_patch_against_jitters_of_itself_scores_one(n):
     colors = np.full((n, 3), 120)
     ref = PointCloud.from_arrays(pos, colors)
     whole = np.arange(n), np.array([n])
-    sides = prepare_sides(ref, *whole, k2=10, num_bandpass=3, continuous_tail=True)
+    sides = prepare_sides(ref, *whole, k2=10, num_bandpass=3)
     for _ in range(4):
         dist = PointCloud.from_arrays(pos + rng.uniform(-0.05, 0.05, size=(n, 3)), colors)
         per_patch, d_l_i = compared_rows(
             texture_degradation,
-            prepare_pairs(sides, dist, whole, k2=10, num_bandpass=3, continuous_tail=True), 50)
+            prepare_pairs(sides, dist, whole, k2=10, num_bandpass=3), 50)
         assert per_patch == [[1.0, 1.0, 1.0, 1.0]]
         assert d_l_i == 1.0
 
@@ -388,7 +380,7 @@ def test_disconnected_patch_is_legal_downstream():
     g = side_graph(pts, k2=3)
     u = rng.normal(size=24)
     assert dense_spectrum(g, u)[0][1] <= 1e-8  # disconnected: second eigenvalue ~0
-    sub = lanczos_bands(g, u, 3, True)
+    sub = lanczos_bands(g, u, 3)
     assert sub.shape == (4, 24)
     wcm = side_wcm(g, sub[1], sub[1], num_bins=10)
     assert abs(wcm.sum() - 1.0) <= 1e-12

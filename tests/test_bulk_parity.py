@@ -85,7 +85,7 @@ def test_prepare_sides_matches_the_oracle():
     # A cell above 3,000 points is graphed whole, like any other.
     cloud = synthetic_cloud(3600, seed=3)
     sides = prepare_sides(cloud, np.arange(len(cloud)), np.array([3200, 400]), k2=10,
-                          num_bandpass=3, continuous_tail=True)
+                          num_bandpass=3)
     assert sides.sizes.tolist() == [3200, 400]
     assert_cells_match_oracle(sides, cloud.positions, 10)
 
@@ -129,8 +129,8 @@ def oracle_rows(prepared, num_bins):
 
 def pairs_of(ref, dist, cells):
     seed_index, order, sizes = reference_cells(ref, cells)
-    return prepare_pairs(prepare_sides(ref, order, sizes, 10, 3, True), dist,
-                         partition_into_patch_pairs(seed_index, dist), 10, 3, True)
+    return prepare_pairs(prepare_sides(ref, order, sizes, 10, 3), dist,
+                         partition_into_patch_pairs(seed_index, dist), 10, 3)
 
 
 def flat_patch_cloud(n, seed):

@@ -153,6 +153,33 @@ def test_score_unknown_config_key_exits_1(ply_pair, capsys, tmp_path):
     assert json.loads(err)["error"] == "ParseError"
 
 
+def test_score_config_naming_continuous_tail_exits_1(ply_pair, capsys, tmp_path):
+    # The band-pass tail is always Hammond et al.'s 4/x^2; the old switch is an unknown key.
+    ref, dist = ply_pair
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"continuous_tail": True}))
+    code, out, err = run_cli(capsys, "score", "--ref", ref, "--dist", dist, "--config", str(cfg))
+    assert code == 1 and out == "" and len(err.splitlines()) == 1
+    doc = json.loads(err)
+    assert doc["error"] == "ParseError" and "continuous_tail" in doc["message"]
+
+
+@pytest.mark.parametrize("message", ["", "Unable to allocate 7.28 TiB for an array"],
+                         ids=["bare", "numpy"])
+def test_score_memory_error_exits_3_with_json_error(ply_pair, capsys, monkeypatch, message):
+    import phm.cli
+
+    def exhausted(ref, dist, cfg):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(phm.cli, "phm_score", exhausted)
+    ref, dist = ply_pair
+    code, out, err = run_cli(capsys, "score", "--ref", ref, "--dist", dist)
+    assert code == 3 and out == "" and len(err.splitlines()) == 1
+    doc = json.loads(err)
+    assert doc["error"] == "MemoryError" and doc["message"] == (message or "out of memory")
+
+
 @pytest.mark.parametrize("key, value", [("num_bandpass", 10**12), ("nb_bins", 10**9),
                                         ("alpha", 1e308)])
 def test_score_oversized_config_value_exits_1(ply_pair, capsys, tmp_path, key, value):
@@ -338,6 +365,24 @@ def test_batch_unexpected_exception_fills_error_cell(ply_pair, capsys, tmp_path,
     assert "Traceback" in err
 
 
+@pytest.mark.parametrize("stage", ["prepare_reference", "phm_score"])
+def test_batch_memory_error_is_a_plain_row_cell(ply_pair, capsys, tmp_path, monkeypatch, stage):
+    # Running out of memory is an input too large, not a defect: no traceback.
+    import phm.cli
+
+    def exhausted(*args):
+        raise MemoryError()
+
+    monkeypatch.setattr(phm.cli, stage, exhausted)
+    ref, dist = ply_pair
+    manifest = tmp_path / "m.csv"
+    write_manifest(manifest, [["a", ref, dist], ["b", ref, ref]])
+    code, out, err = run_cli(capsys, "batch", "--manifest", str(manifest))
+    assert code == 0 and err == ""
+    rows = list(csv.DictReader(out.splitlines()))
+    assert [(r["error"], r["score"]) for r in rows] == [("MemoryError: out of memory", "")] * 2
+
+
 def test_batch_prepares_each_reference_key_once(capsys, tmp_path, monkeypatch):
     import phm.cli
     from phm.cloud import load_ply
@@ -472,6 +517,21 @@ def test_batch_unknown_override_column_exits_1(ply_pair, capsys, tmp_path):
     code, _, err = run_cli(capsys, "batch", "--manifest", str(manifest))
     assert code == 1
     assert json.loads(err)["error"] == "ParseError"
+
+
+def test_batch_continuous_tail_column_exits_1_before_scoring(ply_pair, capsys, tmp_path,
+                                                             monkeypatch):
+    import phm.cli
+
+    calls = []
+    monkeypatch.setattr(phm.cli, "load_ply", lambda path: calls.append(path))
+    ref, dist = ply_pair
+    manifest = tmp_path / "m.csv"
+    write_manifest(manifest, [["a", ref, dist, "true"]], extra_cols=("continuous_tail",))
+    code, out, err = run_cli(capsys, "batch", "--manifest", str(manifest))
+    assert code == 1 and out == "" and calls == []
+    doc = json.loads(err)
+    assert doc["error"] == "ParseError" and "continuous_tail" in doc["message"]
 
 
 def test_batch_missing_manifest_exits_1(capsys, tmp_path):

@@ -44,7 +44,7 @@ def test_random_patch_bands_match_dense(n):
     assert g.n > LARGE_SIDE
     want = dense_spectrum(g, u)
     assert eigendecompose(g, u).lambda_max[0] == pytest.approx(want[0][-1], rel=1e-9)
-    assert_bands_close(lanczos_bands(g, u, 3, True), dense_bands(want, 3, True))
+    assert_bands_close(lanczos_bands(g, u, 3), dense_bands(want, 3))
 
 
 @pytest.mark.parametrize("n", [2, 3, 7, 12, 20, 30])
@@ -53,8 +53,8 @@ def test_exhausted_krylov_space_matches_dense(n):
     # space with reorthogonalisation, so the spectrum is exact up to roundoff.
     for seed in range(5):
         g, u = side(n, seed=1000 * n + seed)
-        np.testing.assert_allclose(lanczos_bands(g, u, 3, True),
-                                   dense_bands(dense_spectrum(g, u), 3, True), rtol=0, atol=1e-9)
+        np.testing.assert_allclose(lanczos_bands(g, u, 3),
+                                   dense_bands(dense_spectrum(g, u), 3), rtol=0, atol=1e-9)
 
 
 @pytest.mark.parametrize("sizes", [
@@ -72,10 +72,10 @@ def test_side_bands_do_not_depend_on_the_chunk(sizes):
         order = list(order)
         graph = stack_graphs([sides[i][0] for i in order])
         signal = np.concatenate([sides[i][1] for i in order])
-        bands = sgwt_decompose(eigendecompose(graph, signal), 3, True)
+        bands = sgwt_decompose(eigendecompose(graph, signal), 3)
         lo = 0
         for i in order:
-            alone = lanczos_bands(*sides[i], 3, True)
+            alone = lanczos_bands(*sides[i], 3)
             np.testing.assert_array_equal(bands[:, lo:lo + sizes[i]], alone)
             lo += sizes[i]
 
@@ -101,10 +101,10 @@ def test_cloud_bands_do_not_depend_on_the_chunk_size(monkeypatch):
                 sum(n > LARGE_SIDE for n in first)]
 
     assert min(chunks_per_class()) >= 3
-    bands = filter_sides(sides, np.concatenate(luminance), 3, True).bands
+    bands = filter_sides(sides, np.concatenate(luminance), 3).bands
     monkeypatch.setattr(phm.patches, "CHUNK_POINTS", int(sizes.sum()))
     assert chunks_per_class() == [1, 1, 1]
-    again = filter_sides(sides, np.concatenate(luminance), 3, True).bands
+    again = filter_sides(sides, np.concatenate(luminance), 3).bands
     np.testing.assert_array_equal(bands, again)
 
 
@@ -122,7 +122,7 @@ def test_step_class_boundary_is_large_side():
 @pytest.mark.parametrize("n", [25, 150])
 def test_constant_side_below_cutoff_passes_its_mean_exactly(n):
     g, _ = side(n, seed=n)
-    sub = lanczos_bands(g, np.full(n, 87.25), 3, True)  # n * 87.25 sums exactly
+    sub = lanczos_bands(g, np.full(n, 87.25), 3)  # n * 87.25 sums exactly
     assert np.all(sub[0] == GAMMA * 87.25)
     assert np.all(sub[1:] == 0.0)
 
@@ -131,7 +131,7 @@ def test_constant_luminance_above_cutoff():
     rng = np.random.default_rng(1)
     g = side_graph(rng.uniform(0, 10, (500, 3)), 10)
     spectrum = eigendecompose(g, np.full(500, 87.3))
-    sub = sgwt_decompose(spectrum, 3, True)
+    sub = sgwt_decompose(spectrum, 3)
     np.testing.assert_allclose(sub[0], GAMMA * 87.3, rtol=1e-12)
     assert np.all(sub[1:] == 0.0)
     # lambda_max comes from a separate run, not from the (empty) signal part
@@ -147,7 +147,7 @@ def test_disconnected_clusters_with_constant_luminance():
     want = dense_spectrum(g, u)
     assert np.linalg.eigvalsh(laplacian(g))[1] <= 1e-8  # two components
     assert eigendecompose(g, u).lambda_max[0] == pytest.approx(want[0][-1], rel=1e-9)
-    np.testing.assert_allclose(lanczos_bands(g, u, 3, True), dense_bands(want, 3, True), atol=1e-9)
+    np.testing.assert_allclose(lanczos_bands(g, u, 3), dense_bands(want, 3), atol=1e-9)
 
 
 def test_signal_length_is_checked():

@@ -11,7 +11,8 @@ import phm.appearance
 from phm.appearance import prepare_pairs
 from phm.cloud import PointCloud, SpatialIndex
 from phm.errors import CloudTooSmall, DomainError, ParseError
-from phm.metric import MetricConfig, combine_adaptive, phm_score, prepare_reference
+from phm.metric import (REFERENCE_FIELDS, MetricConfig, combine_adaptive, phm_score,
+                        prepare_reference)
 from phm.patches import partition_into_patch_pairs
 from phm.synthetic import synthetic_cloud, with_geometry_jitter, with_luminance_noise
 from phm.visible import visible_difference
@@ -79,7 +80,6 @@ def test_config_defaults_follow_operating_point():
     assert (cfg.patch_divisor, cfg.num_bandpass, cfg.nb_bins) == (1000, 3, 50)
     assert cfg.stabilizer == 1e-6
     assert cfg.inner_fusion == cfg.outer_fusion == "multiply"
-    assert cfg.continuous_tail
 
 
 def test_config_rejects_unknown_keys():
@@ -101,7 +101,7 @@ def test_config_rejects_bad_values():
     {"num_bandpass": None}, {"nb_bins": False}, {"nb_bins": 1},
     {"alpha": -0.5}, {"alpha": math.inf}, {"alpha": 1e308}, {"mu": math.nan}, {"mu": True},
     {"stabilizer": "1e-6"}, {"stabilizer": 0.0},
-    {"continuous_tail": "no"}, {"continuous_tail": 1}, {"outer_fusion": None},
+    {"outer_fusion": None},
 ], ids=repr)
 def test_config_rejects_ill_typed_values(bad):
     with pytest.raises(ParseError):
@@ -164,9 +164,19 @@ def test_prepare_reference_default_cell_count():
     assert len(prepare_reference(random_cloud(2500, seed=1)).sides.sizes) == 2
 
 
-@pytest.mark.parametrize("name, value", [
-    ("k1", 10), ("k2", 8), ("patch_divisor", 200), ("num_bandpass", 2), ("continuous_tail", False),
-])
+# A value other than the default for every MetricConfig field. A prepared reference rejects
+# a config that changes one of its REFERENCE_FIELDS and scores with any other change.
+OTHER_VALUES = {"alpha": 2.0, "mu": 2.0, "k1": 10, "k2": 8, "patch_divisor": 200,
+                "num_bandpass": 2, "nb_bins": 20, "stabilizer": 1e-3, "inner_fusion": "average",
+                "outer_fusion": "average"}
+
+
+def test_other_values_change_every_config_field():
+    assert set(OTHER_VALUES) == {f.name for f in dataclasses.fields(MetricConfig)}
+    assert all(getattr(MetricConfig(), name) != v for name, v in OTHER_VALUES.items())
+
+
+@pytest.mark.parametrize("name, value", [(name, OTHER_VALUES[name]) for name in REFERENCE_FIELDS])
 def test_prepared_reference_rejects_other_reference_fields(textured_cloud, name, value):
     prepared = prepare_reference(textured_cloud)
     with pytest.raises(ValueError, match=name):
@@ -174,9 +184,7 @@ def test_prepared_reference_rejects_other_reference_fields(textured_cloud, name,
 
 
 @pytest.mark.parametrize("name, value", [
-    ("alpha", 2.0), ("mu", 2.0), ("nb_bins", 20), ("stabilizer", 1e-3),
-    ("inner_fusion", "average"), ("outer_fusion", "average"),
-])
+    (name, value) for name, value in OTHER_VALUES.items() if name not in REFERENCE_FIELDS])
 def test_prepared_reference_takes_other_pair_fields(textured_cloud, name, value):
     noisy = with_luminance_noise(textured_cloud, 20.0, seed=6)
     cfg = MetricConfig(**{name: value})
@@ -252,8 +260,7 @@ def _general_report(prepared, dist):
     vd = visible_difference(prepared.cloud, dist, SpatialIndex(prepared.cloud.positions),
                             prepared.complexity, cfg.alpha, False)
     dist_cells = partition_into_patch_pairs(prepared.seed_index, dist)
-    sides = prepare_pairs(prepared.sides, dist, dist_cells, cfg.k2, cfg.num_bandpass,
-                          cfg.continuous_tail)
+    sides = prepare_pairs(prepared.sides, dist, dist_cells, cfg.k2, cfg.num_bandpass)
     return phm.metric._report(prepared, dist, cfg, vd, sides, {})
 
 
@@ -318,8 +325,7 @@ def test_report_scores_only_cells_where_both_sides_have_a_graph():
 
     prepared = prepare_reference(ref, cfg)
     dist_cells = partition_into_patch_pairs(prepared.seed_index, dist)
-    sides = prepare_pairs(prepared.sides, dist, dist_cells, cfg.k2, cfg.num_bandpass,
-                          cfg.continuous_tail)
+    sides = prepare_pairs(prepared.sides, dist, dist_cells, cfg.k2, cfg.num_bandpass)
     pairs = zip(split_cells(prepared.order, prepared.sides.sizes), split_cells(*dist_cells))
     want_fw = oracle_rows(sides, cfg.nb_bins)
     kinds = set()
