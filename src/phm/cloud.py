@@ -12,6 +12,7 @@ import os
 import re
 import warnings
 from dataclasses import dataclass
+from threading import Lock, Thread
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -22,9 +23,14 @@ from .errors import ColorMissing, DomainError, EmptyCloud, ParseError, TooManySe
 LUMA_R, LUMA_G, LUMA_B = 0.2126, 0.7152, 0.0722
 # Largest |coordinate|: PLY's float32 range, where squared distances stay finite.
 MAX_COORDINATE = float(np.finfo(np.float32).max)
-# Query rows per ``ranked_knn`` block: its (rows, kq) temporaries stay in cache.
+# Query rows in flight in one ``ranked_knn`` call: one block of this many rows,
+# or TREE_WORKERS pooled blocks of KNN_BLOCK_ROWS // TREE_WORKERS rows each, so
+# the (rows, kq) temporaries stay in cache and their total does not grow with
+# the threads.
 KNN_BLOCK_ROWS = 4096
-# Threads of each KD-tree query: the CPUs this process may run on. ``phm batch``
+# Threads of each ``ranked_knn`` call: the CPUs this process may run on. A query
+# of more than one block runs its blocks on a pool of this many threads, started
+# once per call; a smaller one passes the count to the tree. ``phm batch``
 # divides them among its jobs. A row's answer does not depend on the count.
 TREE_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                 else os.cpu_count() or 1)
@@ -106,6 +112,12 @@ class SpatialIndex:
     def n(self) -> int:
         return len(self._positions)
 
+    @property
+    def leaf_order(self) -> np.ndarray:
+        """The indexed points leaf by leaf in the tree: a row order for ``query_bulk``
+        that keeps each block's queries near each other. Read-only."""
+        return _readonly(self._tree.indices.view())
+
     def query(self, point, k: int, exclude: int | None = None) -> np.ndarray:
         """Indices of the min(k, N_effective) nearest points to ``point``.
 
@@ -120,13 +132,16 @@ class SpatialIndex:
         own = None if exclude is None else np.array([exclude])
         return ranked_knn(self._tree, self._positions, q, k, own)[0]
 
-    def query_bulk(self, points, k: int, exclude_self: bool = False) -> np.ndarray:
+    def query_bulk(self, points, k: int, exclude_self: bool = False,
+                   order: np.ndarray | None = None) -> np.ndarray:
         """Row-per-query KNN; with exclude_self, row i leaves out index i.
 
         Returns an (m, kr) index array with kr = min(k, N-1) when
         exclude_self else min(k, N). exclude_self needs the query points to
         be the indexed points, in order; a duplicate of point i is a
-        neighbor of i like any other point.
+        neighbor of i like any other point. ``order``, a permutation of the
+        m rows such as the query points' own ``leaf_order``, is the order in
+        which rows are queried; it does not change the answer.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
@@ -135,12 +150,14 @@ class SpatialIndex:
             pts = pts[None, :]
         if exclude_self and len(pts) != self.n:
             raise ValueError("exclude_self needs the indexed points as queries")
+        if order is not None and len(order) != len(pts):
+            raise ValueError(f"order must permute the {len(pts)} query rows, got {len(order)}")
         own = np.arange(self.n) if exclude_self else None
-        return ranked_knn(self._tree, self._positions, pts, k, own)
+        return ranked_knn(self._tree, self._positions, pts, k, own, order)
 
 
 def ranked_knn(tree: cKDTree, data: np.ndarray, pts: np.ndarray, k: int,
-               own: np.ndarray | None) -> np.ndarray:
+               own: np.ndarray | None, order: np.ndarray | None = None) -> np.ndarray:
     """(m, kr) nearest indices into ``data``, the points of ``tree``, per query row.
 
     Row i leaves out index own[i] if given. Each round tree-queries kq
@@ -149,20 +166,36 @@ def ranked_knn(tree: cKDTree, data: np.ndarray, pts: np.ndarray, k: int,
     are not sorted. A row is final once its kr-th distance lies below the
     rim, the farthest candidate before masking, since no unseen point is
     closer than that; the rows that tie the rim go to the next round
-    together, with kq doubled. Rows go in blocks of KNN_BLOCK_ROWS, and the
-    tree queries on TREE_WORKERS threads.
+    together, with kq doubled.
+
+    Rows go in blocks, taken in ``order``, a permutation of the m rows
+    (default: ascending); each row's answer is written to its own place and
+    depends on neither the order nor the threads. Rows near each other, as in
+    the leaf order of the query cloud's own tree, visit the same tree nodes.
+    With TREE_WORKERS > 1 and more than KNN_BLOCK_ROWS rows, blocks of
+    KNN_BLOCK_ROWS // TREE_WORKERS rows run on a pool of TREE_WORKERS threads,
+    the caller's among them, and each block queries the tree on one thread;
+    an exception in any block is raised here once every thread has stopped.
+    Otherwise blocks of KNN_BLOCK_ROWS rows run in turn and the tree queries
+    on TREE_WORKERS threads. Either way at most KNN_BLOCK_ROWS rows are in
+    flight.
     """
     m, n, skip = len(pts), len(data), int(own is not None)
     kr = min(k, n - skip)
     out = np.empty((m, kr), dtype=np.intp)
     if kr == 0:
         return out
-    for first in range(0, m, KNN_BLOCK_ROWS):  # row blocks bound the (rows, kq) temporaries
-        rows = np.arange(first, min(first + KNN_BLOCK_ROWS, m))
+    rows_in_order = np.arange(m) if order is None else order
+    pooled = TREE_WORKERS > 1 and m > KNN_BLOCK_ROWS
+    size = KNN_BLOCK_ROWS // TREE_WORKERS if pooled else KNN_BLOCK_ROWS
+    query_workers = 1 if pooled else TREE_WORKERS
+
+    def block(first: int) -> None:
+        rows = rows_in_order[first:first + size]
         kq = min(kr + 1 + skip, n)
         while len(rows):
             q = pts[rows]
-            idx = tree.query(q, k=kq, workers=TREE_WORKERS)[1].reshape(len(rows), kq)
+            idx = tree.query(q, k=kq, workers=query_workers)[1].reshape(len(rows), kq)
             d2 = np.zeros(idx.shape)  # column by column, summed as (diff * diff).sum(-1) sums
             for c, col in enumerate(data.T):
                 d2 += (col[idx] - q[:, c, None]) ** 2
@@ -176,14 +209,54 @@ def ranked_knn(tree: cKDTree, data: np.ndarray, pts: np.ndarray, k: int,
             db, ib = d2[bad], idx[bad]
             if own is not None:
                 db[ib == own[rows[bad], None]] = np.inf
-            order = np.lexsort((ib, db), axis=1)[:, :kr]
-            out[rows[bad]] = np.take_along_axis(ib, order, axis=1)
-            last[bad] = np.take_along_axis(db, order[:, -1:], axis=1)[:, 0]
+            ranked = np.lexsort((ib, db), axis=1)[:, :kr]
+            out[rows[bad]] = np.take_along_axis(ib, ranked, axis=1)
+            last[bad] = np.take_along_axis(db, ranked[:, -1:], axis=1)[:, 0]
             if kq == n:
                 break
             rows = rows[last >= rim]
             kq = min(kq * 2, n)
+
+    firsts = range(0, m, size)
+    if pooled:
+        _on_threads(block, firsts, TREE_WORKERS)
+    else:
+        for first in firsts:
+            block(first)
     return out
+
+
+def _on_threads(work, items, workers: int) -> None:
+    """Call ``work(item)`` for every item on ``workers`` threads, the caller's among them.
+
+    Each thread takes the next item until none is left or a call has raised;
+    the first exception is raised once every thread has stopped.
+    """
+    todo, lock, failed = iter(items), Lock(), []
+
+    def drain():
+        while not failed:
+            with lock:
+                item = next(todo, None)
+            if item is None:
+                return
+            try:
+                work(item)
+            except BaseException as e:  # re-raised below, once the other threads stop
+                failed.append(e)
+
+    threads = []
+    try:
+        for _ in range(min(workers, len(items)) - 1):
+            thread = Thread(target=drain)
+            thread.start()
+            threads.append(thread)
+        drain()
+    finally:
+        for thread in threads:
+            thread.join()
+    if failed:
+        raise failed[0]
 
 
 def farthest_point_sample(cloud: PointCloud, num_seeds: int) -> np.ndarray:

@@ -53,8 +53,10 @@ def symmetric_mse(ref: PointCloud, dist: PointCloud, ref_index: SpatialIndex,
     """
     if same_points:
         return _directed_mse(ref, dist, np.arange(len(ref)))
-    to_dist = SpatialIndex(dist.positions).query_bulk(ref.positions, 1)[:, 0]
-    to_ref = ref_index.query_bulk(dist.positions, 1)[:, 0]
+    # Each direction queries in its query cloud's leaf order, from the other tree.
+    dist_index = SpatialIndex(dist.positions)
+    to_dist = dist_index.query_bulk(ref.positions, 1, order=ref_index.leaf_order)[:, 0]
+    to_ref = ref_index.query_bulk(dist.positions, 1, order=dist_index.leaf_order)[:, 0]
     return max(_directed_mse(ref, dist, to_dist), _directed_mse(dist, ref, to_ref))
 
 
@@ -71,7 +73,8 @@ def ar_texture_complexity(
     if n <= k1:
         raise CloudTooSmall(f"AR of order {k1} needs more than {k1} points, got {n}")
     # Indexed at once, so the N x k1 neighbour array is freed before lstsq.
-    design = ref.luminance[ref_index.query_bulk(ref.positions, k1, exclude_self=True)]
+    design = ref.luminance[ref_index.query_bulk(ref.positions, k1, exclude_self=True,
+                                                order=ref_index.leaf_order)]
     theta, *_ = np.linalg.lstsq(design, ref.luminance, rcond=None)
     residuals = ref.luminance - design @ theta
     complexity = math.log2(1.0 + float(np.mean(np.abs(residuals))))

@@ -383,6 +383,86 @@ def test_batch_memory_error_is_a_plain_row_cell(ply_pair, capsys, tmp_path, monk
     assert [(r["error"], r["score"]) for r in rows] == [("MemoryError: out of memory", "")] * 2
 
 
+def pooled_trees(monkeypatch, workers=2):
+    """Small KNN blocks, so a 300-point cloud's queries run on the pool of ``workers`` threads."""
+    import phm.cloud
+
+    monkeypatch.setattr(phm.cloud, "KNN_BLOCK_ROWS", 64)
+    monkeypatch.setattr(phm.cloud, "TREE_WORKERS", workers)
+
+
+@pytest.fixture
+def second_block_exhausted(monkeypatch):
+    """Every tree a SpatialIndex builds raises MemoryError on its second query call."""
+    import threading
+
+    import phm.cloud
+    from scipy.spatial import cKDTree
+
+    lock, seen = threading.Lock(), []
+
+    class Exhausted(cKDTree):
+        def query(self, x, k, workers):
+            with lock:
+                self.calls = getattr(self, "calls", 0) + 1
+                seen.append(workers)
+                if self.calls == 2:
+                    raise MemoryError()
+            return super().query(x, k=k, workers=workers)
+
+    pooled_trees(monkeypatch)
+    monkeypatch.setattr(phm.cloud, "cKDTree", Exhausted)
+    return seen
+
+
+def test_score_memory_error_in_a_pooled_block_exits_3(ply_pair, capsys, second_block_exhausted):
+    ref, dist = ply_pair
+    code, out, err = run_cli(capsys, "score", "--ref", ref, "--dist", dist)
+    assert code == 3 and out == "" and len(err.splitlines()) == 1
+    assert json.loads(err) == {"error": "MemoryError", "message": "out of memory"}
+    assert second_block_exhausted == [1, 1]  # one tree thread per block: the pool ran
+
+
+def test_batch_memory_error_in_a_pooled_block_is_a_plain_row_cell(ply_pair, capsys, tmp_path,
+                                                                  second_block_exhausted):
+    ref, dist = ply_pair
+    manifest = tmp_path / "m.csv"
+    write_manifest(manifest, [["a", ref, dist], ["b", ref, ref]])
+    code, out, err = run_cli(capsys, "batch", "--manifest", str(manifest))
+    assert code == 0 and err == ""
+    rows = list(csv.DictReader(out.splitlines()))
+    assert [(r["error"], r["score"]) for r in rows] == [("MemoryError: out of memory", "")] * 2
+    assert second_block_exhausted == [1, 1]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_batch_jobs_that_share_the_cpus_start_no_tree_thread(tmp_path, capsys, monkeypatch, jobs):
+    # On 2 CPUs, two jobs get one tree thread each, and one thread needs no pool.
+    import phm.cloud
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a tree thread was started")
+
+    pooled_trees(monkeypatch)
+    monkeypatch.setattr(phm.cloud, "Thread", refused)
+    rows = []
+    for r, seed in enumerate((1, 3)):
+        ref = synthetic_cloud(300, seed=seed)
+        paths = [str(tmp_path / f"ref{r}.ply"), str(tmp_path / f"dist{r}.ply")]
+        save_ply(ref, paths[0])
+        save_ply(with_luminance_noise(ref, 20.0, seed=2), paths[1])
+        rows += [[f"r{r}-noise", *paths], [f"r{r}-same", paths[0], paths[0]]]
+    manifest = tmp_path / "m.csv"
+    write_manifest(manifest, rows)
+    code, out, err = run_cli(capsys, "batch", "--manifest", str(manifest), "--jobs", str(jobs))
+    assert code == 0
+    errors = [r["error"] for r in csv.DictReader(out.splitlines())]
+    if jobs == 2:
+        assert err == "" and errors == [""] * 4
+    else:  # one job keeps both threads, and its queries run on the pool
+        assert all(e == "AssertionError: a tree thread was started" for e in errors)
+
+
 def test_batch_prepares_each_reference_key_once(capsys, tmp_path, monkeypatch):
     import phm.cli
     from phm.cloud import load_ply

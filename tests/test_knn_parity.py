@@ -7,6 +7,8 @@ candidates the tree did not already return in (squared distance, index)
 order, so both must give the same indices on any input.
 """
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -159,10 +161,13 @@ def test_most_rows_skip_the_sort(monkeypatch):
     assert sum(sorted_rows) < 0.01 * 3 * len(pts)
 
 
-def test_bulk_query_peak_memory():
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_bulk_query_peak_memory(workers, monkeypatch):
     # at most 10 MB of temporaries for 20,000 rows of k = 20: blocks of
     # KNN_BLOCK_ROWS rows peaked at 8.0 MB, one block of 65,536 rows at 18.2 MB,
-    # and ranking every row on a (rows, kq, 3) difference array at 35 MB
+    # and ranking every row on a (rows, kq, 3) difference array at 35 MB; a
+    # pool of full blocks, one per thread, at 9.5 MB on 2 threads and 14.0 on 4
+    monkeypatch.setattr(phm.cloud, "TREE_WORKERS", workers)
     pts = np.random.default_rng(11).uniform(0, 10, size=(20_000, 3))
     tracemalloc.start()
     try:
@@ -182,12 +187,123 @@ def test_answers_do_not_depend_on_the_tree_workers(cloud, monkeypatch):
         assert 2 * KNN_BLOCK_ROWS < len(pts) < 3 * KNN_BLOCK_ROWS
     sizes = [len(pts) - 108, 0, 1, 7, 100]
     results = []
-    for workers in (1, 2):
+    for workers in (1, 2, 3):  # pooled blocks of 2,048 and 1,365 rows: 5 and 8 of them
         monkeypatch.setattr(phm.cloud, "TREE_WORKERS", workers)
         index = SpatialIndex(pts)
         graph = build_patch_graph(pts, sizes, k2=10)
         results.append([index.query_bulk(pts, 20), index.query_bulk(pts, 20, exclude_self=True),
                          graph.edges_i, graph.edges_j, graph.weights, graph.sigma2,
                          graph.smoothness])
-    for one, two in zip(*results):
-        np.testing.assert_array_equal(one, two)
+    for one, *others in zip(*results):
+        for other in others:
+            np.testing.assert_array_equal(one, other)
+
+
+@pytest.mark.parametrize("cloud", ["lattice", "rounded"])
+def test_rows_in_a_random_order(cloud, monkeypatch):
+    rng = np.random.default_rng(13)
+    if cloud == "lattice":  # pooled blocks of 32 rows
+        monkeypatch.setattr(phm.cloud, "KNN_BLOCK_ROWS", 64)
+        pts, ks = duplicated_lattice(13), (1, 6, 19)
+    else:  # duplicates and ties in every block
+        pts, ks = np.round(rng.uniform(0, 40, size=(70_000, 3))), (3,)
+    tree, order = cKDTree(pts), rng.permutation(len(pts))
+    for k in ks:
+        for own in (np.arange(len(pts)), None):
+            want = lexsort_ranked_knn(tree, pts, pts, k, own)
+            for workers in (1, 2):
+                monkeypatch.setattr(phm.cloud, "TREE_WORKERS", workers)
+                np.testing.assert_array_equal(ranked_knn(tree, pts, pts, k, own, order), want)
+
+
+class RecordingTree:
+    """A cKDTree that keeps the query points of each call at the first round's k."""
+
+    def __init__(self, data, k):
+        self.tree, self.k, self.queries, self.lock = cKDTree(data), k, [], threading.Lock()
+
+    def query(self, pts, k, workers=1):
+        if k == self.k:
+            with self.lock:
+                self.queries.append(pts)
+        return self.tree.query(pts, k=k, workers=workers)
+
+
+def test_rows_are_queried_in_the_order_given(monkeypatch):
+    monkeypatch.setattr(phm.cloud, "TREE_WORKERS", 1)
+    pts = np.random.default_rng(18).uniform(0, 10, size=(2 * KNN_BLOCK_ROWS + 5, 3))
+    order, tree = np.random.default_rng(19).permutation(len(pts)), RecordingTree(pts, 5)
+    ranked_knn(tree, pts, pts, 3, np.arange(len(pts)), order)
+    assert [len(q) for q in tree.queries] == [KNN_BLOCK_ROWS, KNN_BLOCK_ROWS, 5]
+    np.testing.assert_array_equal(np.concatenate(tree.queries), pts[order])
+
+
+def test_leaf_order_permutes_the_indexed_points():
+    pts = np.random.default_rng(14).uniform(0, 10, size=(5000, 3))
+    index = SpatialIndex(pts)
+    leaves = index.leaf_order
+    np.testing.assert_array_equal(np.sort(leaves), np.arange(len(pts)))
+    assert not leaves.flags.writeable
+    np.testing.assert_array_equal(index.query_bulk(pts, 5, exclude_self=True, order=leaves),
+                                  index.query_bulk(pts, 5, exclude_self=True))
+    with pytest.raises(ValueError, match="order"):
+        index.query_bulk(pts, 5, order=leaves[1:])
+
+
+class FailingTree:
+    """A cKDTree whose ``fail_at``-th query call, counted from 1 over all threads, raises."""
+
+    def __init__(self, data, fail_at):
+        self.tree, self.fail_at = cKDTree(data), fail_at
+        self.calls, self.workers, self.lock = 0, set(), threading.Lock()
+
+    def query(self, pts, k, workers=1):
+        with self.lock:
+            self.calls += 1
+            self.workers.add(workers)
+            if self.calls == self.fail_at:
+                raise MemoryError("stub")
+        return self.tree.query(pts, k=k, workers=workers)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("fail_at", [1, 2, 5])
+def test_an_error_in_any_block_reaches_the_caller(workers, fail_at, monkeypatch):
+    monkeypatch.setattr(phm.cloud, "KNN_BLOCK_ROWS", 600)
+    monkeypatch.setattr(phm.cloud, "TREE_WORKERS", workers)
+    pts = np.random.default_rng(15).uniform(0, 10, size=(3000, 3))
+    tree, threads = FailingTree(pts, fail_at), threading.active_count()
+    with pytest.raises(MemoryError, match="stub"):
+        ranked_knn(tree, pts, pts, 4, np.arange(len(pts)))
+    assert tree.workers == {1} and threading.active_count() == threads
+
+
+def test_no_thread_starts_at_one_worker_or_for_one_block(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(phm.cloud, "Thread", refused)
+    pts = np.random.default_rng(16).uniform(0, 10, size=(3 * KNN_BLOCK_ROWS, 3))
+    monkeypatch.setattr(phm.cloud, "TREE_WORKERS", 1)
+    assert_parity(pts, pts, 4, np.arange(len(pts)))
+    monkeypatch.setattr(phm.cloud, "TREE_WORKERS", 2)
+    assert_parity(pts, pts[:KNN_BLOCK_ROWS], 4, None)
+    with pytest.raises(AssertionError, match="thread"):  # the pool starts threads past one block
+        assert_parity(pts, pts[:KNN_BLOCK_ROWS + 1], 4, None)
+
+
+def test_a_pool_wider_than_the_cpus_takes_every_block_once(monkeypatch):
+    # Six threads switching every microsecond over 300 blocks of 10 rows: a
+    # block taken twice counts its rows twice, a block skipped is left unset.
+    monkeypatch.setattr(phm.cloud, "KNN_BLOCK_ROWS", 60)
+    monkeypatch.setattr(phm.cloud, "TREE_WORKERS", 6)
+    pts = np.round(np.random.default_rng(17).uniform(0, 15, size=(3000, 3)))
+    own, tree = np.arange(len(pts)), RecordingTree(pts, 5)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = ranked_knn(tree, pts, pts, 3, own)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sum(map(len, tree.queries)) == len(pts)
+    np.testing.assert_array_equal(got, lexsort_ranked_knn(tree.tree, pts, pts, 3, own))
