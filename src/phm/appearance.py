@@ -19,8 +19,9 @@ from .cloud import PointCloud
 from .patches import (CloudSides, Spectrum, build_patch_graph, chunk_graph, eigendecompose,
                       spectral_chunks)
 
-# Most WCM entries one ``build_wcm`` call of ``texture_degradation`` holds.
-WCM_CHUNK_ENTRIES = 1 << 18
+# Most WCM entries one ``build_wcm`` call of ``texture_degradation`` holds: 13
+# cells at 50 bins, small enough that a chunk's matrices stay in cache.
+WCM_CHUNK_ENTRIES = 1 << 15
 # Scaling-function support relative to the spectrum: lambda_min = lambda_max / 20.
 SCALE_SPAN = 20.0
 

@@ -3,10 +3,10 @@
 The reference cloud is split by farthest-point-sampled seeds, once per
 reference; each distorted cloud is then partitioned by nearest seed. A
 cloud's cells are its points listed cell by cell and each cell's count. The
-patches of one cloud get their Gaussian-weighted KNN graphs in one pass, as
-one edge list. ``eigendecompose`` gives the Lanczos spectra of a signal on a
-chunk of such graphs at once, and the wavelet analysis downstream filters
-through them.
+patches of one cloud get their Gaussian-weighted KNN graphs in groups of
+whole cells, joined into one edge list. ``eigendecompose`` gives the Lanczos
+spectra of a signal on a chunk of such graphs at once, and the wavelet
+analysis downstream filters through them.
 """
 
 from __future__ import annotations
@@ -28,6 +28,10 @@ SMALL_SIDE_STEPS = 40
 # Most points in one chunk of ``eigendecompose``, whose basis is steps x points;
 # chunks this small keep it and the Lanczos vectors in cache.
 CHUNK_POINTS = 4096
+# Most points in one group of whole cells that ``build_patch_graph`` graphs at
+# once (a larger cell is a group of its own): a group's edge keys, their sort
+# and its lifted tree are the pass's temporaries, so they stay this small.
+GRAPH_GROUP_POINTS = 8192
 
 
 def reference_cells(ref: PointCloud,
@@ -97,12 +101,46 @@ def build_patch_graph(points: np.ndarray, sizes, k2: int) -> CloudSides:
     ``points`` holds the cells one after another and ``sizes`` their point
     counts. A point links to its min(k2, n - 1) nearest others in its cell
     of n, ranked as ``SpatialIndex.query_bulk`` ranks them; sigma^2 is the
-    mean squared length over the cell's undirected edges. One tree over
-    (x, y, z, cell * D), with D above twice any distance in the array,
-    serves every cell: a row that sees another cell's point has seen its own
-    whole cell first.
+    mean squared length over the cell's undirected edges. The cells are
+    graphed in ``_cell_groups``, each group on its own, and a cell's record
+    does not depend on the group it is in.
     """
     pos, sizes = np.asarray(points, dtype=np.float64), np.asarray(sizes, dtype=np.intp)
+    starts = np.cumsum(sizes) - sizes
+    fields = [[] for _ in range(6)]
+    for a, b in _cell_groups(sizes):
+        first = starts[a]
+        ei, ej, *rest = _group_graph(pos[first:first + sizes[a:b].sum()], sizes[a:b], k2)
+        for field, part in zip(fields, (ei + first, ej + first, *rest)):
+            field.append(part)
+    # Joined one field at a time, which frees its parts before the next is joined.
+    ei, ej, weights, counts, sigma2, smoothness = [np.concatenate(fields.pop(0)) for _ in range(6)]
+    return CloudSides(starts, sizes, ei, ej, weights, np.append(0, np.cumsum(counts)), sigma2,
+                      smoothness)
+
+
+def _cell_groups(sizes: np.ndarray) -> list[tuple[int, int]]:
+    """(first, end) of each group of consecutive cells that ``build_patch_graph`` graphs
+    together: at most GRAPH_GROUP_POINTS points, or one larger cell. An empty cell joins
+    the group before it, so a group holds points unless every cell is empty."""
+    bounds, points = [0], 0
+    for c, n in enumerate(sizes.tolist()):
+        if n and points and points + n > GRAPH_GROUP_POINTS:
+            bounds.append(c)
+            points = 0
+        points += n
+    bounds.append(len(sizes))
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _group_graph(pos: np.ndarray, sizes: np.ndarray, k2: int):
+    """``build_patch_graph`` of one group of cells, indexed within the group:
+    (edges_i, edges_j, weights, edges per cell, sigma2, smoothness).
+
+    One tree over (x, y, z, cell * D), with D above twice any distance in the
+    group, serves every cell of it: a row that sees another cell's point has
+    seen its own whole cell first.
+    """
     total, starts = len(pos), np.cumsum(sizes) - sizes
     cell = np.repeat(np.arange(len(sizes)), sizes)
     # Clamped in Python first: a k2 beyond int64 would overflow in numpy.
@@ -117,16 +155,17 @@ def build_patch_graph(points: np.ndarray, sizes, k2: int) -> CloudSides:
     keys = np.sort(np.concatenate(keys))
     ei, ej = np.divmod(keys[np.diff(keys, prepend=-1) != 0], total)  # (lo, hi) ascending
     edge_starts = np.searchsorted(ei, np.append(starts, total))
+    counts = np.diff(edge_starts)
     sq = np.ascontiguousarray(np.square(pos[ei] - pos[ej]).T)  # unit-stride rows for BLAS
     d2 = sq[0] + sq[1] + sq[2]
     sigma2, smoothness = np.zeros(len(sizes)), np.zeros((len(sizes), 3))
-    for c in np.flatnonzero(np.diff(edge_starts)):
+    for c in np.flatnonzero(counts):
         sigma2[c] = d2[edge_starts[c]:edge_starts[c + 1]].mean()
-    weights = np.exp(-d2 / np.repeat(np.where(sigma2 > 0, sigma2, 1.0), np.diff(edge_starts)))
+    weights = np.exp(-d2 / np.repeat(np.where(sigma2 > 0, sigma2, 1.0), counts))
     for c in np.flatnonzero(sigma2 > 0):
         lo, hi = edge_starts[c], edge_starts[c + 1]
         smoothness[c] = np.vecdot(sq[:, lo:hi], weights[lo:hi]) / sizes[c]
-    return CloudSides(starts, sizes, ei, ej, weights, edge_starts, sigma2, smoothness)
+    return ei, ej, weights, counts, sigma2, smoothness
 
 
 def concat_ranges(starts, counts) -> np.ndarray:

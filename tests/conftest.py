@@ -48,6 +48,14 @@ def compared_rows(stage, prepared, *args):
     return rows, float(values.mean())
 
 
+def duplicated_lattice(seed):
+    """An integer lattice with every third point repeated, shuffled."""
+    g = np.arange(6.0)
+    pts = np.array([[x, y, z] for x in g for y in g for z in g])
+    pts = np.vstack([pts, pts[::3]])
+    return pts[np.random.default_rng(seed).permutation(len(pts))]
+
+
 def split_cells(order, sizes) -> list[np.ndarray]:
     """The per-cell point indices of a partition held as (order, sizes)."""
     return np.split(order, np.cumsum(sizes)[:-1])

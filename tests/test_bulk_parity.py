@@ -5,17 +5,20 @@ every cell's edges, weights, sigma^2, smoothness, WCMs and correlations are
 the same bits as when each side is built on its own (``side_oracle``).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import phm.appearance
+import phm.patches
 from phm.appearance import _pearson, prepare_pairs, prepare_sides, texture_degradation
 from phm.cloud import PointCloud
-from phm.patches import (build_patch_graph, chunk_graph, partition_into_patch_pairs,
-                         reference_cells)
+from phm.patches import (GRAPH_GROUP_POINTS, _cell_groups, build_patch_graph, chunk_graph,
+                         partition_into_patch_pairs, reference_cells)
 from phm.synthetic import synthetic_cloud, with_geometry_jitter, with_luminance_noise
 
-from conftest import compared_rows, split_cells
+from conftest import compared_rows, duplicated_lattice, split_cells
 from side_oracle import DegeneratePatch, build_wcm, graph_smoothness
 from side_oracle import _pearson as oracle_pearson
 from side_oracle import build_patch_graph as oracle_graph
@@ -41,8 +44,22 @@ def assert_cells_match_oracle(sides, points, k2):
 
 
 def check_graphs(points, sizes, k2=10):
+    # Cells graphed one per group, in groups of at most 64 points, and in the default groups.
     points = np.asarray(points, dtype=np.float64)
-    assert_cells_match_oracle(build_patch_graph(points, sizes, k2), points, k2)
+    for group_points in (1, 64, GRAPH_GROUP_POINTS):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(phm.patches, "GRAPH_GROUP_POINTS", group_points)
+            assert_cells_match_oracle(build_patch_graph(points, sizes, k2), points, k2)
+
+
+SIDES_FIELDS = ("starts", "sizes", "edges_i", "edges_j", "weights", "edge_starts", "sigma2",
+                "smoothness")
+
+
+def assert_same_sides(got, want):
+    for name in SIDES_FIELDS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
 def test_random_cells_of_every_size_match_the_oracle():
@@ -107,10 +124,47 @@ def test_a_chunk_of_sides_is_the_graph_of_its_points_alone():
         chunk, where = chunk_graph(sides, picked)
         want = build_patch_graph(points[where], sides.sizes[picked], 10)
         assert chunk.bands is None
-        for name in ("starts", "sizes", "edges_i", "edges_j", "weights", "edge_starts", "sigma2",
-                     "smoothness"):
-            got, expected = getattr(chunk, name), getattr(want, name)
-            assert got.dtype == expected.dtype and np.array_equal(got, expected), name
+        assert_same_sides(chunk, want)
+
+
+@pytest.mark.parametrize("group_points", [1, 7, 64])
+def test_a_build_in_many_groups_is_the_build_in_one(group_points, monkeypatch):
+    # Random cells with a cell above 64 points, empty and one-point cells where
+    # groups of 64 end, then the duplicated lattice (ties and coincident
+    # points) as cells of its own, the last one larger than a group and
+    # followed by an empty cell.
+    rng = np.random.default_rng(13)
+    sizes = [63, 1, 0, 64, 1, 0, 0, 150, 0, 1, 40, 23, 1, 0]
+    lattice = duplicated_lattice(14)
+    points = np.vstack([rng.uniform(0, 4, (sum(sizes), 3)), lattice])
+    sizes = np.array(sizes + [100, 0, 1, 120, len(lattice) - 221, 0])
+    one = build_patch_graph(points, sizes, 10)
+    monkeypatch.setattr(phm.patches, "GRAPH_GROUP_POINTS", group_points)
+    if group_points == 64:
+        assert _cell_groups(sizes)[:7] == [(0, 3), (3, 4), (4, 7), (7, 9), (9, 12), (12, 14),
+                                           (14, 16)]
+    assert len(_cell_groups(sizes)) > 7
+    assert_same_sides(build_patch_graph(points, sizes, 10), one)
+    monkeypatch.setattr(phm.patches, "GRAPH_GROUP_POINTS", len(points))
+    assert _cell_groups(sizes) == [(0, len(sizes))]
+    assert_same_sides(build_patch_graph(points, sizes, 10), one)
+
+
+def test_graph_pass_peak_memory():
+    # 40,000 points in 512 cells, as in the large-fine clouds: at most 15 MB
+    # traced. All cells in one group peaked at 27.8 MB, groups of 8,192 points
+    # at 10.8 MB; the edges, weights and edge offsets returned take 5.9 MB.
+    rng = np.random.default_rng(15)
+    points = rng.uniform(0, 8, (40_000, 3))
+    cell = np.floor(points).astype(np.intp) @ [64, 8, 1]
+    points, sizes = points[np.argsort(cell, kind="stable")], np.bincount(cell, minlength=512)
+    tracemalloc.start()
+    try:
+        build_patch_graph(points, sizes, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 15e6
 
 
 def oracle_rows(prepared, num_bins):

@@ -22,6 +22,8 @@ import phm.patches
 from phm.cloud import KNN_BLOCK_ROWS, SpatialIndex, ranked_knn
 from phm.patches import build_patch_graph
 
+from conftest import duplicated_lattice
+
 
 def lexsort_ranked_knn(tree, data, pts, k, own):
     """The all-rows-lexsort kernel: same contract as ``ranked_knn``."""
@@ -55,14 +57,6 @@ def assert_parity(data, pts, k, own):
     got = ranked_knn(tree, data, pts, k, own)
     assert got.dtype == np.intp
     np.testing.assert_array_equal(got, lexsort_ranked_knn(tree, data, pts, k, own))
-
-
-def duplicated_lattice(seed):
-    """An integer lattice with every third point repeated, shuffled."""
-    g = np.arange(6.0)
-    pts = np.array([[x, y, z] for x in g for y in g for z in g])
-    pts = np.vstack([pts, pts[::3]])
-    return pts[np.random.default_rng(seed).permutation(len(pts))]
 
 
 @pytest.mark.parametrize("k", [1, 7, 20])
