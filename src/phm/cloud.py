@@ -23,15 +23,13 @@ from .errors import ColorMissing, DomainError, EmptyCloud, ParseError, TooManySe
 LUMA_R, LUMA_G, LUMA_B = 0.2126, 0.7152, 0.0722
 # Largest |coordinate|: PLY's float32 range, where squared distances stay finite.
 MAX_COORDINATE = float(np.finfo(np.float32).max)
-# Query rows in flight in one ``ranked_knn`` call: one block of this many rows,
-# or TREE_WORKERS pooled blocks of KNN_BLOCK_ROWS // TREE_WORKERS rows each, so
-# the (rows, kq) temporaries stay in cache and their total does not grow with
-# the threads.
+# Most query rows in flight in one ``ranked_knn`` call, spread over its
+# TREE_WORKERS blocks at a time, so the (rows, kq) temporaries stay in cache
+# and their total does not grow with the threads.
 KNN_BLOCK_ROWS = 4096
-# Threads of each ``ranked_knn`` call: the CPUs this process may run on. A query
-# of more than one block runs its blocks on a pool of this many threads, started
-# once per call; a smaller one passes the count to the tree. ``phm batch``
-# divides them among its jobs. A row's answer does not depend on the count.
+# Threads of each ``ranked_knn`` call: the CPUs this process may run on. Its
+# blocks run on a pool of this many threads, started once per call. ``phm
+# batch`` divides them among its jobs. A row's answer does not depend on the count.
 TREE_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                 else os.cpu_count() or 1)
 
@@ -172,13 +170,12 @@ def ranked_knn(tree: cKDTree, data: np.ndarray, pts: np.ndarray, k: int,
     (default: ascending); each row's answer is written to its own place and
     depends on neither the order nor the threads. Rows near each other, as in
     the leaf order of the query cloud's own tree, visit the same tree nodes.
-    With TREE_WORKERS > 1 and more than KNN_BLOCK_ROWS rows, blocks of
-    KNN_BLOCK_ROWS // TREE_WORKERS rows run on a pool of TREE_WORKERS threads,
-    the caller's among them, and each block queries the tree on one thread;
-    an exception in any block is raised here once every thread has stopped.
-    Otherwise blocks of KNN_BLOCK_ROWS rows run in turn and the tree queries
-    on TREE_WORKERS threads. Either way at most KNN_BLOCK_ROWS rows are in
-    flight.
+    Blocks of min(m, KNN_BLOCK_ROWS) // TREE_WORKERS rows (at least one) run
+    on a pool of TREE_WORKERS threads, the caller's among them, so a query of
+    up to KNN_BLOCK_ROWS rows is split evenly over the threads and at most
+    KNN_BLOCK_ROWS rows are in flight. Each block queries the tree on one
+    thread; an exception in any block is raised here once every thread has
+    stopped. A query of one block, or at one thread, starts no thread.
     """
     m, n, skip = len(pts), len(data), int(own is not None)
     kr = min(k, n - skip)
@@ -186,16 +183,14 @@ def ranked_knn(tree: cKDTree, data: np.ndarray, pts: np.ndarray, k: int,
     if kr == 0:
         return out
     rows_in_order = np.arange(m) if order is None else order
-    pooled = TREE_WORKERS > 1 and m > KNN_BLOCK_ROWS
-    size = KNN_BLOCK_ROWS // TREE_WORKERS if pooled else KNN_BLOCK_ROWS
-    query_workers = 1 if pooled else TREE_WORKERS
+    size = max(1, min(m, KNN_BLOCK_ROWS) // TREE_WORKERS)
 
     def block(first: int) -> None:
         rows = rows_in_order[first:first + size]
         kq = min(kr + 1 + skip, n)
         while len(rows):
             q = pts[rows]
-            idx = tree.query(q, k=kq, workers=query_workers)[1].reshape(len(rows), kq)
+            idx = tree.query(q, k=kq, workers=1)[1].reshape(len(rows), kq)
             d2 = np.zeros(idx.shape)  # column by column, summed as (diff * diff).sum(-1) sums
             for c, col in enumerate(data.T):
                 d2 += (col[idx] - q[:, c, None]) ** 2
@@ -217,12 +212,7 @@ def ranked_knn(tree: cKDTree, data: np.ndarray, pts: np.ndarray, k: int,
             rows = rows[last >= rim]
             kq = min(kq * 2, n)
 
-    firsts = range(0, m, size)
-    if pooled:
-        _on_threads(block, firsts, TREE_WORKERS)
-    else:
-        for first in firsts:
-            block(first)
+    _on_threads(block, range(0, m, size), TREE_WORKERS)
     return out
 
 

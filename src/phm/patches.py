@@ -102,13 +102,14 @@ def build_patch_graph(points: np.ndarray, sizes, k2: int) -> CloudSides:
     counts. A point links to its min(k2, n - 1) nearest others in its cell
     of n, ranked as ``SpatialIndex.query_bulk`` ranks them; sigma^2 is the
     mean squared length over the cell's undirected edges. The cells are
-    graphed in ``_cell_groups``, each group on its own, and a cell's record
+    graphed in groups of consecutive whole cells of at most GRAPH_GROUP_POINTS
+    points, or one larger cell, each group on its own, and a cell's record
     does not depend on the group it is in.
     """
     pos, sizes = np.asarray(points, dtype=np.float64), np.asarray(sizes, dtype=np.intp)
     starts = np.cumsum(sizes) - sizes
     fields = [[] for _ in range(6)]
-    for a, b in _cell_groups(sizes):
+    for a, b in _runs(sizes, GRAPH_GROUP_POINTS):
         first = starts[a]
         ei, ej, *rest = _group_graph(pos[first:first + sizes[a:b].sum()], sizes[a:b], k2)
         for field, part in zip(fields, (ei + first, ej + first, *rest)):
@@ -119,14 +120,15 @@ def build_patch_graph(points: np.ndarray, sizes, k2: int) -> CloudSides:
                       smoothness)
 
 
-def _cell_groups(sizes: np.ndarray) -> list[tuple[int, int]]:
-    """(first, end) of each group of consecutive cells that ``build_patch_graph`` graphs
-    together: at most GRAPH_GROUP_POINTS points, or one larger cell. An empty cell joins
-    the group before it, so a group holds points unless every cell is empty."""
+def _runs(sizes: np.ndarray, limit: int, kinds: np.ndarray | None = None) -> list[tuple[int, int]]:
+    """(first, end) of each run of consecutive ``sizes`` that sum to at most ``limit``, or
+    of one larger size, and are all of one of ``kinds`` if given. A zero size joins the run
+    before it, so a run holds points unless every size is 0; empty ``sizes`` are one empty run."""
     bounds, points = [0], 0
-    for c, n in enumerate(sizes.tolist()):
-        if n and points and points + n > GRAPH_GROUP_POINTS:
-            bounds.append(c)
+    kinds = [0] * len(sizes) if kinds is None else kinds.tolist()
+    for i, n in enumerate(sizes.tolist()):
+        if n and points and (points + n > limit or kinds[i] != kinds[i - 1]):
+            bounds.append(i)
             points = 0
         points += n
     bounds.append(len(sizes))
@@ -194,18 +196,11 @@ def spectral_chunks(sizes) -> list[list[int]]:
     whole Krylov space), or in between. Sides go in by size, so the sides of
     a chunk of whole Krylov spaces stop after similar step counts.
     """
-    chunks: list[list[int]] = []
-    points, last = 0, None
     order = np.argsort(sizes, kind="stable")
-    for i in order[sizes[order] > 0]:
-        n = int(sizes[i])
-        kind = (n > LARGE_SIDE, n <= SMALL_SIDE_STEPS + 1)
-        if kind != last or points + n > CHUNK_POINTS:
-            chunks.append([])
-            points, last = 0, kind
-        chunks[-1].append(int(i))
-        points += n
-    return chunks
+    order = order[sizes[order] > 0]
+    n = sizes[order]
+    kinds = (n > SMALL_SIDE_STEPS + 1).astype(int) + (n > LARGE_SIDE)
+    return [order[a:b].tolist() for a, b in _runs(n, CHUNK_POINTS, kinds) if b > a]
 
 
 @dataclass(frozen=True)

@@ -21,14 +21,6 @@ RESIDUAL_SPAN_BITS = 8.0
 
 
 @dataclass(frozen=True)
-class ARSolution:
-    """Global least-squares auto-regression of luminance on K1 neighbors."""
-
-    theta: np.ndarray  # (K1,)
-    residuals: np.ndarray  # (N,)
-
-
-@dataclass(frozen=True)
 class VisibleDifference:
     psnr_y: float | None  # dB; None when the perfect marker is set
     perfect: bool  # symmetric MSE fell below the unity floor
@@ -60,10 +52,8 @@ def symmetric_mse(ref: PointCloud, dist: PointCloud, ref_index: SpatialIndex,
     return max(_directed_mse(ref, dist, to_dist), _directed_mse(dist, ref, to_ref))
 
 
-def ar_texture_complexity(
-    ref: PointCloud, ref_index: SpatialIndex, k1: int,
-) -> tuple[ARSolution, float]:
-    """Fit one global AR model of luminance on the K1-NN neighborhood.
+def ar_texture_complexity(ref: PointCloud, ref_index: SpatialIndex, k1: int) -> float:
+    """Texture complexity of one global AR model of luminance on the K1-NN neighborhood.
 
     Design matrix row i holds the luminances of the K1 nearest neighbors of
     point i (self excluded). Solved as a single minimum-norm least-squares
@@ -77,8 +67,7 @@ def ar_texture_complexity(
                                                 order=ref_index.leaf_order)]
     theta, *_ = np.linalg.lstsq(design, ref.luminance, rcond=None)
     residuals = ref.luminance - design @ theta
-    complexity = math.log2(1.0 + float(np.mean(np.abs(residuals))))
-    return ARSolution(theta, residuals), complexity
+    return math.log2(1.0 + float(np.mean(np.abs(residuals))))
 
 
 def upsilon(alpha: float) -> float:
@@ -92,8 +81,7 @@ def reference_masking(ref: PointCloud, k1: int) -> tuple[SpatialIndex, float]:
     Both serve every distorted copy of ref; the AR fit runs over that index.
     """
     ref_index = SpatialIndex(ref.positions)
-    _, complexity = ar_texture_complexity(ref, ref_index, k1)
-    return ref_index, complexity
+    return ref_index, ar_texture_complexity(ref, ref_index, k1)
 
 
 def visible_difference(

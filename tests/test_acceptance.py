@@ -148,15 +148,18 @@ def test_criterion_6_ar_sanity():
     pos = rng.uniform(0, 10, size=(200, 3))
     col = np.full((200, 3), 99, dtype=np.uint8)
     flat = PointCloud.from_arrays(pos, col)
-    _, c = ar_texture_complexity(flat, SpatialIndex(flat.positions), k1=20)
+    c = ar_texture_complexity(flat, SpatialIndex(flat.positions), k1=20)
     assert c <= 1e-9
 
+    # The fit's complexity is that of the least-squares residual, which beats random thetas.
     cloud = random_cloud(200, seed=61)
     index = SpatialIndex(cloud.positions)
-    sol, _ = ar_texture_complexity(cloud, index, k1=20)
     nbrs = index.query_bulk(cloud.positions, 20, exclude_self=True)
     design = cloud.luminance[nbrs]
-    best = float(np.linalg.norm(sol.residuals))
+    residuals = cloud.luminance - design @ np.linalg.pinv(design) @ cloud.luminance
+    c = ar_texture_complexity(cloud, index, k1=20)
+    assert abs(c - math.log2(1 + np.mean(np.abs(residuals)))) <= 1e-10
+    best = float(np.linalg.norm(residuals))
     for _ in range(100):
         alt = rng.normal(0, 1, size=20)
         assert best <= float(np.linalg.norm(cloud.luminance - design @ alt))

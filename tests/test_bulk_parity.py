@@ -14,7 +14,7 @@ import phm.appearance
 import phm.patches
 from phm.appearance import _pearson, prepare_pairs, prepare_sides, texture_degradation
 from phm.cloud import PointCloud
-from phm.patches import (GRAPH_GROUP_POINTS, _cell_groups, build_patch_graph, chunk_graph,
+from phm.patches import (GRAPH_GROUP_POINTS, _runs, build_patch_graph, chunk_graph,
                          partition_into_patch_pairs, reference_cells)
 from phm.synthetic import synthetic_cloud, with_geometry_jitter, with_luminance_noise
 
@@ -141,12 +141,12 @@ def test_a_build_in_many_groups_is_the_build_in_one(group_points, monkeypatch):
     one = build_patch_graph(points, sizes, 10)
     monkeypatch.setattr(phm.patches, "GRAPH_GROUP_POINTS", group_points)
     if group_points == 64:
-        assert _cell_groups(sizes)[:7] == [(0, 3), (3, 4), (4, 7), (7, 9), (9, 12), (12, 14),
-                                           (14, 16)]
-    assert len(_cell_groups(sizes)) > 7
+        assert _runs(sizes, 64)[:7] == [(0, 3), (3, 4), (4, 7), (7, 9), (9, 12), (12, 14),
+                                        (14, 16)]
+    assert len(_runs(sizes, group_points)) > 7
     assert_same_sides(build_patch_graph(points, sizes, 10), one)
     monkeypatch.setattr(phm.patches, "GRAPH_GROUP_POINTS", len(points))
-    assert _cell_groups(sizes) == [(0, len(sizes))]
+    assert _runs(sizes, len(points)) == [(0, len(sizes))]
     assert_same_sides(build_patch_graph(points, sizes, 10), one)
 
 

@@ -193,21 +193,27 @@ def test_answers_do_not_depend_on_the_tree_workers(cloud, monkeypatch):
             np.testing.assert_array_equal(one, other)
 
 
-@pytest.mark.parametrize("cloud", ["lattice", "rounded"])
-def test_rows_in_a_random_order(cloud, monkeypatch):
+@pytest.mark.parametrize("cloud, rows", [
+    pytest.param("lattice", None, id="lattice"), pytest.param("rounded", None, id="rounded"),
+    *(("first", m) for m in (0, 1, 2, 3, KNN_BLOCK_ROWS - 1, KNN_BLOCK_ROWS, KNN_BLOCK_ROWS + 1)),
+])
+def test_rows_in_a_random_order(cloud, rows, monkeypatch):
     rng = np.random.default_rng(13)
-    if cloud == "lattice":  # pooled blocks of 32 rows
+    if cloud == "lattice":  # blocks of 64 // workers rows
         monkeypatch.setattr(phm.cloud, "KNN_BLOCK_ROWS", 64)
         pts, ks = duplicated_lattice(13), (1, 6, 19)
-    else:  # duplicates and ties in every block
+    elif cloud == "rounded":  # duplicates and ties in every block
         pts, ks = np.round(rng.uniform(0, 40, size=(70_000, 3))), (3,)
-    tree, order = cKDTree(pts), rng.permutation(len(pts))
+    else:  # the first rows of a cloud with ties: one block, an even split, a split with a rest
+        pts, ks = np.round(rng.uniform(0, 16, size=(KNN_BLOCK_ROWS + 1, 3))), (4,)
+    m = len(pts) if rows is None else rows
+    tree, order = cKDTree(pts), rng.permutation(m)
     for k in ks:
-        for own in (np.arange(len(pts)), None):
-            want = lexsort_ranked_knn(tree, pts, pts, k, own)
-            for workers in (1, 2):
+        for own in (np.arange(m), None):
+            want = lexsort_ranked_knn(tree, pts, pts[:m], k, own)
+            for workers in (1, 2, 3, 4):
                 monkeypatch.setattr(phm.cloud, "TREE_WORKERS", workers)
-                np.testing.assert_array_equal(ranked_knn(tree, pts, pts, k, own, order), want)
+                np.testing.assert_array_equal(ranked_knn(tree, pts, pts[:m], k, own, order), want)
 
 
 class RecordingTree:
@@ -281,9 +287,9 @@ def test_no_thread_starts_at_one_worker_or_for_one_block(monkeypatch):
     monkeypatch.setattr(phm.cloud, "TREE_WORKERS", 1)
     assert_parity(pts, pts, 4, np.arange(len(pts)))
     monkeypatch.setattr(phm.cloud, "TREE_WORKERS", 2)
-    assert_parity(pts, pts[:KNN_BLOCK_ROWS], 4, None)
-    with pytest.raises(AssertionError, match="thread"):  # the pool starts threads past one block
-        assert_parity(pts, pts[:KNN_BLOCK_ROWS + 1], 4, None)
+    assert_parity(pts, pts[:1], 4, None)
+    with pytest.raises(AssertionError, match="thread"):  # two rows are two blocks on two threads
+        assert_parity(pts, pts[:2], 4, None)
 
 
 def test_a_pool_wider_than_the_cpus_takes_every_block_once(monkeypatch):

@@ -38,10 +38,19 @@ def side(n, seed):
     return side_graph(cloud.positions, 10), cloud.luminance
 
 
-@pytest.mark.parametrize("n", [LARGE_SIDE + 1, 300, 1100, 3200])
+# Sides of SMALL_SIDE_STEPS + 2 to LARGE_SIDE points run SMALL_SIDE_STEPS steps. Up
+# to 100 points their worst bands measured 4.4e-6 (42), 5.9e-5 (60) and 3.2e-4
+# (100); from 150 they miss BAND_RTOL: 1.4e-3 (150), 3.9e-3 (180), 2.3e-3 (201).
+SMALL_SIDE_MISS = pytest.mark.xfail(strict=True, reason="small sides need an adaptive Lanczos "
+                                    "stop (ROADMAP item 8)")
+
+
+@pytest.mark.parametrize("n", [SMALL_SIDE_STEPS + 2, 60, 100,
+                               *(pytest.param(n, marks=SMALL_SIDE_MISS) for n in (150, 180, 201)),
+                               LARGE_SIDE + 1, 300, 1100, 3200])
 def test_random_patch_bands_match_dense(n):
     g, u = side(n, seed=n)
-    assert g.n > LARGE_SIDE
+    assert g.n > SMALL_SIDE_STEPS + 1
     want = dense_spectrum(g, u)
     assert eigendecompose(g, u).lambda_max[0] == pytest.approx(want[0][-1], rel=1e-9)
     assert_bands_close(lanczos_bands(g, u, 3), dense_bands(want, 3))

@@ -88,7 +88,7 @@ def test_constant_luminance_has_zero_complexity():
     rng = np.random.default_rng(0)
     pos = rng.uniform(0, 10, size=(40, 3))
     cloud = cloud_with_luminance(pos, np.full(40, 77.0))
-    _, c = ar_complexity(cloud, k1=5)
+    c = ar_complexity(cloud, k1=5)
     assert c <= 1e-9
 
 
@@ -103,7 +103,7 @@ def test_ar_matches_normal_equations_oracle():
     x = np.sort(rng.uniform(0, 200, size=30))
     pos = np.stack([x, np.zeros(30), np.zeros(30)], axis=1)
     cloud = cloud_with_luminance(pos, np.clip(x, 0, 255))
-    sol, c = ar_complexity(cloud, k1=2)
+    c = ar_complexity(cloud, k1=2)
 
     # oracle: explicit design matrix from brute-force neighbors + pseudo-inverse
     lum = cloud.luminance
@@ -116,8 +116,6 @@ def test_ar_matches_normal_equations_oracle():
     design = np.array(rows)
     theta = np.linalg.pinv(design) @ lum
     resid = lum - design @ theta
-    np.testing.assert_allclose(sol.theta, theta, atol=1e-8)
-    np.testing.assert_allclose(sol.residuals, resid, atol=1e-8)
     assert c == pytest.approx(math.log2(1 + np.mean(np.abs(resid))), abs=1e-10)
 
 
@@ -132,7 +130,7 @@ def test_ar_excludes_own_index_among_duplicates():
     pos[2700:] = pos[src]
     col[2700:] = np.clip(col[src] + rng.integers(-40, 41, size=(300, 1)), 0, 255)
     cloud = PointCloud.from_arrays(pos, col.astype(np.uint8))
-    _, c = ar_complexity(cloud, k1=20)
+    c = ar_complexity(cloud, k1=20)
 
     # oracle: neighbors by (distance, index) with index i removed from row i
     n, lum = len(cloud), cloud.luminance
@@ -155,32 +153,20 @@ def test_ar_requires_enough_points():
         ar_complexity(cloud, k1=10)
 
 
-def test_residual_norm_beats_random_thetas(textured_cloud):
-    sol, _ = ar_complexity(textured_cloud, k1=8)
-    best = float(np.linalg.norm(sol.residuals))
-    rng = np.random.default_rng(99)
-    nbrs = SpatialIndex(textured_cloud.positions).query_bulk(
-        textured_cloud.positions, 8, exclude_self=True)
-    design = textured_cloud.luminance[nbrs]
-    for _ in range(100):
-        alt = rng.normal(0, 1, size=8)
-        assert best <= float(np.linalg.norm(textured_cloud.luminance - design @ alt))
-
-
 def test_textured_scores_higher_than_flat():
     rng = np.random.default_rng(7)
     pos = rng.uniform(0, 10, size=(120, 3))
     flat = cloud_with_luminance(pos, np.full(120, 128.0))
     busy = cloud_with_luminance(pos, rng.uniform(0, 255, size=120))
-    _, c_flat = ar_complexity(flat, k1=10)
-    _, c_busy = ar_complexity(busy, k1=10)
+    c_flat = ar_complexity(flat, k1=10)
+    c_busy = ar_complexity(busy, k1=10)
     assert c_busy > c_flat
 
 
 @given(st.integers(0, 9999))
 def test_complexity_nonnegative(seed):
     cloud = random_cloud(30, seed=seed)
-    _, c = ar_complexity(cloud, k1=4)
+    c = ar_complexity(cloud, k1=4)
     assert c >= 0.0
 
 
