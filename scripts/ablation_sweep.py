@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Re-run the score on one synthetic pair across the tunable knobs.
 
-Sweeps the AR order, patch count divisor, band-pass count, WCM bins and
-the four fusion-mode combinations, holding everything else at defaults.
+Sweeps the AR order, patch count divisor, band-pass count and WCM bins,
+holding everything else at defaults.
 """
 
 import argparse
@@ -45,12 +45,6 @@ def main():
     print("\nWCM bins")
     for nb in (10, 30, 50, 100):
         show(f"nb_bins={nb}", phm_score(ref, dist, replace(base, nb_bins=nb)))
-
-    print("\nfusion modes (inner, outer)")
-    for inner in ("multiply", "average"):
-        for outer in ("multiply", "average"):
-            cfg = replace(base, inner_fusion=inner, outer_fusion=outer)
-            show(f"[{inner[0]}, {outer[0]}]", phm_score(ref, dist, cfg))
 
 
 if __name__ == "__main__":

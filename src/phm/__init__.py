@@ -24,4 +24,4 @@ __all__ = [
     "PhmError",
 ]
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

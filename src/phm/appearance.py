@@ -199,15 +199,9 @@ def texture_degradation(
     return out
 
 
-def fuse_appearance(d_l_o: float, d_l_i: float, mode: str) -> float:
-    """Combine geometry and texture degradation into D_L.
+def fuse_appearance(d_l_o: float, d_l_i: float) -> float:
+    """D_L = sqrt(d_l_o * max(d_l_i, 0)): geometry and texture degradation at power one.
 
-    multiply: sqrt(d_l_o * max(d_l_i, 0)) keeps the power at one; average
-    is the arithmetic-mean variant. Negative texture correlation is
-    clamped so the square root stays real.
+    Negative texture correlation is clamped so the square root stays real.
     """
-    if mode == "multiply":
-        return math.sqrt(d_l_o * max(d_l_i, 0.0))
-    if mode == "average":
-        return (d_l_o + d_l_i) / 2.0
-    raise ValueError(f"unknown fusion mode {mode!r}")
+    return math.sqrt(d_l_o * max(d_l_i, 0.0))

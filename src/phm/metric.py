@@ -23,7 +23,6 @@ from .errors import CloudTooSmall, DomainError, ParseError
 from .patches import CloudSides, partition_into_patch_pairs, reference_cells
 from .visible import VisibleDifference, reference_masking, upsilon, visible_difference
 
-_FUSION_MODES = ("multiply", "average")
 # The MetricConfig fields that the reference-only work depends on.
 REFERENCE_FIELDS = ("k1", "k2", "patch_divisor", "num_bandpass")
 MAX_NUM_BANDPASS = 64
@@ -42,8 +41,6 @@ class MetricConfig:
     num_bandpass: int = 3  # band-pass filter count (sub-bands = C + 1)
     nb_bins: int = 50  # co-occurrence quantization bins
     stabilizer: float = 1e-6  # smoothness-similarity stabilizer T
-    inner_fusion: str = "multiply"  # D_L^O with D_L^I
-    outer_fusion: str = "multiply"  # D_H with D_L
 
     def __post_init__(self):
         # The upper bounds keep (C + 1) x N bands and Nb^2 WCMs within memory.
@@ -69,9 +66,6 @@ class MetricConfig:
             raise ValueError("mu must be positive")
         if self.stabilizer <= 0:
             raise ValueError("stabilizer must be positive")
-        for name in ("inner_fusion", "outer_fusion"):
-            if getattr(self, name) not in _FUSION_MODES:
-                raise ValueError(f"{name} must be one of {_FUSION_MODES}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "MetricConfig":
@@ -100,13 +94,8 @@ class MetricConfig:
         return asdict(self)
 
 
-def combine_adaptive(
-    d_h: float,
-    d_l: float,
-    mu: float,
-    outer: str,
-) -> tuple[float, float]:
-    """(omega, score): blend D_H and D_L with weight omega = 1/(1 + mu D_H).
+def combine_adaptive(d_h: float, d_l: float, mu: float) -> tuple[float, float]:
+    """(omega, score): D_H^(1 - omega) D_L^omega with weight omega = 1/(1 + mu D_H).
 
     Low D_H (visible damage) pushes weight onto the appearance term.
     Negative d_l is clamped to 0 so fractional powers stay real.
@@ -116,14 +105,7 @@ def combine_adaptive(
     if mu <= 0:
         raise ValueError("mu must be positive")
     omega = 1.0 / (1.0 + mu * d_h)
-    dl = max(d_l, 0.0)
-    if outer == "multiply":
-        score = d_h ** (1.0 - omega) * dl ** omega
-    elif outer == "average":
-        score = (d_h ** (1.0 - omega) + dl ** omega) / 2.0
-    else:
-        raise ValueError(f"unknown fusion mode {outer!r}")
-    return omega, score
+    return omega, d_h ** (1.0 - omega) * max(d_l, 0.0) ** omega
 
 
 @dataclass
@@ -278,8 +260,8 @@ def _report(reference: PreparedReference, dist: PointCloud, cfg: MetricConfig,
         per_patch[cell].update(degenerate=False, f_s=fs, f_w=fw)
 
     d_l_o, d_l_i = float(f_s.mean()), float(f_w.mean())
-    d_l = fuse_appearance(d_l_o, d_l_i, cfg.inner_fusion)
-    omega, score = combine_adaptive(vd.d_h, d_l, cfg.mu, cfg.outer_fusion)
+    d_l = fuse_appearance(d_l_o, d_l_i)
+    omega, score = combine_adaptive(vd.d_h, d_l, cfg.mu)
     return QualityReport(
         d_h=vd.d_h, d_l_o=d_l_o, d_l_i=d_l_i, d_l=d_l, omega=omega, score=score,
         status="ok", diagnostics=diagnostics)

@@ -25,13 +25,12 @@ from .errors import ShapeError, SpectralError
 LARGE_SIDE = 201
 KRYLOV_STEPS = 120
 SMALL_SIDE_STEPS = 40
-# Most points in one chunk of ``eigendecompose``, whose basis is steps x points;
-# chunks this small keep it and the Lanczos vectors in cache.
+# Most points in one chunk of ``eigendecompose`` and in one group of whole cells
+# that ``build_patch_graph`` graphs at once (a larger side is a block of its own).
+# Chunks this small keep the steps x points basis and the Lanczos vectors in
+# cache; groups this small bound the graph pass's temporaries: a group's edge
+# keys, their sort and its lifted tree.
 CHUNK_POINTS = 4096
-# Most points in one group of whole cells that ``build_patch_graph`` graphs at
-# once (a larger cell is a group of its own): a group's edge keys, their sort
-# and its lifted tree are the pass's temporaries, so they stay this small.
-GRAPH_GROUP_POINTS = 8192
 
 
 def reference_cells(ref: PointCloud,
@@ -45,21 +44,19 @@ def reference_cells(ref: PointCloud,
     """
     seeds = farthest_point_sample(ref, num_cells)
     seed_index = SpatialIndex(ref.positions[seeds])
-    return seed_index, *_cell_order(seed_index, ref)
-
-
-def _cell_order(seed_index: SpatialIndex, cloud: PointCloud) -> tuple[np.ndarray, np.ndarray]:
-    # query_bulk re-ranks by exact squared distance with ties to the lower
-    # index, so a point on a cell boundary goes to the lower seed id.
-    cell_of = seed_index.query_bulk(cloud.positions, 1)[:, 0]
-    return np.argsort(cell_of, kind="stable"), np.bincount(cell_of, minlength=seed_index.n)
+    return seed_index, *partition_into_patch_pairs(seed_index, ref)
 
 
 def partition_into_patch_pairs(seed_index: SpatialIndex,
-                               dist: PointCloud) -> tuple[np.ndarray, np.ndarray]:
-    """(order, sizes) of the distorted points nearest each reference cell's seed in
-    ``seed_index``; a cell may be empty. The name stays while ``perfbench/tracer.py`` times it."""
-    return _cell_order(seed_index, dist)
+                               cloud: PointCloud) -> tuple[np.ndarray, np.ndarray]:
+    """(order, sizes): the points of ``cloud`` listed cell by cell, ascending within each
+    cell, and each cell's count, a cell being the points nearest one seed of ``seed_index``.
+
+    A point on a cell boundary goes to the lower seed id (``query_bulk`` ranks ties
+    by index), and a cell may be empty.
+    """
+    cell_of = seed_index.query_bulk(cloud.positions, 1)[:, 0]
+    return np.argsort(cell_of, kind="stable"), np.bincount(cell_of, minlength=seed_index.n)
 
 
 @dataclass(frozen=True)
@@ -102,14 +99,14 @@ def build_patch_graph(points: np.ndarray, sizes, k2: int) -> CloudSides:
     counts. A point links to its min(k2, n - 1) nearest others in its cell
     of n, ranked as ``SpatialIndex.query_bulk`` ranks them; sigma^2 is the
     mean squared length over the cell's undirected edges. The cells are
-    graphed in groups of consecutive whole cells of at most GRAPH_GROUP_POINTS
+    graphed in groups of consecutive whole cells of at most CHUNK_POINTS
     points, or one larger cell, each group on its own, and a cell's record
     does not depend on the group it is in.
     """
     pos, sizes = np.asarray(points, dtype=np.float64), np.asarray(sizes, dtype=np.intp)
     starts = np.cumsum(sizes) - sizes
     fields = [[] for _ in range(6)]
-    for a, b in _runs(sizes, GRAPH_GROUP_POINTS):
+    for a, b in _runs(sizes, CHUNK_POINTS):
         first = starts[a]
         ei, ej, *rest = _group_graph(pos[first:first + sizes[a:b].sum()], sizes[a:b], k2)
         for field, part in zip(fields, (ei + first, ej + first, *rest)):

@@ -231,7 +231,7 @@ def test_criterion_8_determinism(tmp_path, capsys):
 def test_criterion_9_spot_checks():
     d_h = (40.0 + 4.5 * 4.0) / upsilon(4.5)
     assert abs(d_h - 0.6894) <= 1e-4
-    omega, _ = combine_adaptive(0.6894, 0.5, mu=5.0, outer="multiply")
+    omega, _ = combine_adaptive(0.6894, 0.5, mu=5.0)
     assert abs(omega - 0.2249) <= 1e-4
     # a delta spectrum at 1e-3, below every knee of g = x^2, reads scale t as sqrt(band) / 1e-3
     sub = dense_bands((np.array([1e-3, 2.0]), np.eye(2), np.array([1.0, 0.0])), num_bandpass=3)

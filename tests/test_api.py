@@ -26,8 +26,7 @@ README = ROOT / "README.md"
 PUBLIC = ["MetricConfig", "QualityReport", "phm_score", "prepare_reference", "PointCloud",
           "load_ply", "save_ply", "PhmError"]
 # Parameters that carry a MetricConfig value into a stage function.
-CONFIG_PARAMETERS = {"k1", "k2", "alpha", "mu", "num_bandpass", "stabilizer", "num_bins", "nb_bins",
-                     "mode", "outer"}
+CONFIG_PARAMETERS = {"k1", "k2", "alpha", "mu", "num_bandpass", "stabilizer", "num_bins", "nb_bins"}
 
 
 def test_public_names_are_exactly_the_documented_ones():

@@ -390,16 +390,9 @@ def test_disconnected_patch_is_legal_downstream():
 # --- fusion ------------------------------------------------------------------
 
 def test_fuse_identity():
-    assert fuse_appearance(1.0, 1.0, "multiply") == 1.0
-    assert fuse_appearance(1.0, 1.0, "average") == 1.0
+    assert fuse_appearance(1.0, 1.0) == 1.0
 
 
 def test_fuse_hand_values():
-    assert fuse_appearance(0.81, 0.64, "multiply") == pytest.approx(0.72, rel=1e-12)
-    assert fuse_appearance(0.8, -0.1, "multiply") == 0.0
-    assert fuse_appearance(0.5, 0.3, "average") == pytest.approx(0.4, rel=1e-12)
-
-
-def test_fuse_rejects_unknown_mode():
-    with pytest.raises(ValueError):
-        fuse_appearance(0.5, 0.5, "geometric")
+    assert fuse_appearance(0.81, 0.64) == pytest.approx(0.72, rel=1e-12)
+    assert fuse_appearance(0.8, -0.1) == 0.0

@@ -14,7 +14,7 @@ import phm.appearance
 import phm.patches
 from phm.appearance import _pearson, prepare_pairs, prepare_sides, texture_degradation
 from phm.cloud import PointCloud
-from phm.patches import (GRAPH_GROUP_POINTS, _runs, build_patch_graph, chunk_graph,
+from phm.patches import (CHUNK_POINTS, _runs, build_patch_graph, chunk_graph,
                          partition_into_patch_pairs, reference_cells)
 from phm.synthetic import synthetic_cloud, with_geometry_jitter, with_luminance_noise
 
@@ -46,9 +46,9 @@ def assert_cells_match_oracle(sides, points, k2):
 def check_graphs(points, sizes, k2=10):
     # Cells graphed one per group, in groups of at most 64 points, and in the default groups.
     points = np.asarray(points, dtype=np.float64)
-    for group_points in (1, 64, GRAPH_GROUP_POINTS):
+    for group_points in (1, 64, CHUNK_POINTS):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(phm.patches, "GRAPH_GROUP_POINTS", group_points)
+            mp.setattr(phm.patches, "CHUNK_POINTS", group_points)
             assert_cells_match_oracle(build_patch_graph(points, sizes, k2), points, k2)
 
 
@@ -139,13 +139,13 @@ def test_a_build_in_many_groups_is_the_build_in_one(group_points, monkeypatch):
     points = np.vstack([rng.uniform(0, 4, (sum(sizes), 3)), lattice])
     sizes = np.array(sizes + [100, 0, 1, 120, len(lattice) - 221, 0])
     one = build_patch_graph(points, sizes, 10)
-    monkeypatch.setattr(phm.patches, "GRAPH_GROUP_POINTS", group_points)
+    monkeypatch.setattr(phm.patches, "CHUNK_POINTS", group_points)
     if group_points == 64:
         assert _runs(sizes, 64)[:7] == [(0, 3), (3, 4), (4, 7), (7, 9), (9, 12), (12, 14),
                                         (14, 16)]
     assert len(_runs(sizes, group_points)) > 7
     assert_same_sides(build_patch_graph(points, sizes, 10), one)
-    monkeypatch.setattr(phm.patches, "GRAPH_GROUP_POINTS", len(points))
+    monkeypatch.setattr(phm.patches, "CHUNK_POINTS", len(points))
     assert _runs(sizes, len(points)) == [(0, len(sizes))]
     assert_same_sides(build_patch_graph(points, sizes, 10), one)
 
@@ -153,7 +153,8 @@ def test_a_build_in_many_groups_is_the_build_in_one(group_points, monkeypatch):
 def test_graph_pass_peak_memory():
     # 40,000 points in 512 cells, as in the large-fine clouds: at most 15 MB
     # traced. All cells in one group peaked at 27.8 MB, groups of 8,192 points
-    # at 10.8 MB; the edges, weights and edge offsets returned take 5.9 MB.
+    # at 10.8 MB and of 4,096 at 8.3 MB; the edges, weights and edge offsets
+    # returned take 5.9 MB.
     rng = np.random.default_rng(15)
     points = rng.uniform(0, 8, (40_000, 3))
     cell = np.floor(points).astype(np.intp) @ [64, 8, 1]

@@ -153,15 +153,25 @@ def test_score_unknown_config_key_exits_1(ply_pair, capsys, tmp_path):
     assert json.loads(err)["error"] == "ParseError"
 
 
-def test_score_config_naming_continuous_tail_exits_1(ply_pair, capsys, tmp_path):
-    # The band-pass tail is always Hammond et al.'s 4/x^2; the old switch is an unknown key.
+# Retired config keys, each now an unknown key: the band-pass tail is always Hammond et
+# al.'s 4/x^2 (0.2.0), and D_L and the score always fuse by multiplying (0.3.0).
+RETIRED_KEYS = {"continuous_tail": True, "inner_fusion": "multiply", "outer_fusion": "average"}
+
+
+@pytest.mark.parametrize("key", RETIRED_KEYS)
+def test_score_config_naming_continuous_tail_exits_1(ply_pair, capsys, tmp_path, monkeypatch,
+                                                     key):
+    import phm.cli
+
+    calls = []
+    monkeypatch.setattr(phm.cli, "load_ply", lambda path: calls.append(path))
     ref, dist = ply_pair
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"continuous_tail": True}))
+    cfg.write_text(json.dumps({key: RETIRED_KEYS[key]}))
     code, out, err = run_cli(capsys, "score", "--ref", ref, "--dist", dist, "--config", str(cfg))
-    assert code == 1 and out == "" and len(err.splitlines()) == 1
+    assert code == 1 and out == "" and len(err.splitlines()) == 1 and calls == []
     doc = json.loads(err)
-    assert doc["error"] == "ParseError" and "continuous_tail" in doc["message"]
+    assert doc["error"] == "ParseError" and key in doc["message"]
 
 
 @pytest.mark.parametrize("message", ["", "Unable to allocate 7.28 TiB for an array"],
@@ -599,19 +609,21 @@ def test_batch_unknown_override_column_exits_1(ply_pair, capsys, tmp_path):
     assert json.loads(err)["error"] == "ParseError"
 
 
+@pytest.mark.parametrize("key", RETIRED_KEYS)
 def test_batch_continuous_tail_column_exits_1_before_scoring(ply_pair, capsys, tmp_path,
-                                                             monkeypatch):
+                                                             monkeypatch, key):
     import phm.cli
 
     calls = []
     monkeypatch.setattr(phm.cli, "load_ply", lambda path: calls.append(path))
     ref, dist = ply_pair
     manifest = tmp_path / "m.csv"
-    write_manifest(manifest, [["a", ref, dist, "true"]], extra_cols=("continuous_tail",))
+    write_manifest(manifest, [["a", ref, dist, json.dumps(RETIRED_KEYS[key])]],
+                   extra_cols=(key,))
     code, out, err = run_cli(capsys, "batch", "--manifest", str(manifest))
-    assert code == 1 and out == "" and calls == []
+    assert code == 1 and out == "" and len(err.splitlines()) == 1 and calls == []
     doc = json.loads(err)
-    assert doc["error"] == "ParseError" and "continuous_tail" in doc["message"]
+    assert doc["error"] == "ParseError" and key in doc["message"]
 
 
 def test_batch_missing_manifest_exits_1(capsys, tmp_path):

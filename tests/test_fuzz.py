@@ -87,7 +87,7 @@ CONFIG_VALUES = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.sampled_from([math.nan, math.inf, -math.inf]),
     st.booleans(),
-    st.text(max_size=8) | st.sampled_from(["multiply", "average"]),
+    st.text(max_size=8),
     st.none(),
     st.lists(st.integers(0, 3), max_size=3),
 )
@@ -109,7 +109,7 @@ def test_config_dict_builds_or_raises_parse_error(data):
 # --- text files: config JSON, manifests, predictions CSVs ---------------------
 
 CONFIG_BASE = json.dumps(
-    {"alpha": 4.5, "k2": 10, "num_bandpass": 3, "inner_fusion": "multiply"}).encode()
+    {"alpha": 4.5, "k2": 10, "num_bandpass": 3}).encode()
 MANIFEST_BASE = (b'pair_id,ref_path,dist_path,num_bandpass\n'
                  b'p1,ref.ply,d1.ply,2\n"p,2",ref.ply,"d 2.ply",\n')
 PREDICTIONS_BASE = b"sample_id,mos,prediction\ns0,1.5,0.25\ns1,3.0,0.75\n"

@@ -24,7 +24,7 @@ def test_ablation_sweep_scores_every_setting(monkeypatch, capsys):
     run_script("ablation_sweep.py", monkeypatch, "--points", "800")
     scores = [line.split("score=")[1] for line in capsys.readouterr().out.splitlines()
               if "score=" in line]
-    assert len(scores) == 19
+    assert len(scores) == 15
     assert all(0.0 < float(s) <= 1.0 for s in scores)
 
 
