@@ -27,6 +27,10 @@ MAX_COORDINATE = float(np.finfo(np.float32).max)
 # TREE_WORKERS blocks at a time, so the (rows, kq) temporaries stay in cache
 # and their total does not grow with the threads.
 KNN_BLOCK_ROWS = 4096
+# Most vertex lines of an ascii PLY parsed or written at once: with the file's
+# bytes, their strings and records are all the ascii loader holds besides the
+# cloud it builds.
+PLY_BLOCK_LINES = 4096
 # Threads of each ``ranked_knn`` call: the CPUs this process may run on. Its
 # blocks run on a pool of this many threads, started once per call. ``phm
 # batch`` divides them among its jobs. A row's answer does not depend on the count.
@@ -131,7 +135,7 @@ class SpatialIndex:
         return ranked_knn(self._tree, self._positions, q, k, own)[0]
 
     def query_bulk(self, points, k: int, exclude_self: bool = False,
-                   order: np.ndarray | None = None) -> np.ndarray:
+                   order: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
         """Row-per-query KNN; with exclude_self, row i leaves out index i.
 
         Returns an (m, kr) index array with kr = min(k, N-1) when
@@ -139,7 +143,9 @@ class SpatialIndex:
         be the indexed points, in order; a duplicate of point i is a
         neighbor of i like any other point. ``order``, a permutation of the
         m rows such as the query points' own ``leaf_order``, is the order in
-        which rows are queried; it does not change the answer.
+        which rows are queried; it does not change the answer. ``out``, an
+        (m, kr) integer array (int32 will do for N < 2^31), receives the
+        answer in place of a new intp array, and is returned.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
@@ -150,12 +156,16 @@ class SpatialIndex:
             raise ValueError("exclude_self needs the indexed points as queries")
         if order is not None and len(order) != len(pts):
             raise ValueError(f"order must permute the {len(pts)} query rows, got {len(order)}")
+        shape = (len(pts), min(k, self.n - exclude_self))
+        if out is not None and out.shape != shape:
+            raise ValueError(f"out must have shape {shape}, got {out.shape}")
         own = np.arange(self.n) if exclude_self else None
-        return ranked_knn(self._tree, self._positions, pts, k, own, order)
+        return ranked_knn(self._tree, self._positions, pts, k, own, order, out)
 
 
 def ranked_knn(tree: cKDTree, data: np.ndarray, pts: np.ndarray, k: int,
-               own: np.ndarray | None, order: np.ndarray | None = None) -> np.ndarray:
+               own: np.ndarray | None, order: np.ndarray | None = None,
+               out: np.ndarray | None = None) -> np.ndarray:
     """(m, kr) nearest indices into ``data``, the points of ``tree``, per query row.
 
     Row i leaves out index own[i] if given. Each round tree-queries kq
@@ -170,30 +180,38 @@ def ranked_knn(tree: cKDTree, data: np.ndarray, pts: np.ndarray, k: int,
     (default: ascending); each row's answer is written to its own place and
     depends on neither the order nor the threads. Rows near each other, as in
     the leaf order of the query cloud's own tree, visit the same tree nodes.
-    Blocks of min(m, KNN_BLOCK_ROWS) // TREE_WORKERS rows (at least one) run
-    on a pool of TREE_WORKERS threads, the caller's among them, so a query of
-    up to KNN_BLOCK_ROWS rows is split evenly over the threads and at most
-    KNN_BLOCK_ROWS rows are in flight. Each block queries the tree on one
-    thread; an exception in any block is raised here once every thread has
-    stopped. A query of one block, or at one thread, starts no thread.
+    The rows are split into a multiple of TREE_WORKERS blocks whose sizes
+    differ by at most one, each of at most KNN_BLOCK_ROWS // TREE_WORKERS
+    rows, and the blocks run on a pool of TREE_WORKERS threads, the caller's
+    among them, so at most KNN_BLOCK_ROWS rows are in flight. Each block
+    queries the tree on one thread; an exception in any block is raised here
+    once every thread has stopped. A query of one row, or at one thread,
+    starts no thread. The answer goes to ``out`` if given, an (m, kr) integer
+    array such as int32, else to a new intp array.
     """
     m, n, skip = len(pts), len(data), int(own is not None)
     kr = min(k, n - skip)
-    out = np.empty((m, kr), dtype=np.intp)
+    if out is None:
+        out = np.empty((m, kr), dtype=np.intp)
     if kr == 0:
         return out
     rows_in_order = np.arange(m) if order is None else order
-    size = max(1, min(m, KNN_BLOCK_ROWS) // TREE_WORKERS)
+    per_thread = max(1, KNN_BLOCK_ROWS // TREE_WORKERS)
+    blocks = max(1, TREE_WORKERS * -(-m // (TREE_WORKERS * per_thread)))
+    bounds = (np.arange(blocks + 1) * m // blocks).tolist()
 
-    def block(first: int) -> None:
-        rows = rows_in_order[first:first + size]
+    def block(span: tuple[int, int]) -> None:
+        rows = rows_in_order[span[0]:span[1]]
         kq = min(kr + 1 + skip, n)
         while len(rows):
             q = pts[rows]
             idx = tree.query(q, k=kq, workers=1)[1].reshape(len(rows), kq)
             d2 = np.zeros(idx.shape)  # column by column, summed as (diff * diff).sum(-1) sums
             for c, col in enumerate(data.T):
-                d2 += (col[idx] - q[:, c, None]) ** 2
+                diff = col[idx]  # the only (rows, kq) temporary: squared in place, freed
+                diff -= q[:, c, None]
+                d2 += np.square(diff, out=diff)
+                del diff
             rim = d2.max(axis=1)
             d, i = d2[:, skip:], idx[:, skip:]
             ok = ((d[:, :-1] < d[:, 1:]) | (d[:, :-1] == d[:, 1:]) & (i[:, :-1] < i[:, 1:])).all(1)
@@ -212,7 +230,7 @@ def ranked_knn(tree: cKDTree, data: np.ndarray, pts: np.ndarray, k: int,
             rows = rows[last >= rim]
             kq = min(kq * 2, n)
 
-    _on_threads(block, range(0, m, size), TREE_WORKERS)
+    _on_threads(block, [(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a], TREE_WORKERS)
     return out
 
 
@@ -377,6 +395,44 @@ def _vertex_layout(props):
     return byname
 
 
+def _ascii_records(data: bytes, start: int, skip: int, count: int, dt: np.dtype) -> np.ndarray:
+    """The ``count`` lines after the first ``skip`` of ``data[start:]``, split at
+    "\\n", parsed as records of ``dt``, PLY_BLOCK_LINES lines at a time.
+
+    As one ``np.loadtxt`` over those lines: a blank line is skipped, so the
+    row count check fails, and an error names its row among the non-blank ones.
+    """
+    if data.count(b"\n", start) + 1 < skip + count:
+        raise ParseError("ascii payload truncated")
+    for _ in range(skip):
+        start = data.index(b"\n", start) + 1
+    rec, rows, left, span = np.empty(count, dtype=dt), 0, count, 64 * PLY_BLOCK_LINES
+    while left:
+        want = min(left, PLY_BLOCK_LINES)
+        # The ascii codec with "replace" keeps one character per byte.
+        text = data[start:start + span].decode("ascii", errors="replace")
+        lines = text.split("\n", want)
+        # A piece past the block, or one the window cuts, waits for the next block.
+        rest = lines.pop() if len(lines) > want or start + span < len(data) else ""
+        if not lines:  # a line longer than the window
+            span *= 2
+            continue
+        start += len(text) - len(rest)
+        left -= len(lines)
+        if any(line and not line.isspace() for line in lines):  # loadtxt warns on none
+            try:
+                part = np.loadtxt(lines, dtype=dt, comments=None, ndmin=1)
+            except ValueError as e:
+                message = re.sub(r"at row (\d+)", lambda m: f"at row {int(m[1]) + rows}", str(e),
+                                 count=1)
+                raise ParseError(f"unparseable ascii vertex block: {message}") from None
+            rec[rows:rows + len(part)] = part
+            rows += len(part)
+    if rows != count:
+        raise ParseError(f"ascii vertex block has {rows} non-blank lines, expected {count}")
+    return rec
+
+
 def load_ply(path) -> PointCloud:
     """Load an ascii or binary_little_endian PLY with xyz + RGB vertices.
 
@@ -402,11 +458,6 @@ def load_ply(path) -> PointCloud:
             raise ParseError(f"cannot skip list-typed element {name!r} before vertices")
 
     if fmt == "ascii":
-        rows = data[body_start:].decode("ascii", errors="replace").split("\n")
-        cursor = sum(count for _, count, _ in elements[:vidx])
-        lines = rows[cursor:cursor + nverts]
-        if len(lines) < nverts:
-            raise ParseError("ascii payload truncated")
         # One column per declared property: xyz parse as float, RGB as uint8
         # (out-of-range or non-integer tokens fail), the rest are unchecked.
         kinds = ["U1"] * len(vprops)
@@ -415,13 +466,8 @@ def load_ply(path) -> PointCloud:
         for chan in ("red", "green", "blue"):
             kinds[layout[chan][0]] = "u1"
         dt = np.dtype([(f"c{i}", kind) for i, kind in enumerate(kinds)])
-        try:
-            # loadtxt skips blank lines; the row count check below catches them.
-            rec = np.loadtxt(lines, dtype=dt, comments=None, ndmin=1)
-        except ValueError as e:
-            raise ParseError(f"unparseable ascii vertex block: {e}") from None
-        if len(rec) != nverts:
-            raise ParseError(f"ascii vertex block has {len(rec)} non-blank lines, expected {nverts}")
+        cursor = sum(count for _, count, _ in elements[:vidx])
+        rec = _ascii_records(data, body_start, cursor, nverts, dt)
     else:
         offset = body_start
         for _, count, props in elements[:vidx]:
@@ -431,9 +477,12 @@ def load_ply(path) -> PointCloud:
         if offset + nverts * dt.itemsize > len(data):
             raise ParseError("binary payload truncated")
         rec = np.frombuffer(data, dtype=dt, count=nverts, offset=offset)
-    pos = np.stack([rec[f"c{layout[a][0]}"] for a in ("x", "y", "z")], axis=1)
-    col = np.stack([rec[f"c{layout[c][0]}"] for c in ("red", "green", "blue")], axis=1)
-    return PointCloud.from_arrays(pos, col)
+    # Filled column by column, and the file and records freed before the luminance.
+    pos, col = np.empty((nverts, 3)), np.empty((nverts, 3), dtype=np.uint8)
+    for j, (axis, chan) in enumerate(zip(("x", "y", "z"), ("red", "green", "blue"))):
+        pos[:, j], col[:, j] = rec[f"c{layout[axis][0]}"], rec[f"c{layout[chan][0]}"]
+    del data, rec
+    return PointCloud(pos, col, rgb_to_luminance(col))
 
 
 def save_ply(cloud: PointCloud, path, binary: bool = False) -> None:
@@ -441,7 +490,8 @@ def save_ply(cloud: PointCloud, path, binary: bool = False) -> None:
 
     Positions are quantized to float32 on save so that the ascii and binary
     encodings of the same cloud load back bitwise-equal; PointCloud keeps
-    them within float32's range.
+    them within float32's range. Ascii lines are written PLY_BLOCK_LINES at
+    a time.
     """
     pos32 = cloud.positions.astype(np.float32)
     fmt = "binary_little_endian" if binary else "ascii"
@@ -463,6 +513,8 @@ def save_ply(cloud: PointCloud, path, binary: bool = False) -> None:
             rec["red"], rec["green"], rec["blue"] = cloud.colors.T
             fh.write(rec.tobytes())
         else:
-            rows = zip(pos32.tolist(), cloud.colors.tolist())
-            fh.write("".join(f"{x!r} {y!r} {z!r} {r} {g} {b}\n"
-                             for (x, y, z), (r, g, b) in rows).encode("ascii"))
+            for first in range(0, len(cloud), PLY_BLOCK_LINES):
+                block = slice(first, first + PLY_BLOCK_LINES)
+                rows = zip(pos32[block].tolist(), cloud.colors[block].tolist())
+                fh.write("".join(f"{x!r} {y!r} {z!r} {r} {g} {b}\n"
+                                 for (x, y, z), (r, g, b) in rows).encode("ascii"))

@@ -4,7 +4,7 @@ The reference cloud is split by farthest-point-sampled seeds, once per
 reference; each distorted cloud is then partitioned by nearest seed. A
 cloud's cells are its points listed cell by cell and each cell's count. The
 patches of one cloud get their Gaussian-weighted KNN graphs in groups of
-whole cells, joined into one edge list. ``eigendecompose`` gives the Lanczos
+whole cells, written into one edge list. ``eigendecompose`` gives the Lanczos
 spectra of a signal on a chunk of such graphs at once, and the wavelet
 analysis downstream filters through them.
 """
@@ -101,18 +101,28 @@ def build_patch_graph(points: np.ndarray, sizes, k2: int) -> CloudSides:
     mean squared length over the cell's undirected edges. The cells are
     graphed in groups of consecutive whole cells of at most CHUNK_POINTS
     points, or one larger cell, each group on its own, and a cell's record
-    does not depend on the group it is in.
+    does not depend on the group it is in. Each group's edges are written in
+    place into arrays sized for N min(k2, largest cell - 1) edges, which are
+    then shrunk to the E written.
     """
     pos, sizes = np.asarray(points, dtype=np.float64), np.asarray(sizes, dtype=np.intp)
     starts = np.cumsum(sizes) - sizes
-    fields = [[] for _ in range(6)]
+    # No cell has more edges than points times its links per point.
+    capacity = len(pos) * min(k2, max(int(sizes.max(initial=0)) - 1, 0))
+    ei, ej, weights = np.empty(capacity, np.intp), np.empty(capacity, np.intp), np.empty(capacity)
+    counts = np.empty(len(sizes), np.intp)
+    sigma2, smoothness = np.empty(len(sizes)), np.empty((len(sizes), 3))
+    edges = 0
     for a, b in _runs(sizes, CHUNK_POINTS):
         first = starts[a]
-        ei, ej, *rest = _group_graph(pos[first:first + sizes[a:b].sum()], sizes[a:b], k2)
-        for field, part in zip(fields, (ei + first, ej + first, *rest)):
-            field.append(part)
-    # Joined one field at a time, which frees its parts before the next is joined.
-    ei, ej, weights, counts, sigma2, smoothness = [np.concatenate(fields.pop(0)) for _ in range(6)]
+        gi, gj, gw, counts[a:b], sigma2[a:b], smoothness[a:b] = _group_graph(
+            pos[first:first + sizes[a:b].sum()], sizes[a:b], k2)
+        end = edges + len(gi)
+        np.add(gi, first, out=ei[edges:end])
+        np.add(gj, first, out=ej[edges:end])
+        weights[edges:end], edges = gw, end
+    for field in (ei, ej, weights):
+        field.resize(edges, refcheck=False)  # shrunk in place (realloc); no view of them exists
     return CloudSides(starts, sizes, ei, ej, weights, np.append(0, np.cumsum(counts)), sigma2,
                       smoothness)
 

@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import get_lapack_funcs
 
 from .cloud import PointCloud, SpatialIndex
 from .errors import CloudTooSmall
@@ -18,6 +19,8 @@ from .errors import CloudTooSmall
 PEAK = 255.0
 # Normalizer assumes per-point MSE >= 1 and mean |residual| < 2^8.
 RESIDUAL_SPAN_BITS = 8.0
+# Rows of the AR design factored, and then taken for residuals, at a time.
+AR_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -58,16 +61,37 @@ def ar_texture_complexity(ref: PointCloud, ref_index: SpatialIndex, k1: int) -> 
     Design matrix row i holds the luminances of the K1 nearest neighbors of
     point i (self excluded). Solved as a single minimum-norm least-squares
     problem; complexity is log2(1 + mean |residual|).
+
+    The fit is a blockwise QR (TSQR; Demmel et al., SIAM J. Sci. Comput.,
+    2012): AR_BLOCK_ROWS rows of [design | luminance] at a time go under the
+    running (K1 + 1)-square R factor and are factored again, and theta solves
+    the top K1 rows of R with the full design's singular-value cutoff, so a
+    rank-deficient design (a constant colour) keeps its minimum-norm answer.
+    The residuals follow block by block; only the neighbour lists are N x K1.
     """
     n = len(ref)
     if n <= k1:
         raise CloudTooSmall(f"AR of order {k1} needs more than {k1} points, got {n}")
-    # Indexed at once, so the N x k1 neighbour array is freed before lstsq.
-    design = ref.luminance[ref_index.query_bulk(ref.positions, k1, exclude_self=True,
-                                                order=ref_index.leaf_order)]
-    theta, *_ = np.linalg.lstsq(design, ref.luminance, rcond=None)
-    residuals = ref.luminance - design @ theta
-    return math.log2(1.0 + float(np.mean(np.abs(residuals))))
+    lum = ref.luminance
+    near = np.empty((n, k1), dtype=np.int32 if n <= np.iinfo(np.int32).max else np.intp)
+    ref_index.query_bulk(ref.positions, k1, exclude_self=True, order=ref_index.leaf_order,
+                         out=near)
+    geqrf = get_lapack_funcs("geqrf", dtype=np.float64)
+    r = np.zeros((k1 + 1, k1 + 1))
+    for first in range(0, n, AR_BLOCK_ROWS):
+        rows = slice(first, min(first + AR_BLOCK_ROWS, n))
+        stack = np.empty((k1 + 1 + rows.stop - first, k1 + 1), order="F")
+        stack[:k1 + 1], stack[k1 + 1:, :k1], stack[k1 + 1:, k1] = r, lum[near[rows]], lum[rows]
+        qr, _, _, info = geqrf(stack, overwrite_a=True)
+        if info:
+            raise np.linalg.LinAlgError(f"geqrf failed with info {info}")
+        r = np.triu(qr[:k1 + 1])
+    theta = np.linalg.lstsq(r[:k1, :k1], r[:k1, k1], rcond=np.finfo(np.float64).eps * n)[0]
+    residuals = np.empty(n)
+    for first in range(0, n, AR_BLOCK_ROWS):
+        rows = slice(first, first + AR_BLOCK_ROWS)
+        np.abs(lum[rows] - lum[near[rows]] @ theta, out=residuals[rows])
+    return math.log2(1.0 + float(np.mean(residuals)))
 
 
 def upsilon(alpha: float) -> float:

@@ -153,7 +153,9 @@ def test_a_build_in_many_groups_is_the_build_in_one(group_points, monkeypatch):
 def test_graph_pass_peak_memory():
     # 40,000 points in 512 cells, as in the large-fine clouds: at most 15 MB
     # traced. All cells in one group peaked at 27.8 MB, groups of 8,192 points
-    # at 10.8 MB and of 4,096 at 8.3 MB; the edges, weights and edge offsets
+    # at 10.8 MB and of 4,096 at 8.3 MB with a join copy, and at 13.3 MB with
+    # each group written in place, since tracemalloc counts the whole capacity
+    # (9.6 MB), not the pages written; the edges, weights and edge offsets
     # returned take 5.9 MB.
     rng = np.random.default_rng(15)
     points = rng.uniform(0, 8, (40_000, 3))

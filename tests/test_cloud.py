@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,7 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import phm.cloud
 from phm.cloud import (
+    PLY_BLOCK_LINES,
     PointCloud,
     SpatialIndex,
     farthest_point_sample,
@@ -395,6 +399,105 @@ def test_malformed_ascii_payload_raises(tmp_path, body):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             load_ply(p)
+
+
+def vertex_lines(n, digits=6, seed=0):
+    """n ascii vertex lines, xyz to ``digits`` decimals (6 in the large-fine files), then RGB."""
+    rng = np.random.default_rng(seed)
+    pos, col = rng.uniform(-50, 50, (n, 3)), rng.integers(0, 256, (n, 3))
+    return [f"{x:.{digits}f} {y:.{digits}f} {z:.{digits}f} {r} {g} {b}"
+            for (x, y, z), (r, g, b) in zip(pos.tolist(), col.tolist())]
+
+
+def ascii_ply(lines, count=None, before=b"") -> bytes:
+    """An ascii PLY of xyz + RGB vertex ``lines`` (its vertex count ``count``, default
+    theirs), each ended by a newline, after the header and the bytes ``before``."""
+    n = len(lines) if count is None else count
+    return (f"ply\nformat ascii 1.0\nelement vertex {n}\n".encode() + VERTEX_HEADER
+            + b"end_header\n" + before + "".join(f"{line}\n" for line in lines).encode())
+
+
+def one_loadtxt_error(lines):
+    """The ParseError text of one np.loadtxt call over every vertex line."""
+    dt = np.dtype([(f"c{i}", kind) for i, kind in enumerate(["f8"] * 3 + ["u1"] * 3)])
+    try:
+        rec = np.loadtxt(lines, dtype=dt, comments=None, ndmin=1)
+    except ValueError as e:
+        return f"unparseable ascii vertex block: {e}"
+    return f"ascii vertex block has {len(rec)} non-blank lines, expected {len(lines)}"
+
+
+# Each case: the row its error names (counted among non-blank lines from the
+# first vertex line, from 0 for a token and from 1 for a short line), or None.
+LATER_BLOCK_ERRORS = {"bad-token": 0, "short-line": 1, "blank-then-bad": -1, "blank": None,
+                      "blank-block": None, "truncated": None, "bad-then-truncated": None}
+
+
+@pytest.mark.parametrize("case", LATER_BLOCK_ERRORS)
+@pytest.mark.parametrize("block", [7, PLY_BLOCK_LINES])
+def test_an_error_in_a_later_block_reads_as_in_one_block(tmp_path, monkeypatch, block, case):
+    # The vertex lines go PLY_BLOCK_LINES at a time; an error's text, and the row
+    # it names, are those of one loadtxt over them all; truncation is found first.
+    monkeypatch.setattr(phm.cloud, "PLY_BLOCK_LINES", block)
+    lines = vertex_lines(9 * block)
+    at, count = 7 * block + 3, None
+    if "bad" in case:
+        lines[at] = lines[at].replace(" ", "x ", 1)
+    if case == "blank-then-bad":
+        lines[2] = ""
+    if case == "short-line":
+        lines[at] = lines[at].rsplit(" ", 1)[0]
+    if case == "blank":
+        lines[at] = " \t"
+    if case == "blank-block":  # nothing to parse, and no loadtxt warning about it
+        lines[7 * block:8 * block] = [""] * block
+        warnings.simplefilter("error")
+    if case.endswith("truncated"):
+        count = len(lines) + 2  # the piece after the last newline is one line more
+    p = tmp_path / "bad.ply"
+    p.write_bytes(ascii_ply(lines, count))
+    with pytest.raises(ParseError) as err:
+        load_ply(p)
+    assert str(err.value) == ("ascii payload truncated" if count else one_loadtxt_error(lines))
+    if LATER_BLOCK_ERRORS[case] is not None:
+        row = int(re.search(r"at row (\d+)", str(err.value))[1])
+        assert row == at + LATER_BLOCK_ERRORS[case]
+
+
+def test_ascii_blocks_and_windows_load_as_one_block(tmp_path, monkeypatch):
+    # Lines longer than a one-line block's window (64 bytes), the lines of an
+    # element before the vertices, and a last line with no newline.
+    lines = vertex_lines(300, digits=30)
+    assert len(lines[0]) > 64
+    body = ascii_ply(lines, before=b"1.0\n2.0\n")[:-1]
+    p = tmp_path / "long.ply"
+    p.write_bytes(body.replace(b"element vertex",
+                               b"element info 2\nproperty float value\nelement vertex"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        want = load_ply(p)
+        for block in (1, 2, 7):
+            monkeypatch.setattr(phm.cloud, "PLY_BLOCK_LINES", block)
+            got = load_ply(p)
+            for field in ("positions", "colors", "luminance"):
+                np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+    assert len(want) == 300
+    np.testing.assert_array_equal(want.positions[0], [float(t) for t in lines[0].split()[:3]])
+
+
+def test_ascii_load_peak_memory(tmp_path):
+    # 39,083 lines as in the large-fine references (1.6 MB): at most 5 MB traced.
+    # The file's bytes, the records (1.1 MB) and one block of lines; measured
+    # 4.1 MB, against 10.5 MB when the whole payload was split into strings first.
+    p = tmp_path / "large.ply"
+    p.write_bytes(ascii_ply(vertex_lines(39_083)))
+    tracemalloc.start()
+    try:
+        load_ply(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
 
 
 @pytest.mark.parametrize("token", [b"nan", b"inf", b"-inf"])

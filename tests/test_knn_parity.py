@@ -181,7 +181,7 @@ def test_answers_do_not_depend_on_the_tree_workers(cloud, monkeypatch):
         assert 2 * KNN_BLOCK_ROWS < len(pts) < 3 * KNN_BLOCK_ROWS
     sizes = [len(pts) - 108, 0, 1, 7, 100]
     results = []
-    for workers in (1, 2, 3):  # pooled blocks of 2,048 and 1,365 rows: 5 and 8 of them
+    for workers in (1, 2, 3):  # pooled blocks of 1,666-1,667 and 1,111-1,112 rows: 6 and 9
         monkeypatch.setattr(phm.cloud, "TREE_WORKERS", workers)
         index = SpatialIndex(pts)
         graph = build_patch_graph(pts, sizes, k2=10)
@@ -234,8 +234,36 @@ def test_rows_are_queried_in_the_order_given(monkeypatch):
     pts = np.random.default_rng(18).uniform(0, 10, size=(2 * KNN_BLOCK_ROWS + 5, 3))
     order, tree = np.random.default_rng(19).permutation(len(pts)), RecordingTree(pts, 5)
     ranked_knn(tree, pts, pts, 3, np.arange(len(pts)), order)
-    assert [len(q) for q in tree.queries] == [KNN_BLOCK_ROWS, KNN_BLOCK_ROWS, 5]
+    assert [len(q) for q in tree.queries] == [2732, 2732, 2733]  # three even blocks
     np.testing.assert_array_equal(np.concatenate(tree.queries), pts[order])
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 2301, KNN_BLOCK_ROWS - 1, KNN_BLOCK_ROWS + 1, 39_083])
+def test_blocks_are_even_and_keep_knn_block_rows_in_flight(m, workers, monkeypatch):
+    # A multiple of `workers` blocks, none of more than KNN_BLOCK_ROWS // workers
+    # rows, whose sizes differ by at most one: no rest block of a few rows runs
+    # on one thread after the others (39,083 rows once ended in one of 2,219).
+    monkeypatch.setattr(phm.cloud, "TREE_WORKERS", workers)
+    pts = np.round(np.random.default_rng(20).uniform(0, 40, size=(max(m, 100), 3)))
+    own, tree = np.arange(m), RecordingTree(pts, 5)  # k = 3 and own: kq = 5
+    got = ranked_knn(tree, pts, pts[:m], 3, own)
+    sizes = [len(q) for q in tree.queries]
+    blocks = workers * -(-m // (workers * (KNN_BLOCK_ROWS // workers)))
+    assert sum(sizes) == m and len(sizes) == min(m, blocks)
+    assert max(sizes) - min(sizes) <= 1
+    assert max(sizes) * min(workers, len(sizes)) <= KNN_BLOCK_ROWS
+    np.testing.assert_array_equal(got, lexsort_ranked_knn(tree.tree, pts, pts[:m], 3, own))
+
+
+def test_query_bulk_writes_into_an_int32_out():
+    pts = duplicated_lattice(8)
+    index = SpatialIndex(pts)
+    out = np.full((len(pts), 6), -1, dtype=np.int32)
+    assert index.query_bulk(pts, 6, exclude_self=True, order=index.leaf_order, out=out) is out
+    np.testing.assert_array_equal(out, index.query_bulk(pts, 6, exclude_self=True))
+    with pytest.raises(ValueError, match="shape"):
+        index.query_bulk(pts, 6, out=out[:, :5])
 
 
 def test_leaf_order_permutes_the_indexed_points():

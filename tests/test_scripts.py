@@ -67,6 +67,18 @@ def test_profile_pair_jitter_moves_the_distorted_points(monkeypatch, capsys):
     assert 0.0 < docs[1]["score"] < docs[0]["score"] < 1.0
 
 
+def test_profile_pair_ascii_scores_the_files_it_writes(monkeypatch, capsys):
+    docs = []
+    for flags in ((), ("--ascii",)):
+        run_script("profile_pair.py", monkeypatch, "--points", "3000", "--seed", "5", *flags)
+        docs.append(json.loads(capsys.readouterr().out))
+    plain, ascii_files = docs
+    assert not plain["ascii"] and plain["load_s"] is None
+    assert ascii_files["ascii"] and ascii_files["load_s"] > 0.0
+    # save_ply's float32 positions move the score by rounding only.
+    assert ascii_files["score"] == pytest.approx(plain["score"], abs=1e-6)
+
+
 # --- bench_snapshot.py, with every process it starts answered in-process -----
 
 WORKLOADS = [w["name"] for w in json.loads((SCRIPTS.parent / "BENCHMARK.json").read_text())["workloads"]]

@@ -1,14 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import phm.cloud
+import phm.visible
 from phm.cloud import PointCloud, SpatialIndex
 from phm.errors import CloudTooSmall
 from phm.synthetic import synthetic_cloud
 from phm.visible import (
+    AR_BLOCK_ROWS,
     ar_texture_complexity,
     reference_masking,
     symmetric_mse,
@@ -119,17 +123,23 @@ def test_ar_matches_normal_equations_oracle():
     assert c == pytest.approx(math.log2(1 + np.mean(np.abs(resid))), abs=1e-10)
 
 
-def test_ar_excludes_own_index_among_duplicates():
-    # 300 of 3,000 positions repeat an earlier point with their own colours
-    # (shifted by up to +-40). Each row must drop exactly its own index, so
-    # a duplicate's partner is a neighbor and its own luminance never is.
+def duplicates_cloud():
+    """3,000 points, 300 of which repeat an earlier position with their own
+    colours (shifted by up to +-40)."""
     base = synthetic_cloud(3000, seed=41)
     rng = np.random.default_rng(42)
     pos, col = base.positions.copy(), base.colors.astype(int)
     src = rng.choice(2700, size=300, replace=False)
     pos[2700:] = pos[src]
     col[2700:] = np.clip(col[src] + rng.integers(-40, 41, size=(300, 1)), 0, 255)
-    cloud = PointCloud.from_arrays(pos, col.astype(np.uint8))
+    return PointCloud.from_arrays(pos, col.astype(np.uint8))
+
+
+def test_ar_excludes_own_index_among_duplicates():
+    # Each row must drop exactly its own index, so a duplicate's partner is a
+    # neighbor and its own luminance never is.
+    cloud = duplicates_cloud()
+    pos = cloud.positions
     c = ar_complexity(cloud, k1=20)
 
     # oracle: neighbors by (distance, index) with index i removed from row i
@@ -145,6 +155,58 @@ def test_ar_excludes_own_index_among_duplicates():
     got = SpatialIndex(pos).query_bulk(pos, 20, exclude_self=True)
     np.testing.assert_array_equal(got, nbrs)
     assert c == pytest.approx(want, abs=1e-10)
+
+
+def lstsq_complexity(cloud, k1):
+    """The full-design fit: the N x k1 design of ``query_bulk``'s lists, one lstsq."""
+    index = SpatialIndex(cloud.positions)
+    design = cloud.luminance[index.query_bulk(cloud.positions, k1, exclude_self=True)]
+    theta = np.linalg.lstsq(design, cloud.luminance, rcond=None)[0]
+    return math.log2(1 + np.mean(np.abs(cloud.luminance - design @ theta)))
+
+
+@pytest.mark.parametrize("n, block", [
+    (9000, AR_BLOCK_ROWS),  # two full blocks and a part
+    (2301, 500),
+    (21, 8),  # N = k1 + 1: blocks of fewer rows than R has
+    (21, AR_BLOCK_ROWS),
+    ("duplicates", 700),
+])
+def test_blockwise_ar_matches_the_lstsq_fit(n, block, monkeypatch):
+    # C(ref) within 1e-12 relative of the full design solved by lstsq.
+    monkeypatch.setattr(phm.visible, "AR_BLOCK_ROWS", block)
+    cloud = duplicates_cloud() if n == "duplicates" else synthetic_cloud(n, seed=n)
+    c = ar_complexity(cloud, k1=20)
+    assert c == pytest.approx(lstsq_complexity(cloud, 20), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("k1", [5, 20])
+def test_blockwise_ar_of_a_constant_colour_is_zero(k1, monkeypatch):
+    # A rank-1 design over eight blocks keeps the minimum-norm answer: no
+    # residual beyond roundoff, as for lstsq.
+    monkeypatch.setattr(phm.visible, "AR_BLOCK_ROWS", 640)
+    pos = np.random.default_rng(1).uniform(0, 10, size=(5000, 3))
+    cloud = cloud_with_luminance(pos, np.full(5000, 77.0))
+    assert ar_complexity(cloud, k1) <= 1e-9
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_ar_fit_peak_memory(workers, monkeypatch):
+    # The 39,083 points of the large-fine reference at k1 = 20: at most 6 MB
+    # traced. The int32 neighbour lists take 3.1 MB and the KNN blocks in
+    # flight about 2.6 MB; measured 5.7 MB at 1 and 2 tree threads, 6.4 MB
+    # when each block held two gathered columns at once, and 12.5 MB for the
+    # full design solved by lstsq.
+    monkeypatch.setattr(phm.cloud, "TREE_WORKERS", workers)
+    cloud = synthetic_cloud(39_083, seed=3)
+    index = SpatialIndex(cloud.positions)
+    tracemalloc.start()
+    try:
+        ar_texture_complexity(cloud, index, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6
 
 
 def test_ar_requires_enough_points():
